@@ -16,7 +16,7 @@ from beamkey import (
     PathSet,
     allocate_bs_beams,
     allocate_ut_beams,
-    beam_covariances,
+    beam_covariance_factor,
     build_matrices,
     grid_sines,
     neutralization_residual,
@@ -29,7 +29,7 @@ bs, ut = ArrayGeometry(M), ArrayGeometry(N)
 
 # On-grid users with disjoint departure beams.
 beam_pool = rng.permutation(M)[: USERS * N_PATHS].reshape(USERS, N_PATHS)
-covs = []
+factors, bs_gains, ut_gains = [], [], []
 for k in range(USERS):
     aoa_idx = rng.choice(N, size=N_PATHS, replace=False)
     paths = PathSet(
@@ -38,10 +38,14 @@ for k in range(USERS):
         aod=np.arcsin(grid_sines(M)[beam_pool[k]]),
         powers=np.full(N_PATHS, 1 / N_PATHS),
     )
-    covs.append(beam_covariances(paths, bs, ut))
+    # Lambda = F F^H never needs forming: the residual works from the factor F.
+    factor, r_bs, r_ut = beam_covariance_factor(paths, bs, ut)
+    factors.append(factor)
+    bs_gains.append(np.real(np.diag(r_bs)))
+    ut_gains.append(np.real(np.diag(r_ut)))
 
-bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], N_PATHS)
-ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), 2) for c in covs]
+bs_sets = allocate_bs_beams(bs_gains, N_PATHS)
+ut_sets = [allocate_ut_beams(g, 2) for g in ut_gains]
 alloc = build_matrices(bs_sets, ut_sets, sampling_matrix(bs), [sampling_matrix(ut)] * USERS)
 
 print("allocated transmit beams per user:", [s.tolist() for s in alloc.bs_beams])
@@ -51,13 +55,13 @@ for k in range(USERS):
         if kp == k:
             continue
         r = neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                    covs[kp].lambda_full)
+                                    factors[kp])
         print(f"  user {k} -> user {kp}: {r:.2e}")
 
 # Force an overlap: probe user 0 straight through user 1's strongest beam.
 shared = int(alloc.bs_beams[1][0])
 forced = np.eye(M, dtype=complex)[:, [shared]]
-r = neutralization_residual(forced, alloc.ut_selectors[1], covs[1].lambda_full)
+r = neutralization_residual(forced, alloc.ut_selectors[1], factors[1])
 print(f"\nprobing directly on user 1's beam {shared} instead: residual = {r:.3f}")
 print(f"(the leak equals the mean power riding on the shared beam, {1 / N_PATHS} here; "
       "disjoint beams keep it at ~0)")

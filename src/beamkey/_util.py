@@ -17,6 +17,11 @@ def complex_normal(rng: np.random.Generator, shape, variance=1.0) -> np.ndarray:
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """Hermitian part (A + A^H) / 2 of a square matrix."""
+    return (mat + mat.conj().T) / 2.0
+
+
 def readonly(array: np.ndarray) -> np.ndarray:
     """Return an owned, write-protected copy of `array`."""
     out = np.array(array, copy=True)

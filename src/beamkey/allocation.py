@@ -171,24 +171,25 @@ def _check_disjoint(bs_sets: Sequence[np.ndarray], n_beams: int) -> None:
 def neutralization_residual(
     bs_selector_k: np.ndarray,
     ut_selector_other: np.ndarray,
-    lambda_other: np.ndarray,
+    factor_other: np.ndarray,
 ) -> float:
     """Frobenius norm of the cross-user interference constraint violation.
 
     For user k probing while user k' listens, the constraint is
-    (P_k^T kron C_k'^H) Lambda_k' = 0; the residual is the Frobenius norm of
-    the left-hand side, returned without normalization.
+    (P_k^T kron C_k'^H) Lambda_k' = 0.  With Lambda_k' = F F^H given by its
+    factor F (M*N_k' rows), the residual is ||((P_k^T kron C_k'^H) F) F^H||_F,
+    returned without normalization.
     """
     p = np.asarray(bs_selector_k, dtype=complex)
     c = np.asarray(ut_selector_other, dtype=complex)
-    lam = np.asarray(lambda_other, dtype=complex)
+    f = np.asarray(factor_other, dtype=complex)
     op = np.kron(p.T, c.conj().T)
-    if op.shape[1] != lam.shape[0]:
+    if op.shape[1] != f.shape[0]:
         raise ValueError(
             f"dimension mismatch: operator has {op.shape[1]} columns, "
-            f"covariance is {lam.shape[0]} x {lam.shape[1]}"
+            f"factor has {f.shape[0]} rows"
         )
-    return float(np.linalg.norm(op @ lam))
+    return float(np.linalg.norm((op @ f) @ f.conj().T))
 
 
 def allocation_to_json(allocation: BeamAllocation,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import complex_normal, readonly, vec
+from ._util import complex_normal, hermitize, readonly, vec
 
 HALF_PI = np.pi / 2.0
 
@@ -296,6 +296,25 @@ def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
     return u, w
 
 
+def beam_covariance_factor(
+    paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-P factor F of the beam-domain covariance lambda = F F^H, and r_bs, r_ut.
+
+    Returns (F, r_bs, r_ut), r_bs and r_ut as in `beam_covariances`.  Column p
+    of the MN x P factor is sqrt(power_p) (w_p^* kron u_p), matching
+    column-major vectorization; lambda itself is never formed.
+    """
+    if bs.spacing_ratio != 0.5 or ut.spacing_ratio != 0.5:
+        raise ValueError("beam covariances require unitary grids (spacing_ratio = 0.5)")
+    u, w = beam_path_factors(paths, bs, ut)
+    powers = paths.powers
+    vmat = (w.conj()[:, None, :] * u[None, :, :]).reshape(-1, paths.n_paths)
+    r_bs = hermitize((w * powers) @ w.conj().T)
+    r_ut = hermitize((u * powers) @ u.conj().T)
+    return vmat * np.sqrt(powers), r_bs, r_ut
+
+
 def beam_covariances(
     paths: PathSet,
     bs: ArrayGeometry,
@@ -312,23 +331,16 @@ def beam_covariances(
 
         r_bs   = sum_p power_p w_p w_p^H
         r_ut   = sum_p power_p u_p u_p^H
-        lambda = sum_p power_p (w_p^* kron u_p)(w_p^* kron u_p)^H
+        lambda = sum_p power_p (w_p^* kron u_p)(w_p^* kron u_p)^H = F F^H
 
-    Monte Carlo mode averages the corresponding outer products over `samples`
-    fresh gain draws (chunked internally; the result depends only on the seed).
+    with F from `beam_covariance_factor`.  Monte Carlo mode averages the
+    outer products of `samples` fresh draws F g, g ~ CN(0, I) (chunked
+    internally; the result depends only on the seed).
     """
-    if bs.spacing_ratio != 0.5 or ut.spacing_ratio != 0.5:
-        raise ValueError("beam covariances require unitary grids (spacing_ratio = 0.5)")
-    u, w = beam_path_factors(paths, bs, ut)
-    n_ut, m_bs = u.shape[0], w.shape[0]
-    powers = paths.powers
-    # Column p is w_p^* kron u_p, matching column-major vectorization.
-    vmat = (w.conj()[:, None, :] * u[None, :, :]).reshape(m_bs * n_ut, paths.n_paths)
+    factor, r_bs, r_ut = beam_covariance_factor(paths, bs, ut)
 
     if mode == "analytic":
-        r_bs = _hermitize((w * powers) @ w.conj().T)
-        r_ut = _hermitize((u * powers) @ u.conj().T)
-        lam = _hermitize((vmat * powers) @ vmat.conj().T)
+        lam = hermitize(factor @ factor.conj().T)
         return BeamCovariances(r_bs=r_bs, r_ut=r_ut, lambda_full=lam, provenance="analytic")
 
     if mode == "monte_carlo":
@@ -337,30 +349,27 @@ def beam_covariances(
         if rng is None:
             raise ValueError("monte_carlo mode needs an explicit rng")
         samples = int(samples)
-        gains = complex_normal(rng, (samples, paths.n_paths), powers)
+        m_bs, n_ut = r_bs.shape[0], r_ut.shape[0]
+        gains = complex_normal(rng, (samples, paths.n_paths))
         lam = np.zeros((m_bs * n_ut,) * 2, dtype=complex)
         r_bs = np.zeros((m_bs, m_bs), dtype=complex)
         r_ut = np.zeros((n_ut, n_ut), dtype=complex)
         for start in range(0, samples, 4096):
             chunk = gains[start:start + 4096]
-            b = vmat @ chunk.T                      # columns are vec(H_beam) draws
+            b = factor @ chunk.T                    # columns are vec(H_beam) draws
             lam += b @ b.conj().T
             hb = b.T.reshape(chunk.shape[0], m_bs, n_ut).transpose(0, 2, 1)
             r_ut += np.einsum("snm,spm->np", hb, hb.conj())
             r_bs += np.einsum("snm,snp->mp", hb.conj(), hb)
         return BeamCovariances(
-            r_bs=_hermitize(r_bs / samples),
-            r_ut=_hermitize(r_ut / samples),
-            lambda_full=_hermitize(lam / samples),
+            r_bs=hermitize(r_bs / samples),
+            r_ut=hermitize(r_ut / samples),
+            lambda_full=hermitize(lam / samples),
             provenance="monte_carlo",
             sample_count=samples,
         )
 
     raise ValueError(f"unknown covariance mode {mode!r}")
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
 
 
 def pathset_to_json(paths: PathSet) -> str:
@@ -390,6 +399,7 @@ __all__ = [
     "BeamCovariances",
     "BeamDomainChannel",
     "PathSet",
+    "beam_covariance_factor",
     "beam_covariances",
     "beam_path_factors",
     "grid_sines",

@@ -77,8 +77,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ut-beams", dest="ut_beams", type=int)
     parser.add_argument("--bs-beams-compare", dest="bs_beams_compare",
                         type=_parse_int_list, metavar="LIST")
-    parser.add_argument("--pilot-mode", dest="pilot_mode",
-                        choices=("reused", "orthogonal", "orthogonal_reduced"))
     parser.add_argument("--angle-mode", dest="angle_mode",
                         choices=("on_grid", "off_grid"))
     parser.add_argument("--workers", type=int)

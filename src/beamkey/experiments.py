@@ -32,6 +32,7 @@ from .allocation import (
 from .channel import (
     ArrayGeometry,
     PathSet,
+    beam_covariance_factor,
     beam_covariances,
     sample_paths,
     sampling_matrix,
@@ -53,7 +54,6 @@ from .keyrate import (
 from .probing import downlink_probe, make_pilots, uplink_probe
 
 ANGLE_MODES = ("on_grid", "off_grid")
-PILOT_MODES = ("reused", "orthogonal", "orthogonal_reduced")
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -61,6 +61,30 @@ DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 class ConfigError(ValueError):
     """A scenario configuration violates one of its invariants."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok: Callable[[object], bool]) -> bool:
+    return isinstance(value, (list, tuple)) and all(item_ok(v) for v in value)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+# What ScenarioConfig.from_dict accepts for each field that is not an integer.
+_FIELD_TYPES = {
+    "ut_antennas": ("an integer or a list of integers",
+                    lambda v: _is_int(v) or _is_list(v, _is_int)),
+    "snr_db_grid": ("a list of numbers", lambda v: _is_list(v, _is_number)),
+    "bs_beams_compare": ("a list of integers", lambda v: _is_list(v, _is_int)),
+    "angle_mode": ("a string", lambda v: isinstance(v, str)),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "out_format": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 @dataclass
@@ -74,7 +98,6 @@ class ScenarioConfig:
     bs_beams: int = 6
     ut_beams: int = 4
     snr_db_grid: list[float] = field(default_factory=lambda: list(DEFAULT_SNR_GRID))
-    pilot_mode: str = "reused"
     angle_mode: str = "off_grid"
     trials: int = 100
     seed: int = 2025
@@ -116,8 +139,6 @@ class ScenarioConfig:
             fail("bs_beams_compare entries must be positive")
         if not self.snr_db_grid or not all(np.isfinite(s) for s in self.snr_db_grid):
             fail("snr_db_grid must be a nonempty list of finite values")
-        if self.pilot_mode not in PILOT_MODES:
-            fail(f"pilot_mode must be one of {PILOT_MODES}")
         if self.angle_mode not in ANGLE_MODES:
             fail(f"angle_mode must be one of {ANGLE_MODES}")
         if self.angle_mode == "on_grid" and self.n_paths > min([self.bs_antennas] + counts):
@@ -148,6 +169,10 @@ class ScenarioConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"invalid config: unknown fields {sorted(unknown)}")
+        for name, value in doc.items():
+            expected, accepts = _FIELD_TYPES.get(name, ("an integer", _is_int))
+            if not accepts(value):
+                raise ConfigError(f"invalid config: {name} must be {expected}, got {value!r}")
         return cls(**doc)
 
     @classmethod
@@ -231,10 +256,7 @@ def write_result(result: ExperimentResult, out_dir: str | Path,
 
 @dataclass
 class _UserStats:
-    paths: PathSet
-    lambda_full: np.ndarray
-    lambda_sqrt: np.ndarray
-    lambda_eigs: np.ndarray
+    factor: np.ndarray
     bs_gain_diag: np.ndarray
     ut_gain_diag: np.ndarray
 
@@ -243,16 +265,12 @@ def _draw_user(config: ScenarioConfig, rng: np.random.Generator,
                ut_count: int) -> _UserStats:
     grid = (config.bs_antennas, ut_count) if config.angle_mode == "on_grid" else None
     paths = sample_paths(config.n_paths, rng, grid=grid)
-    cov = beam_covariances(paths, ArrayGeometry(config.bs_antennas), ArrayGeometry(ut_count))
-    eigs, vecs = psd_eigh(cov.lambda_full)
-    lam_sqrt = (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(config.bs_antennas),
+                                                ArrayGeometry(ut_count))
     return _UserStats(
-        paths=paths,
-        lambda_full=cov.lambda_full,
-        lambda_sqrt=(lam_sqrt + lam_sqrt.conj().T) / 2.0,
-        lambda_eigs=eigs,
-        bs_gain_diag=np.real(np.diag(cov.r_bs)).copy(),
-        ut_gain_diag=np.real(np.diag(cov.r_ut)).copy(),
+        factor=factor,
+        bs_gain_diag=np.real(np.diag(r_bs)).copy(),
+        ut_gain_diag=np.real(np.diag(r_ut)).copy(),
     )
 
 
@@ -295,7 +313,7 @@ def _designed_allocation(config: ScenarioConfig, stats: list[_UserStats],
 def _designed_inputs(config: ScenarioConfig, stats: list[_UserStats],
                      alloc: BeamAllocation, m_e: int) -> RateInputs:
     return RateInputs(
-        lambda_full=[s.lambda_full for s in stats],
+        lambda_factors=[s.factor for s in stats],
         bs_selectors=list(alloc.bs_selectors),
         ut_selectors=list(alloc.ut_selectors),
         precoders=list(alloc.precoders),
@@ -303,7 +321,6 @@ def _designed_inputs(config: ScenarioConfig, stats: list[_UserStats],
         noise_power=1.0,
         t_d=m_e,
         t_u=config.ut_beams,
-        lambda_sqrts=[s.lambda_sqrt for s in stats],
     )
 
 
@@ -330,7 +347,9 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
         rng = np.random.default_rng(seeds[t])
         stats = _draw_user(config, rng, ut_count)
         rates = np.zeros((len(sigmas), len(schemes)))
-        rates[:, 0] = [full_sampling_rate(stats.lambda_eigs, s2) for s2 in sigmas]
+        # The P x P Gram matrix F^H F has the nonzero spectrum of lambda = F F^H.
+        eigs = psd_eigh(stats.factor.conj().T @ stats.factor)[0]
+        rates[:, 0] = [full_sampling_rate(eigs, s2) for s2 in sigmas]
         for j, m_e in enumerate(me_values, start=1):
             alloc = _designed_allocation(config, [stats], m_e, a_bs, [a_ut])
             factors = rate_factors(_designed_inputs(config, [stats], alloc, m_e), 0)
@@ -476,16 +495,15 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
                 user_rates[:, j, k] = [factors.rate(s2, diagnostics) for s2 in sigmas]
             residual_max[j] = max(
                 neutralization_residual(
-                    alloc.bs_selectors[k], alloc.ut_selectors[kp], stats[kp].lambda_full
+                    alloc.bs_selectors[k], alloc.ut_selectors[kp], stats[kp].factor
                 )
                 for k in range(config.users)
                 for kp in range(config.users)
                 if kp != k
             )
         for k in range(config.users):
-            user_rates[:, len(me_values), k] = [
-                full_sampling_rate(stats[k].lambda_eigs, s2) for s2 in sigmas
-            ]
+            eigs = psd_eigh(stats[k].factor.conj().T @ stats[k].factor)[0]
+            user_rates[:, len(me_values), k] = [full_sampling_rate(eigs, s2) for s2 in sigmas]
         return user_rates, residual_max
 
     outputs = _run_trials(one_trial, config.trials, config.workers)
@@ -567,18 +585,17 @@ def _random_small_inputs(rng: np.random.Generator, n_users: int, m: int,
     ut_geom = ArrayGeometry(n_ut)
     a_bs = sampling_matrix(bs_geom)
     a_ut = sampling_matrix(ut_geom)
-    lambdas, diags_bs, diags_ut = [], [], []
+    factors, diags_bs, diags_ut = [], [], []
     for _ in range(n_users):
-        paths = sample_paths(n_p, rng)
-        cov = beam_covariances(paths, bs_geom, ut_geom)
-        lambdas.append(cov.lambda_full)
-        diags_bs.append(np.real(np.diag(cov.r_bs)))
-        diags_ut.append(np.real(np.diag(cov.r_ut)))
+        factor, r_bs, r_ut = beam_covariance_factor(sample_paths(n_p, rng), bs_geom, ut_geom)
+        factors.append(factor)
+        diags_bs.append(np.real(np.diag(r_bs)))
+        diags_ut.append(np.real(np.diag(r_ut)))
     bs_sets = allocate_bs_beams(diags_bs, m_e)
     ut_sets = [allocate_ut_beams(d, n_e) for d in diags_ut]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     return RateInputs(
-        lambda_full=lambdas,
+        lambda_factors=factors,
         bs_selectors=list(alloc.bs_selectors),
         ut_selectors=list(alloc.ut_selectors),
         precoders=list(alloc.precoders),
@@ -720,9 +737,9 @@ def run_validation_suite(
     worst_recip = 0.0
     for _ in range(10):
         paths = sample_paths(3, rng)
-        cov = beam_covariances(paths, bs_geom, ut_geom)
-        bs_sets = allocate_bs_beams([np.real(np.diag(cov.r_bs))], 3)
-        ut_sets = [allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)]
+        _, r_bs, r_ut = beam_covariance_factor(paths, bs_geom, ut_geom)
+        bs_sets = allocate_bs_beams([np.real(np.diag(r_bs))], 3)
+        ut_sets = [allocate_ut_beams(np.real(np.diag(r_ut)), 2)]
         alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut])
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         h = [synthesize_channel(paths, bs_geom, ut_geom)]
@@ -813,7 +830,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
     a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
     # Disjoint on-grid departure beams across users, drawn without replacement.
     all_bs = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
-    paths_list, covs = [], []
+    paths_list = []
     for k in range(n_users):
         aod = np.arcsin(2.0 * all_bs[k] / m - 1.0)
         aoa_idx = rng.choice(n_ut, size=n_p, replace=False)
@@ -821,13 +838,14 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
         gains = complex_normal(rng, n_p, 1.0 / n_p)
         paths = PathSet(gains=gains, aoa=aoa, aod=aod, powers=np.full(n_p, 1.0 / n_p))
         paths_list.append(paths)
-        covs.append(beam_covariances(paths, bs_geom, ut_geom))
-    bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], n_p)
-    ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), min(n_p, n_ut)) for c in covs]
+    factors, r_bss, r_uts = zip(*(beam_covariance_factor(p, bs_geom, ut_geom)
+                                  for p in paths_list))
+    bs_sets = allocate_bs_beams([np.real(np.diag(r)) for r in r_bss], n_p)
+    ut_sets = [allocate_ut_beams(np.real(np.diag(r)), min(n_p, n_ut)) for r in r_uts]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     worst_resid = max(
         neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                covs[kp].lambda_full)
+                                factors[kp])
         for k in range(n_users)
         for kp in range(n_users)
         if kp != k
@@ -853,17 +871,15 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
     n_users = 2
     bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
     a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
-    paths_list, covs = [], []
-    for _ in range(n_users):
-        paths = sample_paths(n_p, rng)
-        paths_list.append(paths)
-        covs.append(beam_covariances(paths, bs_geom, ut_geom))
-    bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
-    ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
+    paths_list = [sample_paths(n_p, rng) for _ in range(n_users)]
+    factors, r_bss, r_uts = zip(*(beam_covariance_factor(p, bs_geom, ut_geom)
+                                  for p in paths_list))
+    bs_sets = allocate_bs_beams([np.real(np.diag(r)) for r in r_bss], m_e)
+    ut_sets = [allocate_ut_beams(np.real(np.diag(r)), n_e) for r in r_uts]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
     inputs = RateInputs(
-        lambda_full=[c.lambda_full for c in covs],
+        lambda_factors=list(factors),
         bs_selectors=list(alloc.bs_selectors),
         ut_selectors=list(alloc.ut_selectors),
         precoders=list(alloc.precoders),

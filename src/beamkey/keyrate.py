@@ -11,11 +11,12 @@ provided: `gaussian_mi_oracle` evaluates the log-determinant form directly
 from assembled observation covariances, while `secret_key_rate` evaluates the
 closed form expressed through the beam-domain factor matrices
 
-    V_k   = Lambda_k^{1/2} (sum_k' Pbs_k'^T kron Cut_k^H)^H
-    V_kk' = Lambda_k'^{1/2} (Pbs_k^T kron Cut_k'^H)^H
+    V_k   = F_k^H (sum_k' Pbs_k'^T kron Cut_k^H)^H
+    V_kk' = F_k'^H (Pbs_k^T kron Cut_k'^H)^H
 
-where Lambda_k is the covariance of the column-stacked beam-domain channel
-and Pbs/Cut are the beam-domain precoders/combiners.  The noise covariance
+where F_k is any factor of the covariance Lambda_k = F_k F_k^H of user k's
+column-stacked beam-domain channel (the rank-P path factor, or psd_sqrt of a
+dense Lambda_k) and Pbs/Cut are the beam-domain precoders/combiners.  The noise covariance
 blocks carry an explicit variance factor; setting it to 1 recovers the
 unit-noise normalization.  Agreement of the two routes is the central
 correctness check of the package.
@@ -28,6 +29,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+
+from ._util import hermitize
 
 # MI values below this are treated as numerical inconsistencies rather than
 # round-off, since the mutual information of a valid joint Gaussian is >= 0.
@@ -95,17 +98,17 @@ class ObservationCovariances:
 class RateInputs:
     """Everything a per-user rate evaluation needs.
 
-    lambda_full  : per-user beam-domain channel covariances (M*N_k square)
+    lambda_factors : per-user covariance factors F_k with M*N_k rows and any
+                     column count, Lambda_k = F_k F_k^H
     bs_selectors : per-user beam-domain precoders (M x m_e)
     ut_selectors : per-user beam-domain combiners (N_k x n_e)
     precoders    : per-user array-domain precoders (enter the uplink noise block)
     combiners    : per-user array-domain combiners (enter the downlink noise block)
     noise_power  : variance of each complex noise entry
     t_d, t_u     : post-correlation pilot dimensions (m_e and n_e under reuse)
-    lambda_sqrts : optional cached Hermitian square roots of lambda_full
     """
 
-    lambda_full: list[np.ndarray]
+    lambda_factors: list[np.ndarray]
     bs_selectors: list[np.ndarray]
     ut_selectors: list[np.ndarray]
     precoders: list[np.ndarray]
@@ -114,10 +117,9 @@ class RateInputs:
     t_d: int
     t_u: int
     log_base: float = 2.0
-    lambda_sqrts: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        k = len(self.lambda_full)
+        k = len(self.lambda_factors)
         if not (k == len(self.bs_selectors) == len(self.ut_selectors)
                 == len(self.precoders) == len(self.combiners)) or k == 0:
             raise ValueError("all per-user lists must have the same nonzero length")
@@ -128,28 +130,19 @@ class RateInputs:
         m = self.bs_selectors[0].shape[0]
         for i in range(k):
             n_i = self.ut_selectors[i].shape[0]
-            lam = self.lambda_full[i]
-            if lam.shape != (m * n_i, m * n_i):
-                raise ValueError(f"lambda_full[{i}] must be {m * n_i} x {m * n_i}")
-            scale = max(np.max(np.abs(lam)), 1.0)
-            if np.max(np.abs(lam - lam.conj().T)) > 1e-9 * scale:
-                raise ValueError(f"lambda_full[{i}] must be Hermitian")
+            factor = self.lambda_factors[i]
+            if factor.ndim != 2 or factor.shape[0] != m * n_i:
+                raise ValueError(f"lambda_factors[{i}] must be a matrix with {m * n_i} rows")
             if self.bs_selectors[i].shape[0] != m:
                 raise ValueError("all beam-domain precoders must share the BS dimension")
 
     @property
     def n_users(self) -> int:
-        return len(self.lambda_full)
+        return len(self.lambda_factors)
 
     def with_noise_power(self, noise_power: float) -> "RateInputs":
-        """Same instance at a different noise level, keeping cached square roots."""
+        """Same instance at a different noise level."""
         return replace(self, noise_power=float(noise_power))
-
-    def precomputed(self) -> "RateInputs":
-        """Fill the square-root cache (worth it when sweeping noise levels)."""
-        if self.lambda_sqrts is not None:
-            return self
-        return replace(self, lambda_sqrts=[psd_sqrt(lam) for lam in self.lambda_full])
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +164,9 @@ def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Hermitian square root Q of a PSD matrix, Q^H Q = Q Q = S."""
+    """Hermitian square root Q of a PSD matrix, Q^H Q = Q Q = S (a factor of S)."""
     w, v = psd_eigh(s)
-    q = (v * np.sqrt(w)) @ v.conj().T
-    return (q + q.conj().T) / 2.0
+    return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
 def hermitian_logdet(s: np.ndarray, diagnostics: RateDiagnostics | None = None,
@@ -208,19 +200,16 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
 
     Returns (V_k, [V_kk' for every user k']).  V_k maps the stacked
     beam-domain channel of user k into its downlink observation; V_kk' maps
-    user k's pilots through user k''s channel into the uplink observation.
+    user k's pilots through user k''s channel into the uplink observation:
+    V_k = (G_dl F_k)^H and V_kk' = (G_ul F_k')^H.
     """
     _check_user(inputs, k)
-    sqrts = inputs.lambda_sqrts
-    if sqrts is None:
-        sqrts = [psd_sqrt(lam) for lam in inputs.lambda_full]
-    sum_bs = sum(inputs.bs_selectors)
-    g_dl = np.kron(sum_bs.T, inputs.ut_selectors[k].conj().T)
-    v_k = sqrts[k] @ g_dl.conj().T
+    g_dl = np.kron(sum(inputs.bs_selectors).T, inputs.ut_selectors[k].conj().T)
+    v_k = (g_dl @ inputs.lambda_factors[k]).conj().T
     v_kks = []
     for kp in range(inputs.n_users):
         g_ul = np.kron(inputs.bs_selectors[k].T, inputs.ut_selectors[kp].conj().T)
-        v_kks.append(sqrts[kp] @ g_ul.conj().T)
+        v_kks.append((g_ul @ inputs.lambda_factors[kp]).conj().T)
     return v_k, v_kks
 
 
@@ -257,8 +246,8 @@ def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
     """Assemble user k's covariance factors under the reused-pilot signal model."""
     v_k, v_kks = build_v_matrices(inputs, k)
     d_dl, d_ul = noise_structure(inputs, k)
-    sig_dl = _hermitize(v_k.conj().T @ v_k)
-    sig_ul = _hermitize(sum(v.conj().T @ v for v in v_kks))
+    sig_dl = hermitize(v_k.conj().T @ v_k)
+    sig_ul = hermitize(sum(v.conj().T @ v for v in v_kks))
     if sig_dl.shape != d_dl.shape or sig_ul.shape != d_ul.shape:
         raise ValueError(
             "pilot dimensions t_d/t_u are inconsistent with the beam-domain selectors"
@@ -285,7 +274,7 @@ def noise_structure(inputs: RateInputs, k: int) -> tuple[np.ndarray, np.ndarray]
     p = inputs.precoders[k]
     d_dl = np.kron(np.eye(inputs.t_d), c.conj().T @ c)
     d_ul = np.kron(p.T @ p.conj(), np.eye(inputs.t_u))
-    return _hermitize(d_dl), _hermitize(d_ul)
+    return hermitize(d_dl), hermitize(d_ul)
 
 
 def secret_key_rate(inputs: RateInputs, k: int) -> float:
@@ -303,8 +292,8 @@ def secret_key_rate(inputs: RateInputs, k: int) -> float:
         raise ValueError("noise_power must be nonnegative")
     v_k, v_kks = build_v_matrices(inputs, k)
     d_dl, d_ul = noise_structure(inputs, k)
-    b_dl = _hermitize(v_k.conj().T @ v_k) + inputs.noise_power * d_dl
-    b_ul = _hermitize(sum(v.conj().T @ v for v in v_kks)) + inputs.noise_power * d_ul
+    b_dl = hermitize(v_k.conj().T @ v_k) + inputs.noise_power * d_dl
+    b_ul = hermitize(sum(v.conj().T @ v for v in v_kks)) + inputs.noise_power * d_ul
     v_kk = v_kks[k]
     if inputs.noise_power == 0:
         for block in (b_dl, b_ul):
@@ -354,7 +343,8 @@ def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power: float,
 
     In that case the downlink and uplink covariances are Lambda + noise*I with
     cross-covariance Lambda, so the mutual information diagonalizes over the
-    eigenvalues of Lambda:
+    eigenvalues of Lambda (zeros contribute nothing, so the eigenvalues of the
+    small Gram matrix F^H F of a factor Lambda = F F^H suffice):
 
         I = sum_i log( (w_i + noise)^2 / (noise * (2 w_i + noise)) ).
 
@@ -411,10 +401,6 @@ def unit_skr(sum_rate: float, overhead: int) -> float:
     if overhead < 1:
         raise ValueError("pilot overhead must be at least 1")
     return float(sum_rate) / overhead
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
 
 
 def _check_user(inputs: RateInputs, k: int) -> None:

@@ -19,6 +19,7 @@ from beamkey.allocation import (
 from beamkey.channel import (
     ArrayGeometry,
     PathSet,
+    beam_covariance_factor,
     beam_covariances,
     grid_sines,
     sample_paths,
@@ -194,7 +195,7 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
     )
     worst_resid = max(
         neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                covs[kp].lambda_full)
+                                beam_covariance_factor(paths_list[kp], bs_geom, ut_geom)[0])
         for k in range(n_users) for kp in range(n_users) if kp != k
     )
     ok = worst_recip <= 1e-10 and worst_resid <= 1e-10
@@ -218,7 +219,7 @@ def test_criterion_7_covariance_consistency():
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
     inputs = RateInputs(
-        lambda_full=[c.lambda_full for c in covs],
+        lambda_factors=[beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list],
         bs_selectors=list(alloc.bs_selectors),
         ut_selectors=list(alloc.ut_selectors),
         precoders=list(alloc.precoders),

@@ -16,10 +16,13 @@ from beamkey.allocation import (
 from beamkey.channel import (
     ArrayGeometry,
     PathSet,
+    beam_covariance_factor,
     beam_covariances,
     grid_sines,
+    sample_paths,
     sampling_matrix,
 )
+from beamkey.keyrate import psd_sqrt
 
 
 def on_grid_paths(bs_idx, ut_idx, m, n, power=None):
@@ -162,7 +165,7 @@ class TestNeutralizationResidual:
     def test_zero_covariance_gives_zero(self):
         sel_p = np.eye(8, dtype=complex)[:, :2]
         sel_c = np.eye(4, dtype=complex)[:, :2]
-        assert neutralization_residual(sel_p, sel_c, np.zeros((32, 32))) == 0.0
+        assert neutralization_residual(sel_p, sel_c, np.zeros((32, 3))) == 0.0
 
     def test_disjoint_on_grid_users_neutralize(self):
         cov0 = beam_covariances(on_grid_paths([0, 1], [0, 1], 8, 4), self.bs, self.ut)
@@ -175,23 +178,40 @@ class TestNeutralizationResidual:
         ]
         alloc = build_matrices(sets, ut_sets, self.a_bs, [self.a_ut] * 2)
         for k, kp in ((0, 1), (1, 0)):
-            lam = (cov0, cov1)[kp].lambda_full
+            factor = psd_sqrt((cov0, cov1)[kp].lambda_full)
             assert neutralization_residual(
-                alloc.bs_selectors[k], alloc.ut_selectors[kp], lam
+                alloc.bs_selectors[k], alloc.ut_selectors[kp], factor
             ) < 1e-10
 
     def test_shared_beam_breaks_neutralization(self):
-        # Both users sit on beam 3 with unit power; probing one through that
-        # beam is fully visible to the other.
-        cov1 = beam_covariances(on_grid_paths([3], [2], 8, 4, power=np.array([1.0])),
-                                self.bs, self.ut)
+        # Both users sit on beam 3; probing one through that beam leaks the
+        # other's whole path power.  A power other than 1 tells the residual
+        # apart from the one a dense covariance passed as the factor gives
+        # (its square, 0.25).
+        paths = on_grid_paths([3], [2], 8, 4, power=np.array([0.5]))
+        factor, _, _ = beam_covariance_factor(paths, self.bs, self.ut)
         sel_p = np.eye(8, dtype=complex)[:, [3]]
         sel_c = np.eye(4, dtype=complex)[:, [2]]
-        assert neutralization_residual(sel_p, sel_c, cov1.lambda_full) >= 0.9
+        assert neutralization_residual(sel_p, sel_c, factor) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("m, n_ut, n_p", [(8, 4, 3), (16, 2, 2), (128, 4, 6)])
+    def test_factor_residual_matches_dense(self, m, n_ut, n_p):
+        rng = np.random.default_rng(m + n_p)
+        bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
+        paths = sample_paths(n_p, rng)
+        factor, r_bs, _ = beam_covariance_factor(paths, bs, ut)
+        lam = beam_covariances(paths, bs, ut).lambda_full
+        strongest = allocate_bs_beams([np.real(np.diag(r_bs))], 2)[0]
+        for beams in (strongest, rng.choice(m, size=2, replace=False)):
+            sel_p = np.eye(m, dtype=complex)[:, beams]
+            sel_c = np.eye(n_ut, dtype=complex)[:, rng.choice(n_ut, size=2, replace=False)]
+            dense = np.linalg.norm(np.kron(sel_p.T, sel_c.conj().T) @ lam)
+            assert neutralization_residual(sel_p, sel_c, factor) == pytest.approx(
+                dense, rel=1e-10, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            neutralization_residual(np.eye(8)[:, :2], np.eye(4)[:, :2], np.zeros((8, 8)))
+            neutralization_residual(np.eye(8)[:, :2], np.eye(4)[:, :2], np.zeros((8, 2)))
 
 
 class TestAllocationJson:

@@ -6,6 +6,7 @@ import pytest
 from beamkey.channel import (
     ArrayGeometry,
     PathSet,
+    beam_covariance_factor,
     beam_covariances,
     beam_path_factors,
     grid_sines,
@@ -263,15 +264,21 @@ class TestBeamCovariances:
 
     def test_lambda_matches_kron_of_path_factors(self):
         # lambda = sum_p power_p (w_p^* kron u_p)(w_p^* kron u_p)^H, checked
-        # against an independent assembly through np.kron per path.
+        # against an independent assembly through np.kron per path; the
+        # factor's column p is sqrt(power_p) (w_p^* kron u_p).
         paths = sample_paths(3, np.random.default_rng(4))
         u, w = beam_path_factors(paths, self.bs, self.ut)
         expected = np.zeros((32, 32), dtype=complex)
+        factor, r_bs, r_ut = beam_covariance_factor(paths, self.bs, self.ut)
+        assert factor.shape == (32, 3)
         for p in range(3):
             v = np.kron(w[:, p].conj(), u[:, p])
             expected += paths.powers[p] * np.outer(v, v.conj())
-        lam = beam_covariances(paths, self.bs, self.ut).lambda_full
-        np.testing.assert_allclose(lam, expected, atol=1e-12)
+            np.testing.assert_allclose(factor[:, p], np.sqrt(paths.powers[p]) * v, atol=1e-15)
+        cov = beam_covariances(paths, self.bs, self.ut)
+        np.testing.assert_allclose(cov.lambda_full, expected, atol=1e-12)
+        np.testing.assert_array_equal(r_bs, cov.r_bs)
+        np.testing.assert_array_equal(r_ut, cov.r_ut)
 
     @pytest.mark.parametrize("m", [16, 128])
     def test_bs_profile_matches_fejer_kernel(self, m):

@@ -37,6 +37,16 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # no partial outputs
 
 
+def test_mistyped_config_field_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"users": 2.5}))
+    out = tmp_path / "out"
+    code = main(["overhead", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert "users must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wrong_user_count_exits_one(tmp_path, capsys):
     code = main(["single-user-rate", "--users", "2", "--bs-antennas", "16",
                  "--trials", "1", "--out", str(tmp_path)])

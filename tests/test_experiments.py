@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from beamkey.channel import ArrayGeometry, beam_covariances, sample_paths
 from beamkey.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -16,6 +17,7 @@ from beamkey.experiments import (
     run_validation_suite,
     write_result,
 )
+from beamkey.keyrate import full_sampling_rate, psd_eigh
 
 
 def small_single_user(**overrides):
@@ -56,6 +58,27 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             ScenarioConfig.from_dict({"bogus_knob": 3})
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"users": 2.5}, "users"),
+        ({"trials": "3"}, "trials"),
+        ({"users": True}, "users"),
+        ({"bs_beams_compare": [6, 4.7]}, "bs_beams_compare"),
+        ({"ut_antennas": [4, "4"]}, "ut_antennas"),
+        ({"snr_db_grid": "0,10"}, "snr_db_grid"),
+        ({"angle_mode": 1}, "angle_mode"),
+    ])
+    def test_mistyped_field_rejected(self, doc, field):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_well_typed_fields_accepted(self):
+        cfg = ScenarioConfig.from_dict({
+            "users": 3, "ut_antennas": [4, 3, 2], "ut_beams": 2,
+            "snr_db_grid": [0, 2.5], "bs_beams_compare": [6, 4], "angle_mode": "off_grid",
+        })
+        cfg.validate()
+        assert cfg.snr_db_grid == [0, 2.5]
 
     def test_per_user_antenna_lists(self):
         cfg = ScenarioConfig(users=3, ut_antennas=[4, 3, 2], ut_beams=2)
@@ -130,6 +153,32 @@ class TestOverheadComparison:
     def test_record_count(self):
         res = run_overhead_comparison(small_multi_user())
         assert [rec["users"] for rec in res.records] == [1, 2, 3]
+
+
+def dense_spectra(cfg):
+    """Eigenvalues of each user's dense covariance in trial 0, drawn the way
+    the runners draw them."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)[0])
+    bs, ut = ArrayGeometry(cfg.bs_antennas), ArrayGeometry(cfg.ut_antennas)
+    return [psd_eigh(beam_covariances(sample_paths(cfg.n_paths, rng), bs, ut).lambda_full)[0]
+            for _ in range(cfg.users)]
+
+
+@pytest.mark.parametrize("run, cfg, scheme, column", [
+    (run_single_user_rate, small_single_user(trials=1), "perfect", "rate_bits"),
+    (run_multiuser_unit_rate, small_multi_user(trials=1), "orthogonal", "rate_user_{k}"),
+], ids=["single_user_rate", "multiuser_unit_rate"])
+def test_complete_grid_rates_match_dense_spectrum(run, cfg, scheme, column):
+    # The runners take each user's spectrum from the P x P Gram matrix of its
+    # factor; the dense covariance of the same draw must give the same rates.
+    spectra = dense_spectra(cfg)
+    for rec in run(cfg).records:
+        if rec["scheme"] != scheme:
+            continue
+        noise = 10.0 ** (-rec["snr_db"] / 10.0)
+        for k, eigs in enumerate(spectra):
+            assert rec[column.format(k=k)] == pytest.approx(
+                full_sampling_rate(eigs, noise), rel=1e-10)
 
 
 class TestMultiuserUnitRate:

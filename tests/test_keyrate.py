@@ -1,6 +1,7 @@
 """Closed-form key rate, Gaussian MI reference and the numerical helpers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, build_matri
 from beamkey.channel import (
     ArrayGeometry,
     PathSet,
+    beam_covariance_factor,
     beam_covariances,
     grid_sines,
     sample_paths,
@@ -26,6 +28,7 @@ from beamkey.keyrate import (
     gaussian_mi_oracle,
     hermitian_logdet,
     pilot_overhead,
+    psd_eigh,
     psd_sqrt,
     rate_factors,
     secret_key_rate,
@@ -39,20 +42,20 @@ def random_psd(rng, n):
     return b.conj().T @ b
 
 
-def single_user_inputs(lam, bs_sel, ut_sel, precoder, combiner, noise, t_d, t_u):
+def single_user_inputs(factor, bs_sel, ut_sel, precoder, combiner, noise, t_d, t_u):
     return RateInputs(
-        lambda_full=[lam], bs_selectors=[bs_sel], ut_selectors=[ut_sel],
+        lambda_factors=[factor], bs_selectors=[bs_sel], ut_selectors=[ut_sel],
         precoders=[precoder], combiners=[combiner], noise_power=noise,
         t_d=t_d, t_u=t_u,
     )
 
 
-def full_inputs(lam, m, n_ut, noise):
+def full_inputs(factor, m, n_ut, noise):
     """Complete-grid probing of a single user."""
     a_bs = sampling_matrix(ArrayGeometry(m))
     a_ut = sampling_matrix(ArrayGeometry(n_ut))
     return single_user_inputs(
-        lam,
+        factor,
         np.eye(m, dtype=complex), np.eye(n_ut, dtype=complex),
         a_bs, a_ut, noise, m, n_ut,
     )
@@ -135,8 +138,7 @@ class TestFinalizeRate:
 
 class TestBuildVMatrices:
     def test_zero_covariance_gives_zero_factors(self):
-        lam = np.zeros((32, 32), dtype=complex)
-        inputs = full_inputs(lam, 8, 4, 0.5)
+        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4, 0.5)
         v_k, v_kks = build_v_matrices(inputs, 0)
         assert np.all(v_k == 0) and np.all(v_kks[0] == 0)
         assert secret_key_rate(inputs, 0) == 0.0
@@ -152,12 +154,12 @@ class TestBuildVMatrices:
             aod=[np.arcsin(grid_sines(m)[5])],
             powers=[1.0],
         )
-        cov = beam_covariances(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
+        factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
         alloc = build_matrices([[5]], [[2]], a_bs, [a_ut])
         inputs = single_user_inputs(
-            cov.lambda_full, alloc.bs_selectors[0], alloc.ut_selectors[0],
+            factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
             alloc.precoders[0], alloc.combiners[0], 0.1, 1, 1,
         )
         v_k, _ = build_v_matrices(inputs, 0)
@@ -169,7 +171,7 @@ class TestBuildVMatrices:
         bs_idx = rng.permutation(m)[: 2 * n_p].reshape(2, n_p)
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        lams, diags_bs, diags_ut = [], [], []
+        factors, diags_bs, diags_ut = [], [], []
         for k in range(2):
             ut_idx = rng.choice(n_ut, size=n_p, replace=False)
             paths = PathSet(
@@ -178,15 +180,16 @@ class TestBuildVMatrices:
                 aod=np.arcsin(grid_sines(m)[bs_idx[k]]),
                 powers=np.full(n_p, 1 / n_p),
             )
-            cov = beam_covariances(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
-            lams.append(cov.lambda_full)
-            diags_bs.append(np.real(np.diag(cov.r_bs)))
-            diags_ut.append(np.real(np.diag(cov.r_ut)))
+            factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(m),
+                                                        ArrayGeometry(n_ut))
+            factors.append(factor)
+            diags_bs.append(np.real(np.diag(r_bs)))
+            diags_ut.append(np.real(np.diag(r_ut)))
         bs_sets = allocate_bs_beams(diags_bs, n_p)
         ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
         alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
         inputs = RateInputs(
-            lambda_full=lams, bs_selectors=list(alloc.bs_selectors),
+            lambda_factors=factors, bs_selectors=list(alloc.bs_selectors),
             ut_selectors=list(alloc.ut_selectors), precoders=list(alloc.precoders),
             combiners=list(alloc.combiners), noise_power=0.1, t_d=n_p, t_u=2,
         )
@@ -238,25 +241,72 @@ class TestSecretKeyRate:
             aod=[np.arcsin(grid_sines(m)[2])],
             powers=[1.0],
         )
-        cov = beam_covariances(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
+        factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
         alloc = build_matrices([[2, 3]], [[1, 0]], a_bs, [a_ut])
         inputs = single_user_inputs(
-            cov.lambda_full, alloc.bs_selectors[0], alloc.ut_selectors[0],
+            factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
             alloc.precoders[0], alloc.combiners[0], 0.0, 2, 2,
         )
         with pytest.raises(SingularNoiseFreeRateError):
             secret_key_rate(inputs, 0)
 
-    def test_precomputed_cache_matches(self):
-        rng = np.random.default_rng(7)
-        inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, 0.1)
-        cached = inputs.precomputed()
-        for k in range(2):
-            assert secret_key_rate(cached, k) == pytest.approx(
-                secret_key_rate(inputs, k), rel=1e-12
-            )
+
+def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e, noise):
+    """One random scenario as rate inputs twice: with each user's rank-P path
+    factor, and with psd_sqrt of the dense covariance as the factor."""
+    bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
+    paths = [sample_paths(n_p, rng) for _ in range(n_users)]
+    covs = [beam_covariances(p, bs, ut) for p in paths]
+    bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
+    ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
+    alloc = build_matrices(bs_sets, ut_sets, sampling_matrix(bs),
+                           [sampling_matrix(ut)] * n_users)
+    factored = RateInputs(
+        lambda_factors=[beam_covariance_factor(p, bs, ut)[0] for p in paths],
+        bs_selectors=list(alloc.bs_selectors), ut_selectors=list(alloc.ut_selectors),
+        precoders=list(alloc.precoders), combiners=list(alloc.combiners),
+        noise_power=noise, t_d=m_e, t_u=n_e,
+    )
+    dense = replace(factored, lambda_factors=[psd_sqrt(c.lambda_full) for c in covs])
+    return factored, dense, covs
+
+
+class TestFactorMatchesDense:
+    """The rank-P factor route against the dense square-root route."""
+
+    def assert_routes_agree(self, factored, dense, covs):
+        for k in range(factored.n_users):
+            assert secret_key_rate(factored, k) == pytest.approx(
+                secret_key_rate(dense, k), rel=1e-10)
+            for s2 in (0.01, 1.0, 10.0):
+                assert rate_factors(factored, k).rate(s2) == pytest.approx(
+                    rate_factors(dense, k).rate(s2), rel=1e-10)
+            f = factored.lambda_factors[k]
+            lam = covs[k].lambda_full
+            gram_eigs = psd_eigh(f.conj().T @ f)[0]
+            dense_eigs = psd_eigh(lam)[0]
+            nonzero = dense_eigs[dense_eigs > 0]
+            assert nonzero.size == gram_eigs.size
+            np.testing.assert_allclose(gram_eigs, nonzero, rtol=0,
+                                       atol=1e-12 * np.trace(lam).real)
+
+    def test_random_small_scenarios(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n_users = int(rng.integers(1, 4))
+            m = int(rng.choice([8, 16]))
+            self.assert_routes_agree(*factor_and_dense_inputs(
+                rng, n_users, m, int(rng.choice([2, 4])), int(rng.integers(1, 4)),
+                int(rng.integers(1, m // (2 * n_users) + 1)), int(rng.integers(1, 3)),
+                float(rng.choice([0.01, 0.1, 1.0])),
+            ))
+
+    def test_reference_size_user(self):
+        # M = 128, N = 4, P = 6: the dense covariance is 512 x 512.
+        rng = np.random.default_rng(14)
+        self.assert_routes_agree(*factor_and_dense_inputs(rng, 1, 128, 4, 6, 6, 4, 0.1))
 
 
 class TestFullSamplingRate:
@@ -266,7 +316,7 @@ class TestFullSamplingRate:
             paths = sample_paths(3, rng)
             cov = beam_covariances(paths, ArrayGeometry(8), ArrayGeometry(4))
             noise = float(rng.choice([0.05, 0.5, 2.0]))
-            inputs = full_inputs(cov.lambda_full, 8, 4, noise)
+            inputs = full_inputs(psd_sqrt(cov.lambda_full), 8, 4, noise)
             oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, 0))
             eigs = np.linalg.eigvalsh(cov.lambda_full)
             assert full_sampling_rate(eigs, noise) == pytest.approx(oracle, rel=1e-9)
@@ -287,6 +337,7 @@ class TestDominanceAndInterference:
             cov = beam_covariances(paths, ArrayGeometry(16), ArrayGeometry(4))
             noise = float(rng.choice([0.01, 0.1, 1.0]))
             perfect = full_sampling_rate(np.linalg.eigvalsh(cov.lambda_full), noise)
+            factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(16), ArrayGeometry(4))
             a_bs = sampling_matrix(ArrayGeometry(16))
             a_ut = sampling_matrix(ArrayGeometry(4))
             m_e = int(rng.integers(1, 5))
@@ -294,7 +345,7 @@ class TestDominanceAndInterference:
             ut_set = allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)
             alloc = build_matrices([bs_set], [ut_set], a_bs, [a_ut])
             inputs = single_user_inputs(
-                cov.lambda_full, alloc.bs_selectors[0], alloc.ut_selectors[0],
+                factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
                 alloc.precoders[0], alloc.combiners[0], noise, m_e, 2,
             )
             reduced = secret_key_rate(inputs, 0)
@@ -308,7 +359,7 @@ class TestDominanceAndInterference:
         shared_bs, shared_ut = [3, 9], [1, 2]
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        lams, diags_bs, diags_ut = [], [], []
+        factors, diags_bs, diags_ut = [], [], []
         rng = np.random.default_rng(10)
         for k in range(2):
             paths = PathSet(
@@ -317,22 +368,23 @@ class TestDominanceAndInterference:
                 aod=np.arcsin(grid_sines(m)[shared_bs]),
                 powers=[0.6, 0.4],
             )
-            cov = beam_covariances(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
-            lams.append(cov.lambda_full)
-            diags_bs.append(np.real(np.diag(cov.r_bs)))
-            diags_ut.append(np.real(np.diag(cov.r_ut)))
+            factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(m),
+                                                        ArrayGeometry(n_ut))
+            factors.append(factor)
+            diags_bs.append(np.real(np.diag(r_bs)))
+            diags_ut.append(np.real(np.diag(r_ut)))
         bs_sets = allocate_bs_beams(diags_bs, n_p)
         ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
         alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
         reused = RateInputs(
-            lambda_full=lams, bs_selectors=list(alloc.bs_selectors),
+            lambda_factors=factors, bs_selectors=list(alloc.bs_selectors),
             ut_selectors=list(alloc.ut_selectors), precoders=list(alloc.precoders),
             combiners=list(alloc.combiners), noise_power=0.1, t_d=n_p, t_u=2,
         )
         for k in range(2):
             with_interference = secret_key_rate(reused, k)
             alone = single_user_inputs(
-                lams[k], alloc.bs_selectors[k], alloc.ut_selectors[k],
+                factors[k], alloc.bs_selectors[k], alloc.ut_selectors[k],
                 alloc.precoders[k], alloc.combiners[k], 0.1, n_p, 2,
             )
             interference_free = secret_key_rate(alone, 0)
@@ -341,8 +393,7 @@ class TestDominanceAndInterference:
 
 class TestAssembledCovariances:
     def test_zero_channel_leaves_noise_only(self):
-        lam = np.zeros((32, 32), dtype=complex)
-        inputs = full_inputs(lam, 8, 4, 0.7)
+        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4, 0.7)
         cov = assemble_observation_covariances(inputs, 0)
         np.testing.assert_allclose(cov.r_zdl, 0.7 * np.eye(32), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.7 * np.eye(32), atol=1e-12)
@@ -351,9 +402,9 @@ class TestAssembledCovariances:
     def test_orthonormal_matrices_give_scaled_identity_noise(self):
         rng = np.random.default_rng(11)
         inputs = _random_small_inputs(rng, 1, 8, 2, 2, 2, 2, 0.3)
-        zero = [np.zeros_like(inputs.lambda_full[0])]
+        zero = [np.zeros_like(inputs.lambda_factors[0])]
         noise_only = RateInputs(
-            lambda_full=zero, bs_selectors=inputs.bs_selectors,
+            lambda_factors=zero, bs_selectors=inputs.bs_selectors,
             ut_selectors=inputs.ut_selectors, precoders=inputs.precoders,
             combiners=inputs.combiners, noise_power=0.3, t_d=2, t_u=2,
         )
