@@ -247,10 +247,19 @@ def _steering_columns(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray
     return np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n)
 
 
+def path_steering(paths: PathSet, bs: ArrayGeometry,
+                  ut: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path array responses.
+
+    Returns (u, w) with u[:, p] = a_ut(aoa_p) and w[:, p] = a_bs(aod_p), so
+    the channel is H = U diag(gains) W^H.
+    """
+    return _steering_columns(ut, paths.aoa), _steering_columns(bs, paths.aod)
+
+
 def synthesize_channel(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> np.ndarray:
     """Channel matrix H = sum_p gain_p a_ut(aoa_p) a_bs(aod_p)^H, shape (N_ut, M_bs)."""
-    u = _steering_columns(ut, paths.aoa)
-    w = _steering_columns(bs, paths.aod)
+    u, w = path_steering(paths, bs, ut)
     return (u * paths.gains) @ w.conj().T
 
 
@@ -289,11 +298,8 @@ def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
     Returns (u, w) with u[:, p] = A_ut^H a_ut(aoa_p) and w[:, p] = A_bs^H a_bs(aod_p),
     so the beam-domain channel is sum_p gain_p u_p w_p^H.
     """
-    a_ut = sampling_matrix(ut)
-    a_bs = sampling_matrix(bs)
-    u = a_ut.conj().T @ _steering_columns(ut, paths.aoa)
-    w = a_bs.conj().T @ _steering_columns(bs, paths.aod)
-    return u, w
+    u, w = path_steering(paths, bs, ut)
+    return sampling_matrix(ut).conj().T @ u, sampling_matrix(bs).conj().T @ w
 
 
 def beam_covariance_factor(
@@ -403,6 +409,7 @@ __all__ = [
     "beam_covariances",
     "beam_path_factors",
     "grid_sines",
+    "path_steering",
     "pathset_from_json",
     "pathset_to_json",
     "sample_paths",

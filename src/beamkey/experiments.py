@@ -34,6 +34,7 @@ from .channel import (
     PathSet,
     beam_covariance_factor,
     beam_covariances,
+    path_steering,
     sample_paths,
     sampling_matrix,
     synthesize_channel,
@@ -51,12 +52,15 @@ from .keyrate import (
     secret_key_rate,
     unit_skr,
 )
-from .probing import downlink_probe, make_pilots, uplink_probe
+from .probing import downlink_maps, downlink_probe, make_pilots, uplink_probe
 
 ANGLE_MODES = ("on_grid", "off_grid")
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+# Probing rounds per chunk in `empirical_downlink_covariance`.
+PROBE_CHUNK = 256
 
 
 class ConfigError(ValueError):
@@ -75,7 +79,7 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
-# What ScenarioConfig.from_dict accepts for each field that is not an integer.
+# What ScenarioConfig accepts for each field that is not an integer.
 _FIELD_TYPES = {
     "ut_antennas": ("an integer or a list of integers",
                     lambda v: _is_int(v) or _is_list(v, _is_int)),
@@ -85,6 +89,13 @@ _FIELD_TYPES = {
     "out_dir": ("a string", lambda v: isinstance(v, str)),
     "out_format": ("a string", lambda v: isinstance(v, str)),
 }
+
+
+def _check_field_types(fields: dict) -> None:
+    for name, value in fields.items():
+        expected, accepts = _FIELD_TYPES.get(name, ("an integer", _is_int))
+        if not accepts(value):
+            raise ConfigError(f"invalid config: {name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -117,6 +128,7 @@ class ScenarioConfig:
         def fail(invariant: str) -> None:
             raise ConfigError(f"invalid config: {invariant}")
 
+        _check_field_types({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
         if self.bs_antennas < 1:
             fail("bs_antennas must be positive")
         if self.users < 1:
@@ -169,10 +181,7 @@ class ScenarioConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"invalid config: unknown fields {sorted(unknown)}")
-        for name, value in doc.items():
-            expected, accepts = _FIELD_TYPES.get(name, ("an integer", _is_int))
-            if not accepts(value):
-                raise ConfigError(f"invalid config: {name} must be {expected}, got {value!r}")
+        _check_field_types(doc)
         return cls(**doc)
 
     @classmethod
@@ -640,20 +649,65 @@ def empirical_downlink_covariance(
     user: int = 0,
 ) -> np.ndarray:
     """Sample covariance of one user's vectorized downlink estimate over many
-    probing rounds (fresh path gains and noise each round, angles fixed)."""
-    bs_count = allocation.a_bs.shape[0]
-    bs_geom = ArrayGeometry(bs_count)
-    geoms = [ArrayGeometry(a.shape[0]) for a in allocation.a_ut]
-    acc = None
-    for _ in range(rounds):
-        channels = []
-        for k, base in enumerate(stats_paths):
-            gains = complex_normal(rng, base.n_paths, base.powers)
-            fresh = PathSet(gains=gains, aoa=base.aoa, aod=base.aod, powers=base.powers)
-            channels.append(synthesize_channel(fresh, bs_geom, geoms[k]))
-        z = vec(downlink_probe(channels, allocation, pilots, noise_power, rng)[user])
-        outer = np.outer(z, z.conj())
-        acc = outer if acc is None else acc + outer
+    probing rounds (fresh path gains and noise each round, angles fixed).
+
+    The rounds run in chunks of `PROBE_CHUNK` from the same random stream as
+    one round at a time: each round draws every user's path gains, user by
+    user (`complex_normal` with the path powers), then, if `noise_power` > 0,
+    every user's downlink noise in `downlink_probe`'s order.  The other
+    users' draws do not enter the estimate but are part of the stream.  The
+    estimate is linear in these draws, so `downlink_maps` is applied once to
+    each path's unit-gain channel and to each unit noise entry, and a chunk's
+    estimates are one product with that map.  The result differs from a
+    round-at-a-time loop only by summation order.
+    """
+    n_users = allocation.n_users
+    if not _is_int(rounds) or rounds < 1:
+        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
+    if len(stats_paths) != n_users:
+        raise ValueError(f"stats_paths must hold one PathSet per allocated user "
+                         f"({n_users}), got {len(stats_paths)}")
+    if not _is_int(user) or not 0 <= user < n_users:
+        raise ValueError(f"user must be an integer in [0, {n_users}), got {user!r}")
+    noise_power = float(noise_power)
+    if not np.isfinite(noise_power) or noise_power < 0:
+        raise ValueError(f"noise_power must be finite and nonnegative, got {noise_power!r}")
+    dl = downlink_maps(allocation, pilots)[user]
+    n_ut = [a.shape[0] for a in allocation.a_ut]
+
+    # One round's normal draws, in stream order: each user's gains (real
+    # block, then imaginary), then each user's N_k x t_d noise, likewise.
+    blocks = [p.n_paths for p in stats_paths]
+    if noise_power > 0:
+        blocks += [n * pilots.t_d for n in n_ut]
+    offsets = np.cumsum([0] + [2 * b for b in blocks])
+
+    # Rows of `mapping` take one round's draws to vec(Z) of this user.
+    paths = stats_paths[user]
+    u, w = path_steering(paths, ArrayGeometry(allocation.a_bs.shape[0]),
+                         ArrayGeometry(n_ut[user]))
+    unit_channels = u.T[:, :, None] * w.conj().T[:, None, :]
+    terms = [(offsets[user], np.sqrt(paths.powers / 2.0), dl.signal(unit_channels))]
+    if noise_power > 0:
+        size = n_ut[user] * pilots.t_d
+        unit_noise = np.eye(size).reshape(size, n_ut[user], pilots.t_d)
+        terms.append((offsets[n_users + user], np.full(size, np.sqrt(noise_power / 2.0)),
+                      dl.noise(unit_noise)))
+    dim = dl.combiner_h.shape[0] * dl.correlator.shape[1]
+    mapping = np.zeros((offsets[-1], dim), dtype=complex)
+    for start, scale, images in terms:
+        # vec() of each unit draw's estimate, scaled to its real and imaginary part.
+        rows = scale[:, None] * np.swapaxes(images, 1, 2).reshape(len(scale), dim)
+        mapping[start:start + len(scale)] = rows
+        mapping[start + len(scale):start + 2 * len(scale)] = 1j * rows
+
+    acc = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, rounds, PROBE_CHUNK):
+        draws = rng.standard_normal((min(PROBE_CHUNK, rounds - start), offsets[-1]))
+        if not np.all(np.isfinite(draws)):
+            raise ValueError("path gains and noise must be finite")
+        z = draws @ mapping
+        acc += z.T @ z.conj()
     return acc / rounds
 
 

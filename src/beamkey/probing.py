@@ -127,6 +127,48 @@ def _probe_matrices(allocation: BeamAllocation, pilots: PilotSet):
     return precoders, combiners
 
 
+@dataclass(frozen=True)
+class DownlinkMap:
+    """The fixed matrices of one user's downlink estimate
+    Z_k = C_k^H (H_k X + N_k) S_k^H.
+
+    combiner_h is C_k^H, pilot the transmitted superposition X and
+    correlator S_k^H.  Channels and noise passed to `signal` and `noise` may
+    carry leading batch axes.
+    """
+
+    combiner_h: np.ndarray
+    pilot: np.ndarray
+    correlator: np.ndarray
+
+    def signal(self, channel: np.ndarray) -> np.ndarray:
+        """C_k^H H X S_k^H."""
+        return self.combiner_h @ channel @ self.pilot @ self.correlator
+
+    def noise(self, noise: np.ndarray) -> np.ndarray:
+        """C_k^H N S_k^H."""
+        return self.combiner_h @ noise @ self.correlator
+
+
+def downlink_maps(allocation: BeamAllocation, pilots: PilotSet) -> list[DownlinkMap]:
+    """Every user's downlink map under the given allocation and pilots.
+
+    X is the sum of all users' precoded pilots, or the single full-dimension
+    broadcast in "orthogonal" mode.
+    """
+    if allocation.n_users != pilots.n_users:
+        raise ValueError(
+            f"user count mismatch: {allocation.n_users} allocations, "
+            f"{pilots.n_users} pilot sets"
+        )
+    precoders, combiners = _probe_matrices(allocation, pilots)
+    if pilots.mode == "orthogonal":
+        x = precoders[0] @ pilots.s_dl[0]
+    else:
+        x = sum(p @ s for p, s in zip(precoders, pilots.s_dl))
+    return [DownlinkMap(c.conj().T, x, s.conj().T) for c, s in zip(combiners, pilots.s_dl)]
+
+
 def downlink_probe(
     channels: Sequence[np.ndarray],
     allocation: BeamAllocation,
@@ -136,26 +178,18 @@ def downlink_probe(
 ) -> list[np.ndarray]:
     """One downlink probing phase; returns each user's estimate Z_k^DL.
 
-    Z_k^DL = C_k^H H_k X S_k^H + C_k^H N_k S_k^H, where X is the transmitted
-    superposition (the sum of all users' precoded pilots, or the single
-    full-dimension broadcast in "orthogonal" mode) and N_k is the receiver
-    noise of user k with i.i.d. complex Gaussian entries of variance
-    `noise_power`.
+    Z_k^DL = C_k^H H_k X S_k^H + C_k^H N_k S_k^H (see `DownlinkMap`), where
+    N_k is the receiver noise of user k with i.i.d. complex Gaussian entries
+    of variance `noise_power`, drawn user by user.
     """
     channels = [np.asarray(h, dtype=complex) for h in channels]
     noise_power = _check_noise(noise_power, rng)
-    precoders, combiners = _probe_matrices(allocation, pilots)
     _check_counts(channels, allocation, pilots)
-    if pilots.mode == "orthogonal":
-        x = precoders[0] @ pilots.s_dl[0]
-    else:
-        x = sum(p @ s for p, s in zip(precoders, pilots.s_dl))
     out = []
-    for k, h_k in enumerate(channels):
-        z = combiners[k].conj().T @ h_k @ x @ pilots.s_dl[k].conj().T
+    for h_k, dl in zip(channels, downlink_maps(allocation, pilots)):
+        z = dl.signal(h_k)
         if noise_power > 0:
-            n_k = complex_normal(rng, (h_k.shape[0], pilots.t_d), noise_power)
-            z = z + combiners[k].conj().T @ n_k @ pilots.s_dl[k].conj().T
+            z = z + dl.noise(complex_normal(rng, (h_k.shape[0], pilots.t_d), noise_power))
         out.append(z)
     return out
 
@@ -255,10 +289,12 @@ def observations_to_csv(observations: Sequence[ProbingObservation]) -> str:
 
 
 __all__ = [
+    "DownlinkMap",
     "PILOT_MODES",
     "PilotSet",
     "ProbingObservation",
     "dimension_reduction_factor",
+    "downlink_maps",
     "downlink_probe",
     "make_pilots",
     "observations_to_csv",

@@ -5,10 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from beamkey.channel import ArrayGeometry, beam_covariances, sample_paths
+from beamkey._util import complex_normal, vec
+from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, build_matrices
+from beamkey.channel import (
+    ArrayGeometry,
+    PathSet,
+    beam_covariance_factor,
+    beam_covariances,
+    sample_paths,
+    sampling_matrix,
+    synthesize_channel,
+)
 from beamkey.experiments import (
+    PROBE_CHUNK,
     ConfigError,
     ScenarioConfig,
+    empirical_downlink_covariance,
     records_to_csv,
     run_beam_gain_profile,
     run_multiuser_unit_rate,
@@ -18,6 +30,7 @@ from beamkey.experiments import (
     write_result,
 )
 from beamkey.keyrate import full_sampling_rate, psd_eigh
+from beamkey.probing import PILOT_MODES, downlink_probe, make_pilots
 
 
 def small_single_user(**overrides):
@@ -71,6 +84,16 @@ class TestConfigValidation:
     def test_mistyped_field_rejected(self, doc, field):
         with pytest.raises(ConfigError, match=f"{field} must be"):
             ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"users": 2.5}, "users"),
+        ({"trials": "3"}, "trials"),
+        ({"users": True}, "users"),
+        ({"bs_beams_compare": [6, 4.7]}, "bs_beams_compare"),
+    ])
+    def test_mistyped_field_rejected_when_built_directly(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ScenarioConfig(**overrides).validate()
 
     def test_well_typed_fields_accepted(self):
         cfg = ScenarioConfig.from_dict({
@@ -267,3 +290,82 @@ class TestValidationSuite:
         assert "sampling_unitarity" in text
         doc = json.loads(report.to_json())
         assert doc["passed"] == report.passed
+
+
+def probing_scenario(mode):
+    """Two users with different path and antenna counts, probed in `mode`."""
+    rng = np.random.default_rng(41)
+    m, n_ut, n_p, m_e, n_e = 16, [2, 3], [2, 3], 2, 2
+    bs = ArrayGeometry(m)
+    paths = [sample_paths(p, rng) for p in n_p]
+    stats = [beam_covariance_factor(p, bs, ArrayGeometry(n))
+             for p, n in zip(paths, n_ut)]
+    alloc = build_matrices(
+        allocate_bs_beams([np.real(np.diag(r_bs)) for _, r_bs, _ in stats], m_e),
+        [allocate_ut_beams(np.real(np.diag(r_ut)), n_e) for _, _, r_ut in stats],
+        sampling_matrix(bs), [sampling_matrix(ArrayGeometry(n)) for n in n_ut],
+    )
+    return paths, alloc, make_pilots(mode, m_e, n_e, m, n_ut, len(n_ut))
+
+
+def _loop_downlink_covariance(stats_paths, allocation, pilots, noise_power,
+                              rounds, rng, user):
+    """Round-at-a-time reference: a validated PathSet, every user's channel
+    and one `downlink_probe` call per round.  Returns the sample covariance
+    after each round count in `rounds`."""
+    bs_geom = ArrayGeometry(allocation.a_bs.shape[0])
+    geoms = [ArrayGeometry(a.shape[0]) for a in allocation.a_ut]
+    acc = None
+    out = {}
+    for done in range(1, max(rounds) + 1):
+        channels = []
+        for k, base in enumerate(stats_paths):
+            gains = complex_normal(rng, base.n_paths, base.powers)
+            fresh = PathSet(gains=gains, aoa=base.aoa, aod=base.aod, powers=base.powers)
+            channels.append(synthesize_channel(fresh, bs_geom, geoms[k]))
+        z = vec(downlink_probe(channels, allocation, pilots, noise_power, rng)[user])
+        outer = np.outer(z, z.conj())
+        acc = outer if acc is None else acc + outer
+        if done in rounds:
+            out[done] = acc / done
+    return out
+
+
+class TestEmpiricalDownlinkCovariance:
+    ROUNDS = (1, PROBE_CHUNK - 1, PROBE_CHUNK, PROBE_CHUNK + 1, 2 * PROBE_CHUNK + 3)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("user", [0, 1])
+    @pytest.mark.parametrize("mode", PILOT_MODES)
+    def test_chunks_match_round_at_a_time_loop(self, mode, user, noise):
+        paths, alloc, pilots = probing_scenario(mode)
+        expected = _loop_downlink_covariance(
+            paths, alloc, pilots, noise, self.ROUNDS, np.random.default_rng(7), user)
+        for rounds in self.ROUNDS:
+            got = empirical_downlink_covariance(
+                paths, alloc, pilots, noise, rounds, np.random.default_rng(7), user)
+            ref = expected[rounds]
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), rounds
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"rounds": 0}, "rounds"),
+        ({"rounds": 2.5}, "rounds"),
+        ({"rounds": True}, "rounds"),
+        ({"user": 2}, "user"),
+        ({"user": -1}, "user"),
+        ({"noise_power": -0.1}, "noise_power"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, match):
+        paths, alloc, pilots = probing_scenario("reused")
+        args = dict(stats_paths=paths, allocation=alloc, pilots=pilots,
+                    noise_power=0.1, rounds=10, rng=np.random.default_rng(0), user=0)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            empirical_downlink_covariance(**args)
+
+    def test_one_pathset_per_user_required(self):
+        paths, alloc, pilots = probing_scenario("reused")
+        with pytest.raises(ValueError, match="stats_paths"):
+            empirical_downlink_covariance(paths[:1], alloc, pilots, 0.1, 10,
+                                          np.random.default_rng(0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beamkey._util import vec
+from beamkey._util import complex_normal, vec
 from beamkey.allocation import (
     allocate_bs_beams,
     allocate_ut_beams,
@@ -149,6 +149,23 @@ class TestDownlinkProbe:
         z1 = downlink_probe(channels, alloc, pilots, 0.5, np.random.default_rng(9))[0]
         z2 = downlink_probe(channels, alloc, pilots, 0.5, np.random.default_rng(9))[0]
         np.testing.assert_array_equal(z1, z2)
+
+    @pytest.mark.parametrize("mode", ["reused", "orthogonal", "orthogonal_reduced"])
+    def test_matches_hand_written_round_bit_for_bit(self, mode):
+        channels, alloc, _ = build_scenario(2, 16, 4, 2, 2, 2, np.random.default_rng(6))
+        pilots = make_pilots(mode, 2, 2, 16, [4, 4], 2)
+        zs = downlink_probe(channels, alloc, pilots, 0.3, np.random.default_rng(10))
+        rng = np.random.default_rng(10)
+        if mode == "orthogonal":
+            x = alloc.a_bs @ pilots.s_dl[0]
+            combiners = alloc.a_ut
+        else:
+            x = sum(p @ s for p, s in zip(alloc.precoders, pilots.s_dl))
+            combiners = alloc.combiners
+        for k, h in enumerate(channels):
+            c_h, s_h = combiners[k].conj().T, pilots.s_dl[k].conj().T
+            n = complex_normal(rng, (4, pilots.t_d), 0.3)
+            np.testing.assert_array_equal(zs[k], c_h @ h @ x @ s_h + c_h @ n @ s_h)
 
 
 class TestUplinkProbe:
