@@ -54,14 +54,12 @@ for k in range(USERS):
     for kp in range(USERS):
         if kp == k:
             continue
-        r = neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                    factors[kp])
+        r = neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], factors[kp], N)
         print(f"  user {k} -> user {kp}: {r:.2e}")
 
 # Force an overlap: probe user 0 straight through user 1's strongest beam.
 shared = int(alloc.bs_beams[1][0])
-forced = np.eye(M, dtype=complex)[:, [shared]]
-r = neutralization_residual(forced, alloc.ut_selectors[1], factors[1])
+r = neutralization_residual([shared], alloc.ut_beams[1], factors[1], N)
 print(f"\nprobing directly on user 1's beam {shared} instead: residual = {r:.3f}")
 print(f"(the leak equals the mean power riding on the shared beam, {1 / N_PATHS} here; "
       "disjoint beams keep it at ~0)")

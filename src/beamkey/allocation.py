@@ -4,14 +4,15 @@ The base station assigns each user a set of its strongest transmit beams,
 subject to the sets being pairwise disjoint across users; each terminal
 independently keeps its strongest receive beams.  Precoding and receiving
 matrices are then the corresponding columns of the unitary grid sampling
-matrices, i.e. unit-norm beamformers.  Disjoint transmit beams are what make
-simultaneous (pilot-reusing) probing of several users interference free when
-each user's channel power is confined to its own beams.
+matrices, i.e. unit-norm beamformers.  In the beam domain such a beamformer
+just picks beams, so the rate layer works from the beam indices alone.
+Disjoint transmit beams are what make simultaneous (pilot-reusing) probing of
+several users interference free when each user's channel power is confined to
+its own beams.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,23 +23,22 @@ from ._util import readonly
 
 @dataclass(frozen=True)
 class BeamAllocation:
-    """Per-user beam index sets and the matrices built from them.
+    """Per-user beam index sets and the array-domain matrices built from them.
 
-    bs_beams     : per-user transmit beam indices, strongest first, pairwise disjoint
-    ut_beams     : per-user receive beam indices, strongest first
-    precoders    : per-user M x m_e matrices (columns of the BS sampling matrix)
-    combiners    : per-user N_k x n_e matrices (columns of the UT sampling matrix)
-    bs_selectors : beam-domain precoders, M x m_e 0/1 column selectors
-    ut_selectors : beam-domain combiners, N_k x n_e 0/1 column selectors
-    a_bs, a_ut   : the sampling matrices themselves (a_ut is per user)
+    bs_beams   : per-user transmit beam indices, strongest first, pairwise disjoint
+    ut_beams   : per-user receive beam indices, strongest first
+    precoders  : per-user M x m_e matrices (columns of the BS sampling matrix)
+    combiners  : per-user N_k x n_e matrices (columns of the UT sampling matrix)
+    a_bs, a_ut : the sampling matrices themselves (a_ut is per user)
+
+    The precoders and combiners serve probing; the rate layer reads only the
+    indices (the beam-domain image of a grid beamformer is a basis column).
     """
 
     bs_beams: list[np.ndarray]
     ut_beams: list[np.ndarray]
     precoders: list[np.ndarray]
     combiners: list[np.ndarray]
-    bs_selectors: list[np.ndarray]
-    ut_selectors: list[np.ndarray]
     a_bs: np.ndarray
     a_ut: list[np.ndarray]
 
@@ -57,20 +57,14 @@ def rank_beams(diagonal: np.ndarray) -> np.ndarray:
     return np.argsort(-d, kind="stable")
 
 
-def allocate_bs_beams(
-    diagonals: Sequence[np.ndarray],
-    m_e: int,
-    policy: str = "greedy_round_robin",
-) -> list[np.ndarray]:
+def allocate_bs_beams(diagonals: Sequence[np.ndarray], m_e: int) -> list[np.ndarray]:
     """Assign each user `m_e` transmit beams with pairwise disjoint sets.
 
-    Under the greedy round-robin policy users take turns in fixed order, one
-    beam per turn, each claiming its highest-ranked beam not yet taken.  A
-    user's own picks therefore come out in its descending gain order, and the
-    result degrades gracefully when the users' strongest beams collide.
+    Greedy round robin: users take turns in fixed order, one beam per turn,
+    each claiming its highest-ranked beam not yet taken.  A user's own picks
+    therefore come out in its descending gain order, and the result degrades
+    gracefully when the users' strongest beams collide.
     """
-    if policy != "greedy_round_robin":
-        raise ValueError(f"unknown allocation policy {policy!r}")
     m_e = int(m_e)
     if m_e < 1:
         raise ValueError("m_e must be at least 1")
@@ -118,18 +112,19 @@ def build_matrices(
     a_bs: np.ndarray,
     a_ut: Sequence[np.ndarray],
 ) -> BeamAllocation:
-    """Turn beam index sets into precoders/combiners and their beam-domain selectors.
+    """Turn beam index sets into a BeamAllocation with precoders/combiners.
 
-    Column order follows the given beam order (strongest first).  The produced
-    matrices have orthonormal columns because they select columns of unitary
-    sampling matrices.
+    Validates the indices (in range, no repeats, transmit sets pairwise
+    disjoint).  Column order follows the given beam order (strongest first).
+    The precoders and combiners have orthonormal columns because they are
+    columns of unitary sampling matrices.
     """
     a_bs = np.asarray(a_bs, dtype=complex)
     if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(a_ut):
         raise ValueError("bs_sets, ut_sets and a_ut must have one entry per user")
     m = a_bs.shape[0]
     _check_disjoint(bs_sets, m)
-    precoders, combiners, bs_sel, ut_sel, a_ut_mats = [], [], [], [], []
+    precoders, combiners, a_ut_mats = [], [], []
     for k, (b_k, u_k) in enumerate(zip(bs_sets, ut_sets)):
         b_k = np.asarray(b_k, dtype=int)
         u_k = np.asarray(u_k, dtype=int)
@@ -137,8 +132,6 @@ def build_matrices(
         n_k = a_ut_k.shape[0]
         if np.any(u_k < 0) or np.any(u_k >= n_k) or len(set(u_k.tolist())) != u_k.size:
             raise ValueError(f"invalid receive beam indices for user {k}")
-        bs_sel.append(readonly(np.eye(m, dtype=complex)[:, b_k]))
-        ut_sel.append(readonly(np.eye(n_k, dtype=complex)[:, u_k]))
         precoders.append(readonly(a_bs[:, b_k]))
         combiners.append(readonly(a_ut_k[:, u_k]))
         a_ut_mats.append(readonly(a_ut_k))
@@ -147,8 +140,6 @@ def build_matrices(
         ut_beams=[readonly(np.asarray(u, dtype=int)) for u in ut_sets],
         precoders=precoders,
         combiners=combiners,
-        bs_selectors=bs_sel,
-        ut_selectors=ut_sel,
         a_bs=readonly(a_bs),
         a_ut=a_ut_mats,
     )
@@ -169,50 +160,59 @@ def _check_disjoint(bs_sets: Sequence[np.ndarray], n_beams: int) -> None:
 
 
 def neutralization_residual(
-    bs_selector_k: np.ndarray,
-    ut_selector_other: np.ndarray,
+    bs_beams_k: Sequence[int],
+    ut_beams_other: Sequence[int],
     factor_other: np.ndarray,
+    n_ut_other: int,
 ) -> float:
     """Frobenius norm of the cross-user interference constraint violation.
 
-    For user k probing while user k' listens, the constraint is
-    (P_k^T kron C_k'^H) Lambda_k' = 0.  With Lambda_k' = F F^H given by its
-    factor F (M*N_k' rows), the residual is ||((P_k^T kron C_k'^H) F) F^H||_F,
-    returned without normalization.
+    For user k probing through transmit beams b while user k' listens on
+    receive beams u, the constraint is that the entries (b, u) of user k''s
+    beam-domain channel carry no power: with Lambda_k' = F F^H given by its
+    factor F (M*N_k' rows, reshaped to F3 of shape (M, N_k', P)), the residual
+    is ||F3[b][:, u, :] F^H||_F, returned without normalization.
     """
-    p = np.asarray(bs_selector_k, dtype=complex)
-    c = np.asarray(ut_selector_other, dtype=complex)
     f = np.asarray(factor_other, dtype=complex)
-    op = np.kron(p.T, c.conj().T)
-    if op.shape[1] != f.shape[0]:
+    n_ut = int(n_ut_other)
+    if f.ndim != 2 or n_ut < 1 or f.shape[0] % n_ut:
         raise ValueError(
-            f"dimension mismatch: operator has {op.shape[1]} columns, "
-            f"factor has {f.shape[0]} rows"
+            f"dimension mismatch: factor has {f.shape[0]} rows, "
+            f"not a multiple of {n_ut} receive antennas"
         )
-    return float(np.linalg.norm((op @ f) @ f.conj().T))
+    f3 = f.reshape(-1, n_ut, f.shape[1])
+    b = np.asarray(bs_beams_k, dtype=int)
+    u = np.asarray(ut_beams_other, dtype=int)
+    if np.any(b < 0) or np.any(b >= f3.shape[0]) or np.any(u < 0) or np.any(u >= n_ut):
+        raise ValueError(
+            f"beam index out of range for a factor of {f3.shape[0]} transmit "
+            f"and {n_ut} receive beams"
+        )
+    rows = f3[np.ix_(b, u)].reshape(-1, f.shape[1])
+    return float(np.linalg.norm(rows @ f.conj().T))
 
 
-def allocation_to_json(allocation: BeamAllocation,
-                       bs_gain_diagonals: Sequence[np.ndarray] | None = None) -> str:
-    """Serialize beam index sets (and per-beam gains when provided) to JSON."""
-    users = []
-    for k in range(allocation.n_users):
-        entry: dict = {
-            "bs_beams": [int(b) for b in allocation.bs_beams[k]],
-            "ut_beams": [int(u) for u in allocation.ut_beams[k]],
-        }
-        if bs_gain_diagonals is not None:
-            diag = np.asarray(bs_gain_diagonals[k], dtype=float)
-            entry["bs_beam_gains"] = [float(diag[b]) for b in allocation.bs_beams[k]]
-        users.append(entry)
-    return json.dumps({"users": users}, indent=2, sort_keys=True)
+def allocation_summary(allocation: BeamAllocation,
+                       bs_gain_diagonals: Sequence[np.ndarray]) -> dict:
+    """Per-user beam index sets and the gains of the transmit beams, as plain data."""
+    return {
+        "users": [
+            {
+                "bs_beams": [int(b) for b in allocation.bs_beams[k]],
+                "ut_beams": [int(u) for u in allocation.ut_beams[k]],
+                "bs_beam_gains": [float(bs_gain_diagonals[k][b])
+                                  for b in allocation.bs_beams[k]],
+            }
+            for k in range(allocation.n_users)
+        ]
+    }
 
 
 __all__ = [
     "BeamAllocation",
     "allocate_bs_beams",
     "allocate_ut_beams",
-    "allocation_to_json",
+    "allocation_summary",
     "build_matrices",
     "neutralization_residual",
     "rank_beams",

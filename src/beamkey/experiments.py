@@ -25,6 +25,7 @@ from .allocation import (
     BeamAllocation,
     allocate_bs_beams,
     allocate_ut_beams,
+    allocation_summary,
     build_matrices,
     neutralization_residual,
     rank_beams,
@@ -165,7 +166,14 @@ class ScenarioConfig:
             fail(f"out_format must be one of {OUTPUT_FORMATS}")
 
     def resolved(self) -> dict:
+        """The fields that determine the results, in canonical form.
+
+        Where and how results are written (`out_dir`, `out_format`) and the
+        thread count (`workers`) do not change them, so they are left out.
+        """
         doc = dataclasses.asdict(self)
+        for name in ("out_dir", "out_format", "workers"):
+            del doc[name]
         doc["ut_antennas"] = self.ut_antenna_list()
         doc["snr_db_grid"] = [float(s) for s in self.snr_db_grid]
         doc["bs_beams_compare"] = [int(m) for m in self.bs_beams_compare]
@@ -319,20 +327,6 @@ def _designed_allocation(config: ScenarioConfig, stats: list[_UserStats],
     return build_matrices(bs_sets, ut_sets, a_bs, a_ut)
 
 
-def _designed_inputs(config: ScenarioConfig, stats: list[_UserStats],
-                     alloc: BeamAllocation, m_e: int) -> RateInputs:
-    return RateInputs(
-        lambda_factors=[s.factor for s in stats],
-        bs_selectors=list(alloc.bs_selectors),
-        ut_selectors=list(alloc.ut_selectors),
-        precoders=list(alloc.precoders),
-        combiners=list(alloc.combiners),
-        noise_power=1.0,
-        t_d=m_e,
-        t_u=config.ut_beams,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
@@ -361,7 +355,7 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
         rates[:, 0] = [full_sampling_rate(eigs, s2) for s2 in sigmas]
         for j, m_e in enumerate(me_values, start=1):
             alloc = _designed_allocation(config, [stats], m_e, a_bs, [a_ut])
-            factors = rate_factors(_designed_inputs(config, [stats], alloc, m_e), 0)
+            factors = rate_factors(RateInputs([stats.factor], alloc, 1.0), 0)
             rates[:, j] = [factors.rate(s2, diagnostics) for s2 in sigmas]
         return rates
 
@@ -422,16 +416,7 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
 
     diagnostics = RateDiagnostics()
     metadata = _metadata(config, "beam_gains", diagnostics)
-    metadata["allocation"] = {
-        "users": [
-            {
-                "bs_beams": [int(b) for b in alloc.bs_beams[k]],
-                "ut_beams": [int(u) for u in alloc.ut_beams[k]],
-                "bs_beam_gains": [float(stats[k].bs_gain_diag[b]) for b in alloc.bs_beams[k]],
-            }
-            for k in range(config.users)
-        ]
-    }
+    metadata["allocation"] = allocation_summary(alloc, [s.bs_gain_diag for s in stats])
     if pair_rows:
         metadata["median_adjacent_attenuation_db"] = float(
             np.median([r["attenuation_db"] for r in pair_rows])
@@ -498,13 +483,13 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
         residual_max = np.zeros(len(schemes))
         for j, m_e in enumerate(me_values):
             alloc = _designed_allocation(config, stats, m_e, a_bs, a_ut)
-            inputs = _designed_inputs(config, stats, alloc, m_e)
+            inputs = RateInputs([s.factor for s in stats], alloc, 1.0)
             for k in range(config.users):
                 factors = rate_factors(inputs, k)
                 user_rates[:, j, k] = [factors.rate(s2, diagnostics) for s2 in sigmas]
             residual_max[j] = max(
                 neutralization_residual(
-                    alloc.bs_selectors[k], alloc.ut_selectors[kp], stats[kp].factor
+                    alloc.bs_beams[k], alloc.ut_beams[kp], stats[kp].factor, counts[kp]
                 )
                 for k in range(config.users)
                 for kp in range(config.users)
@@ -603,16 +588,7 @@ def _random_small_inputs(rng: np.random.Generator, n_users: int, m: int,
     bs_sets = allocate_bs_beams(diags_bs, m_e)
     ut_sets = [allocate_ut_beams(d, n_e) for d in diags_ut]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
-    return RateInputs(
-        lambda_factors=factors,
-        bs_selectors=list(alloc.bs_selectors),
-        ut_selectors=list(alloc.ut_selectors),
-        precoders=list(alloc.precoders),
-        combiners=list(alloc.combiners),
-        noise_power=noise_power,
-        t_d=m_e,
-        t_u=n_e,
-    )
+    return RateInputs(factors, alloc, noise_power)
 
 
 def closed_form_agreement_sweep(seed: int, instances: int) -> float:
@@ -898,8 +874,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
     ut_sets = [allocate_ut_beams(np.real(np.diag(r)), min(n_p, n_ut)) for r in r_uts]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     worst_resid = max(
-        neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                factors[kp])
+        neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], factors[kp], n_ut)
         for k in range(n_users)
         for kp in range(n_users)
         if kp != k
@@ -932,16 +907,7 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
     ut_sets = [allocate_ut_beams(np.real(np.diag(r)), n_e) for r in r_uts]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
-    inputs = RateInputs(
-        lambda_factors=list(factors),
-        bs_selectors=list(alloc.bs_selectors),
-        ut_selectors=list(alloc.ut_selectors),
-        precoders=list(alloc.precoders),
-        combiners=list(alloc.combiners),
-        noise_power=noise,
-        t_d=m_e,
-        t_u=n_e,
-    )
+    inputs = RateInputs(list(factors), alloc, noise)
     expected = assemble_observation_covariances(inputs, 0).r_zdl
     empirical = empirical_downlink_covariance(
         paths_list, alloc, pilots, noise, rounds, rng, user=0

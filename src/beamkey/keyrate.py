@@ -9,28 +9,33 @@ information of two jointly Gaussian complex vectors,
 computed here in bits.  Two independent routes to the same number are
 provided: `gaussian_mi_oracle` evaluates the log-determinant form directly
 from assembled observation covariances, while `secret_key_rate` evaluates the
-closed form expressed through the beam-domain factor matrices
+closed form expressed through the beam-domain factor matrices.  With F_k any
+factor of the covariance Lambda_k = F_k F_k^H of user k's column-stacked
+beam-domain channel (the rank-P path factor, or psd_sqrt of a dense
+Lambda_k), reshaped to F3_k of shape (M, N_k, P), and b_k, u_k user k's
+transmit and receive beam indices,
 
-    V_k   = F_k^H (sum_k' Pbs_k'^T kron Cut_k^H)^H
-    V_kk' = F_k'^H (Pbs_k^T kron Cut_k'^H)^H
+    V_k   = ((sum_k' F3_k[b_k'])[:, u_k, :].reshape(-1, P))^H
+    V_kk' = (F3_k'[b_k][:, u_k', :].reshape(-1, P))^H
 
-where F_k is any factor of the covariance Lambda_k = F_k F_k^H of user k's
-column-stacked beam-domain channel (the rank-P path factor, or psd_sqrt of a
-dense Lambda_k) and Pbs/Cut are the beam-domain precoders/combiners.  The noise covariance
-blocks carry an explicit variance factor; setting it to 1 recovers the
-unit-noise normalization.  Agreement of the two routes is the central
-correctness check of the package.
+whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
+Grid beamformers are columns of unitary sampling matrices, so the noise in
+both observations is white: its covariance is noise_power * I.  Agreement of
+the two routes is the central correctness check of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._util import hermitize
+
+if TYPE_CHECKING:
+    from .allocation import BeamAllocation
 
 # MI values below this are treated as numerical inconsistencies rather than
 # round-off, since the mutual information of a valid joint Gaussian is >= 0.
@@ -100,41 +105,38 @@ class RateInputs:
 
     lambda_factors : per-user covariance factors F_k with M*N_k rows and any
                      column count, Lambda_k = F_k F_k^H
-    bs_selectors : per-user beam-domain precoders (M x m_e)
-    ut_selectors : per-user beam-domain combiners (N_k x n_e)
-    precoders    : per-user array-domain precoders (enter the uplink noise block)
-    combiners    : per-user array-domain combiners (enter the downlink noise block)
-    noise_power  : variance of each complex noise entry
-    t_d, t_u     : post-correlation pilot dimensions (m_e and n_e under reuse)
+    allocation     : the users' beams; only the index sets `bs_beams` (m_e
+                     each) and `ut_beams` (n_e each) and the array sizes enter,
+                     and the post-correlation pilot dimensions are m_e and n_e
+    noise_power    : variance of each complex noise entry
     """
 
     lambda_factors: list[np.ndarray]
-    bs_selectors: list[np.ndarray]
-    ut_selectors: list[np.ndarray]
-    precoders: list[np.ndarray]
-    combiners: list[np.ndarray]
+    allocation: BeamAllocation
     noise_power: float
-    t_d: int
-    t_u: int
     log_base: float = 2.0
 
     def __post_init__(self) -> None:
-        k = len(self.lambda_factors)
-        if not (k == len(self.bs_selectors) == len(self.ut_selectors)
-                == len(self.precoders) == len(self.combiners)) or k == 0:
-            raise ValueError("all per-user lists must have the same nonzero length")
+        alloc = self.allocation
+        if len(self.lambda_factors) != alloc.n_users or alloc.n_users == 0:
+            raise ValueError("need one covariance factor per allocated user, at least one")
         if not np.isfinite(self.noise_power) or self.noise_power < 0:
             raise ValueError("noise_power must be finite and nonnegative")
-        if self.t_d < 1 or self.t_u < 1:
-            raise ValueError("pilot dimensions must be positive")
-        m = self.bs_selectors[0].shape[0]
-        for i in range(k):
-            n_i = self.ut_selectors[i].shape[0]
-            factor = self.lambda_factors[i]
-            if factor.ndim != 2 or factor.shape[0] != m * n_i:
-                raise ValueError(f"lambda_factors[{i}] must be a matrix with {m * n_i} rows")
-            if self.bs_selectors[i].shape[0] != m:
-                raise ValueError("all beam-domain precoders must share the BS dimension")
+        m = alloc.a_bs.shape[0]
+        m_e, n_e = len(alloc.bs_beams[0]), len(alloc.ut_beams[0])
+        for k, factor in enumerate(self.lambda_factors):
+            b_k, u_k = np.asarray(alloc.bs_beams[k]), np.asarray(alloc.ut_beams[k])
+            n_k = alloc.a_ut[k].shape[0]
+            if factor.ndim != 2 or factor.shape[0] != m * n_k:
+                raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
+            if len(b_k) != m_e or len(u_k) != n_e:
+                raise ValueError(
+                    f"user {k} has {len(b_k)} transmit and {len(u_k)} receive beams; "
+                    f"every user needs {m_e} and {n_e}, as user 0 has"
+                )
+            if (np.any(b_k < 0) or np.any(b_k >= m)
+                    or np.any(u_k < 0) or np.any(u_k >= n_k)):
+                raise ValueError(f"beam index out of range for user {k}")
 
     @property
     def n_users(self) -> int:
@@ -199,41 +201,46 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
     """Factor matrices of user k's observation model.
 
     Returns (V_k, [V_kk' for every user k']).  V_k maps the stacked
-    beam-domain channel of user k into its downlink observation; V_kk' maps
-    user k's pilots through user k''s channel into the uplink observation:
-    V_k = (G_dl F_k)^H and V_kk' = (G_ul F_k')^H.
+    beam-domain channel of user k into its downlink observation: every
+    user's transmit beams carry pilots at once, and user k listens on u_k.
+    V_kk' maps user k's pilots through user k''s channel into the uplink
+    observation: the base station listens on b_k while user k' sends on u_k'.
+    Both are slices of the reshaped factors (module docstring).
     """
     _check_user(inputs, k)
-    g_dl = np.kron(sum(inputs.bs_selectors).T, inputs.ut_selectors[k].conj().T)
-    v_k = (g_dl @ inputs.lambda_factors[k]).conj().T
-    v_kks = []
-    for kp in range(inputs.n_users):
-        g_ul = np.kron(inputs.bs_selectors[k].T, inputs.ut_selectors[kp].conj().T)
-        v_kks.append((g_ul @ inputs.lambda_factors[kp]).conj().T)
+    alloc = inputs.allocation
+    b, u = alloc.bs_beams, alloc.ut_beams
+    m = alloc.a_bs.shape[0]
+    f3s = [f.reshape(m, -1, f.shape[1]) for f in inputs.lambda_factors]
+    v_k = sum(_beam_rows_h(f3s[k], b_kp, u[k]) for b_kp in b)
+    v_kks = [_beam_rows_h(f3, b[k], u_kp) for f3, u_kp in zip(f3s, u)]
     return v_k, v_kks
+
+
+def _beam_rows_h(f3: np.ndarray, bs_beams: np.ndarray, ut_beams: np.ndarray) -> np.ndarray:
+    """(F3[bs_beams][:, ut_beams, :].reshape(-1, P))^H, columns in vec order j*n_e + i."""
+    return f3[np.ix_(bs_beams, ut_beams)].reshape(-1, f3.shape[2]).conj().T
 
 
 @dataclass(frozen=True)
 class UserRateFactors:
     """Noise-independent pieces of one user's observation covariances.
 
-    Precomputing these makes sweeping the noise level cheap: only the scaled
-    noise structure changes between points.
+    Precomputing these makes sweeping the noise level cheap: only the white
+    noise on the diagonal changes between points.
     """
 
     sig_dl: np.ndarray
     sig_ul: np.ndarray
     cross: np.ndarray
-    d_dl: np.ndarray
-    d_ul: np.ndarray
 
     def covariances(self, noise_power: float) -> ObservationCovariances:
         noise_power = float(noise_power)
         if noise_power < 0 or not np.isfinite(noise_power):
             raise ValueError("noise_power must be finite and nonnegative")
         return ObservationCovariances.from_blocks(
-            self.sig_dl + noise_power * self.d_dl,
-            self.sig_ul + noise_power * self.d_ul,
+            _plus_noise(self.sig_dl, noise_power),
+            _plus_noise(self.sig_ul, noise_power),
             self.cross,
         )
 
@@ -242,39 +249,30 @@ class UserRateFactors:
         return gaussian_mi_oracle(self.covariances(noise_power), diagnostics)
 
 
+def _plus_noise(signal: np.ndarray, noise_power: float) -> np.ndarray:
+    """signal + noise_power * I."""
+    out = signal.copy()
+    out.reshape(-1)[:: out.shape[0] + 1] += noise_power
+    return out
+
+
 def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
     """Assemble user k's covariance factors under the reused-pilot signal model."""
     v_k, v_kks = build_v_matrices(inputs, k)
-    d_dl, d_ul = noise_structure(inputs, k)
     sig_dl = hermitize(v_k.conj().T @ v_k)
     sig_ul = hermitize(sum(v.conj().T @ v for v in v_kks))
-    if sig_dl.shape != d_dl.shape or sig_ul.shape != d_ul.shape:
-        raise ValueError(
-            "pilot dimensions t_d/t_u are inconsistent with the beam-domain selectors"
-        )
     cross = v_k.conj().T @ v_kks[k]
-    return UserRateFactors(sig_dl=sig_dl, sig_ul=sig_ul, cross=cross,
-                           d_dl=d_dl, d_ul=d_ul)
+    return UserRateFactors(sig_dl=sig_dl, sig_ul=sig_ul, cross=cross)
 
 
 def assemble_observation_covariances(inputs: RateInputs, k: int) -> ObservationCovariances:
     """Observation covariances of user k under the reused-pilot signal model.
 
-    r_zdl  = V_k^H V_k           + noise * (I_td kron C_k^H C_k)
-    r_zul  = sum_k' V_kk'^H V_kk' + noise * (P_k^T P_k^* kron I_tu)
+    r_zdl   = V_k^H V_k            + noise * I
+    r_zul   = sum_k' V_kk'^H V_kk' + noise * I
     r_cross = V_k^H V_kk
     """
     return rate_factors(inputs, k).covariances(inputs.noise_power)
-
-
-def noise_structure(inputs: RateInputs, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-variance noise covariance structure of user k's two observations."""
-    _check_user(inputs, k)
-    c = inputs.combiners[k]
-    p = inputs.precoders[k]
-    d_dl = np.kron(np.eye(inputs.t_d), c.conj().T @ c)
-    d_ul = np.kron(p.T @ p.conj(), np.eye(inputs.t_u))
-    return hermitize(d_dl), hermitize(d_ul)
 
 
 def secret_key_rate(inputs: RateInputs, k: int) -> float:
@@ -284,16 +282,14 @@ def secret_key_rate(inputs: RateInputs, k: int) -> float:
 
       -log det( I - V_kk B_ul^{-1} V_kk^H V_k B_dl^{-1} V_k^H )
 
-    with B_dl = V_k^H V_k + noise*(I kron C^H C) and
-    B_ul = sum_k' V_kk'^H V_kk' + noise*(P^T P^* kron I).  Requires
-    noise_power > 0 unless the inner matrices happen to be invertible.
+    with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I.
+    Requires noise_power > 0 unless the inner matrices happen to be invertible.
     """
     if inputs.noise_power < 0:
         raise ValueError("noise_power must be nonnegative")
     v_k, v_kks = build_v_matrices(inputs, k)
-    d_dl, d_ul = noise_structure(inputs, k)
-    b_dl = hermitize(v_k.conj().T @ v_k) + inputs.noise_power * d_dl
-    b_ul = hermitize(sum(v.conj().T @ v for v in v_kks)) + inputs.noise_power * d_ul
+    b_dl = _plus_noise(hermitize(v_k.conj().T @ v_k), inputs.noise_power)
+    b_ul = _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), inputs.noise_power)
     v_kk = v_kks[k]
     if inputs.noise_power == 0:
         for block in (b_dl, b_ul):
@@ -419,7 +415,6 @@ __all__ = [
     "full_sampling_rate",
     "gaussian_mi_oracle",
     "hermitian_logdet",
-    "noise_structure",
     "pilot_overhead",
     "psd_eigh",
     "psd_sqrt",

@@ -194,8 +194,9 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
         for k in range(n_users)
     )
     worst_resid = max(
-        neutralization_residual(alloc.bs_selectors[k], alloc.ut_selectors[kp],
-                                beam_covariance_factor(paths_list[kp], bs_geom, ut_geom)[0])
+        neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
+                                beam_covariance_factor(paths_list[kp], bs_geom, ut_geom)[0],
+                                n_ut)
         for k in range(n_users) for kp in range(n_users) if kp != k
     )
     ok = worst_recip <= 1e-10 and worst_resid <= 1e-10
@@ -218,14 +219,8 @@ def test_criterion_7_covariance_consistency():
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
-    inputs = RateInputs(
-        lambda_factors=[beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list],
-        bs_selectors=list(alloc.bs_selectors),
-        ut_selectors=list(alloc.ut_selectors),
-        precoders=list(alloc.precoders),
-        combiners=list(alloc.combiners),
-        noise_power=noise, t_d=m_e, t_u=n_e,
-    )
+    factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
+    inputs = RateInputs(factors, alloc, noise)
     expected = assemble_observation_covariances(inputs, 0).r_zdl
     empirical = empirical_downlink_covariance(
         paths_list, alloc, pilots, noise, rounds=100_000, rng=rng, user=0

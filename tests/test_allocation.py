@@ -1,14 +1,12 @@
 """Beam ranking, disjoint allocation and interference neutralization."""
 
-import json
-
 import numpy as np
 import pytest
 
 from beamkey.allocation import (
     allocate_bs_beams,
     allocate_ut_beams,
-    allocation_to_json,
+    allocation_summary,
     build_matrices,
     neutralization_residual,
     rank_beams,
@@ -142,13 +140,16 @@ class TestBuildMatrices:
     def test_paper_scale_shapes(self):
         alloc = build_matrices([np.arange(6)], [np.arange(4)], self.a_bs, [self.a_ut])
         assert alloc.precoders[0].shape == (128, 6)
-        assert alloc.bs_selectors[0].shape == (128, 6)
+        assert alloc.bs_beams[0].shape == (6,)
 
     def test_selectors_are_basis_columns(self):
+        # In the beam domain a grid precoder/combiner is a basis column, so
+        # the rate layer needs only the beam indices.
         alloc = build_matrices([[3, 1]], [[2, 0]], self.a_bs, [self.a_ut])
-        sel = alloc.bs_selectors[0]
-        assert sel[3, 0] == 1 and sel[1, 1] == 1
-        assert np.sum(np.abs(sel)) == 2
+        np.testing.assert_allclose(self.a_bs.conj().T @ alloc.precoders[0],
+                                   np.eye(128)[:, [3, 1]], atol=1e-12)
+        np.testing.assert_allclose(self.a_ut.conj().T @ alloc.combiners[0],
+                                   np.eye(4)[:, [2, 0]], atol=1e-12)
 
     def test_overlapping_bs_sets_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -163,9 +164,7 @@ class TestNeutralizationResidual:
         self.a_ut = sampling_matrix(self.ut)
 
     def test_zero_covariance_gives_zero(self):
-        sel_p = np.eye(8, dtype=complex)[:, :2]
-        sel_c = np.eye(4, dtype=complex)[:, :2]
-        assert neutralization_residual(sel_p, sel_c, np.zeros((32, 3))) == 0.0
+        assert neutralization_residual([0, 1], [0, 1], np.zeros((32, 3)), 4) == 0.0
 
     def test_disjoint_on_grid_users_neutralize(self):
         cov0 = beam_covariances(on_grid_paths([0, 1], [0, 1], 8, 4), self.bs, self.ut)
@@ -180,7 +179,7 @@ class TestNeutralizationResidual:
         for k, kp in ((0, 1), (1, 0)):
             factor = psd_sqrt((cov0, cov1)[kp].lambda_full)
             assert neutralization_residual(
-                alloc.bs_selectors[k], alloc.ut_selectors[kp], factor
+                alloc.bs_beams[k], alloc.ut_beams[kp], factor, 4
             ) < 1e-10
 
     def test_shared_beam_breaks_neutralization(self):
@@ -190,9 +189,7 @@ class TestNeutralizationResidual:
         # (its square, 0.25).
         paths = on_grid_paths([3], [2], 8, 4, power=np.array([0.5]))
         factor, _, _ = beam_covariance_factor(paths, self.bs, self.ut)
-        sel_p = np.eye(8, dtype=complex)[:, [3]]
-        sel_c = np.eye(4, dtype=complex)[:, [2]]
-        assert neutralization_residual(sel_p, sel_c, factor) == pytest.approx(0.5, abs=1e-12)
+        assert neutralization_residual([3], [2], factor, 4) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("m, n_ut, n_p", [(8, 4, 3), (16, 2, 2), (128, 4, 6)])
     def test_factor_residual_matches_dense(self, m, n_ut, n_p):
@@ -203,15 +200,24 @@ class TestNeutralizationResidual:
         lam = beam_covariances(paths, bs, ut).lambda_full
         strongest = allocate_bs_beams([np.real(np.diag(r_bs))], 2)[0]
         for beams in (strongest, rng.choice(m, size=2, replace=False)):
+            ut_beams = rng.choice(n_ut, size=2, replace=False)
             sel_p = np.eye(m, dtype=complex)[:, beams]
-            sel_c = np.eye(n_ut, dtype=complex)[:, rng.choice(n_ut, size=2, replace=False)]
+            sel_c = np.eye(n_ut, dtype=complex)[:, ut_beams]
             dense = np.linalg.norm(np.kron(sel_p.T, sel_c.conj().T) @ lam)
-            assert neutralization_residual(sel_p, sel_c, factor) == pytest.approx(
+            assert neutralization_residual(beams, ut_beams, factor, n_ut) == pytest.approx(
                 dense, rel=1e-10, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            neutralization_residual(np.eye(8)[:, :2], np.eye(4)[:, :2], np.zeros((8, 2)))
+            neutralization_residual([0, 1], [0, 1], np.zeros((6, 2)), 4)
+
+    @pytest.mark.parametrize("bs_beams, ut_beams", [([0, 8], [0]), ([-1], [0]),
+                                                    ([0], [4]), ([0], [-1])])
+    def test_out_of_range_beam_rejected(self, bs_beams, ut_beams):
+        # 32 rows over 4 receive antennas: 8 transmit beams.  Negative
+        # indices would otherwise wrap around silently.
+        with pytest.raises(ValueError, match="out of range"):
+            neutralization_residual(bs_beams, ut_beams, np.zeros((32, 2)), 4)
 
 
 class TestAllocationJson:
@@ -220,7 +226,7 @@ class TestAllocationJson:
         a_ut = sampling_matrix(ArrayGeometry(4))
         alloc = build_matrices([[5, 2], [0, 7]], [[1, 0], [3, 2]], a_bs, [a_ut] * 2)
         gains = [np.linspace(0, 1, 8), np.linspace(1, 0, 8)]
-        doc = json.loads(allocation_to_json(alloc, gains))
+        doc = allocation_summary(alloc, gains)
         assert doc["users"][0]["bs_beams"] == [5, 2]
         assert doc["users"][1]["ut_beams"] == [3, 2]
         assert doc["users"][0]["bs_beam_gains"] == [gains[0][5], gains[0][2]]

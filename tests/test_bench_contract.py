@@ -1,0 +1,61 @@
+"""What the benchmark under `bench/` needs from the program.
+
+Every benchmark op is one `beamkey.cli.main` call on a workload's config, and
+the tracer patches names the runners call.  A change that broke either would
+fail every benchmark op; these tests make it fail here first.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from tracer import HOOKS, Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from beamkey.experiments import ScenarioConfig  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_config_validates(name):
+    ScenarioConfig.from_dict(dict(WORKLOADS[name].config)).validate()
+
+
+def test_tracer_resolves_every_hook():
+    tracer = Tracer()
+    try:
+        tracer.install()  # a KeyError here names a hook that no longer exists
+        patched = list(tracer._saved)
+        assert len(patched) == len(HOOKS)
+        for owner, name, original in patched:
+            assert owner.__dict__[name] is not original
+    finally:
+        tracer.uninstall()
+    for owner, name, original in patched:
+        assert owner.__dict__[name] is original
+
+
+@pytest.mark.parametrize("name, layers", [
+    ("multiuser_ref", ("keyrate.rate_factors", "keyrate.rate",
+                       "allocation.neutralization_residual", "allocation.build_matrices")),
+    ("single_user_sweep", ("keyrate.rate_factors", "keyrate.rate",
+                           "keyrate.full_sampling_rate", "allocation.build_matrices")),
+], ids=["multiuser_ref", "single_user_sweep"])
+def test_traced_op_reaches_the_hooked_layers(tmp_path, name, layers):
+    # The runners must call the hooked names where the tracer patches them;
+    # a call that bypasses them would leave these layers at zero calls.
+    from beamkey import cli
+
+    w = WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(w.config))
+    tracer = Tracer()
+    code = tracer.run_op(0, lambda: cli.main(
+        [w.command, "--config", str(config), "--seed", "5", "--out", str(tmp_path / "out")]))
+    assert code == 0
+    counts = tracer.op_counts(0)
+    for layer in layers + ("experiments.write_result",):
+        assert counts[f"{layer}.calls"] > 0, layer

@@ -23,6 +23,22 @@ def test_overhead_json(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_meta_file_independent_of_output_settings(tmp_path):
+    # Where results go and how many threads compute them do not change the
+    # results, so they stay out of the resolved config and its hash.
+    runs = {
+        "a": ["--out", str(tmp_path / "a")],
+        "b": ["--out", str(tmp_path / "b")],
+        "workers": ["--out", str(tmp_path / "workers"), "--workers", "2"],
+    }
+    for flags in runs.values():
+        assert main(["overhead", *flags]) == 0
+    metas = {name: (tmp_path / name / "overhead_meta.json").read_bytes() for name in runs}
+    assert metas["a"] == metas["b"] == metas["workers"]
+    config = json.loads(metas["a"])["config"]
+    assert not {"out_dir", "out_format", "workers"} & set(config)
+
+
 def test_single_user_rate_runs(tmp_path):
     code = main(["single-user-rate", *SMALL, "--out", str(tmp_path)])
     assert code == 0

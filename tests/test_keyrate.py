@@ -42,23 +42,12 @@ def random_psd(rng, n):
     return b.conj().T @ b
 
 
-def single_user_inputs(factor, bs_sel, ut_sel, precoder, combiner, noise, t_d, t_u):
-    return RateInputs(
-        lambda_factors=[factor], bs_selectors=[bs_sel], ut_selectors=[ut_sel],
-        precoders=[precoder], combiners=[combiner], noise_power=noise,
-        t_d=t_d, t_u=t_u,
-    )
-
-
 def full_inputs(factor, m, n_ut, noise):
     """Complete-grid probing of a single user."""
-    a_bs = sampling_matrix(ArrayGeometry(m))
-    a_ut = sampling_matrix(ArrayGeometry(n_ut))
-    return single_user_inputs(
-        factor,
-        np.eye(m, dtype=complex), np.eye(n_ut, dtype=complex),
-        a_bs, a_ut, noise, m, n_ut,
-    )
+    alloc = build_matrices([np.arange(m)], [np.arange(n_ut)],
+                           sampling_matrix(ArrayGeometry(m)),
+                           [sampling_matrix(ArrayGeometry(n_ut))])
+    return RateInputs([factor], alloc, noise)
 
 
 class TestPsdSqrt:
@@ -142,7 +131,8 @@ class TestBuildVMatrices:
         v_k, v_kks = build_v_matrices(inputs, 0)
         assert np.all(v_k == 0) and np.all(v_kks[0] == 0)
         assert secret_key_rate(inputs, 0) == 0.0
-        assert gaussian_mi_oracle(assemble_observation_covariances(inputs, 0)) == 0.0
+        assert gaussian_mi_oracle(assemble_observation_covariances(inputs, 0)) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_aligned_on_grid_path_has_unit_factor_norm(self):
         # One unit-power path exactly on the selected transmit/receive beams:
@@ -158,10 +148,7 @@ class TestBuildVMatrices:
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
         alloc = build_matrices([[5]], [[2]], a_bs, [a_ut])
-        inputs = single_user_inputs(
-            factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
-            alloc.precoders[0], alloc.combiners[0], 0.1, 1, 1,
-        )
+        inputs = RateInputs([factor], alloc, 0.1)
         v_k, _ = build_v_matrices(inputs, 0)
         assert np.linalg.norm(v_k) == pytest.approx(1.0, abs=1e-10)
 
@@ -188,13 +175,101 @@ class TestBuildVMatrices:
         bs_sets = allocate_bs_beams(diags_bs, n_p)
         ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
         alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
-        inputs = RateInputs(
-            lambda_factors=factors, bs_selectors=list(alloc.bs_selectors),
-            ut_selectors=list(alloc.ut_selectors), precoders=list(alloc.precoders),
-            combiners=list(alloc.combiners), noise_power=0.1, t_d=n_p, t_u=2,
-        )
+        inputs = RateInputs(factors, alloc, 0.1)
         _, v_kks = build_v_matrices(inputs, 0)
         assert np.max(np.abs(v_kks[1])) < 1e-10
+
+
+def scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e, noise=0.1):
+    """Random users with the given antenna counts, allocated as the runners do."""
+    bs = ArrayGeometry(m)
+    factors, diags_bs, diags_ut = [], [], []
+    for n in ut_counts:
+        factor, r_bs, r_ut = beam_covariance_factor(sample_paths(n_p, rng), bs,
+                                                    ArrayGeometry(n))
+        factors.append(factor)
+        diags_bs.append(np.real(np.diag(r_bs)))
+        diags_ut.append(np.real(np.diag(r_ut)))
+    alloc = build_matrices(allocate_bs_beams(diags_bs, m_e),
+                           [allocate_ut_beams(d, n_e) for d in diags_ut],
+                           sampling_matrix(bs),
+                           [sampling_matrix(ArrayGeometry(n)) for n in ut_counts])
+    return RateInputs(factors, alloc, noise)
+
+
+def kron_v_matrices(inputs, k):
+    """V_k and every V_kk' through dense 0/1 selectors and kron, built from the
+    beam indices: V_k = (kron(S_sum^T, C_k^H) F_k)^H, V_kk' = (kron(S_k^T, C_k'^H) F_k')^H."""
+    alloc = inputs.allocation
+    sel_bs = [np.eye(alloc.a_bs.shape[0])[:, b] for b in alloc.bs_beams]
+    sel_ut = [np.eye(a.shape[0])[:, u] for a, u in zip(alloc.a_ut, alloc.ut_beams)]
+    f = inputs.lambda_factors
+    v_k = (np.kron(sum(sel_bs).T, sel_ut[k].conj().T) @ f[k]).conj().T
+    v_kks = [(np.kron(sel_bs[k].T, c.conj().T) @ f_kp).conj().T
+             for c, f_kp in zip(sel_ut, f)]
+    return v_k, v_kks
+
+
+class TestIndexRoute:
+    """build_v_matrices slices the reshaped factors by beam index; the dense
+    selector-and-kron products are the reference."""
+
+    @pytest.mark.parametrize("m, ut_counts, n_p, m_e, n_e", [
+        (8, [4], 3, 2, 2),
+        (8, [2, 4], 2, 2, 2),
+        (8, [4, 2, 3], 3, 2, 2),
+        (16, [4], 3, 4, 3),
+        (16, [2, 4], 3, 3, 2),
+        (16, [4, 4, 2], 2, 3, 2),
+        (128, [4] * 6, 6, 6, 4),  # the reference scenario
+    ])
+    def test_matches_kron_reference(self, m, ut_counts, n_p, m_e, n_e):
+        rng = np.random.default_rng(m + 10 * len(ut_counts) + n_p)
+        inputs = scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e)
+        for k in range(inputs.n_users):
+            v_k, v_kks = build_v_matrices(inputs, k)
+            ref_k, ref_kks = kron_v_matrices(inputs, k)
+            assert v_k.shape == ref_k.shape
+            assert np.max(np.abs(v_k - ref_k)) <= 1e-14
+            assert len(v_kks) == len(ref_kks)
+            for v, ref in zip(v_kks, ref_kks):
+                assert v.shape == ref.shape
+                assert np.max(np.abs(v - ref)) <= 1e-14
+
+    def setup_method(self):
+        self.inputs = scenario_inputs(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
+        self.alloc = self.inputs.allocation
+
+    def test_mismatched_bs_beam_counts_rejected(self):
+        alloc = replace(self.alloc, bs_beams=[self.alloc.bs_beams[0],
+                                              self.alloc.bs_beams[1][:1]])
+        with pytest.raises(ValueError, match="user 1 has 1 transmit"):
+            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
+
+    def test_mismatched_ut_beam_counts_rejected(self):
+        alloc = replace(self.alloc, ut_beams=[self.alloc.ut_beams[0],
+                                              self.alloc.ut_beams[1][:1]])
+        with pytest.raises(ValueError, match="user 1 has 2 transmit and 1 receive"):
+            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
+
+    def test_wrong_factor_rows_rejected(self):
+        factors = [self.inputs.lambda_factors[0], self.inputs.lambda_factors[0]]
+        with pytest.raises(ValueError, match=r"lambda_factors\[1\] must be a matrix with 32 rows"):
+            RateInputs(factors, self.alloc, 0.1)
+
+    def test_factor_count_must_match_users(self):
+        with pytest.raises(ValueError, match="one covariance factor per allocated user"):
+            RateInputs(self.inputs.lambda_factors[:1], self.alloc, 0.1)
+
+    @pytest.mark.parametrize("field, beams", [
+        ("bs_beams", [5, 16]), ("bs_beams", [5, -1]), ("ut_beams", [0, 2]), ("ut_beams", [0, -1]),
+    ])
+    def test_out_of_range_index_rejected(self, field, beams):
+        # User 1 has 16 transmit and 2 receive beams; a negative index would
+        # otherwise wrap around silently.
+        alloc = replace(self.alloc, **{field: [getattr(self.alloc, field)[0], np.array(beams)]})
+        with pytest.raises(ValueError, match="out of range for user 1"):
+            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
 
 
 class TestSecretKeyRate:
@@ -245,10 +320,7 @@ class TestSecretKeyRate:
         a_bs = sampling_matrix(ArrayGeometry(m))
         a_ut = sampling_matrix(ArrayGeometry(n_ut))
         alloc = build_matrices([[2, 3]], [[1, 0]], a_bs, [a_ut])
-        inputs = single_user_inputs(
-            factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
-            alloc.precoders[0], alloc.combiners[0], 0.0, 2, 2,
-        )
+        inputs = RateInputs([factor], alloc, 0.0)
         with pytest.raises(SingularNoiseFreeRateError):
             secret_key_rate(inputs, 0)
 
@@ -263,12 +335,7 @@ def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e, noise):
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, sampling_matrix(bs),
                            [sampling_matrix(ut)] * n_users)
-    factored = RateInputs(
-        lambda_factors=[beam_covariance_factor(p, bs, ut)[0] for p in paths],
-        bs_selectors=list(alloc.bs_selectors), ut_selectors=list(alloc.ut_selectors),
-        precoders=list(alloc.precoders), combiners=list(alloc.combiners),
-        noise_power=noise, t_d=m_e, t_u=n_e,
-    )
+    factored = RateInputs([beam_covariance_factor(p, bs, ut)[0] for p in paths], alloc, noise)
     dense = replace(factored, lambda_factors=[psd_sqrt(c.lambda_full) for c in covs])
     return factored, dense, covs
 
@@ -344,10 +411,7 @@ class TestDominanceAndInterference:
             bs_set = allocate_bs_beams([np.real(np.diag(cov.r_bs))], m_e)[0]
             ut_set = allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)
             alloc = build_matrices([bs_set], [ut_set], a_bs, [a_ut])
-            inputs = single_user_inputs(
-                factor, alloc.bs_selectors[0], alloc.ut_selectors[0],
-                alloc.precoders[0], alloc.combiners[0], noise, m_e, 2,
-            )
+            inputs = RateInputs([factor], alloc, noise)
             reduced = secret_key_rate(inputs, 0)
             assert reduced <= perfect + 1e-9
 
@@ -376,17 +440,11 @@ class TestDominanceAndInterference:
         bs_sets = allocate_bs_beams(diags_bs, n_p)
         ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
         alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
-        reused = RateInputs(
-            lambda_factors=factors, bs_selectors=list(alloc.bs_selectors),
-            ut_selectors=list(alloc.ut_selectors), precoders=list(alloc.precoders),
-            combiners=list(alloc.combiners), noise_power=0.1, t_d=n_p, t_u=2,
-        )
+        reused = RateInputs(factors, alloc, 0.1)
         for k in range(2):
             with_interference = secret_key_rate(reused, k)
-            alone = single_user_inputs(
-                factors[k], alloc.bs_selectors[k], alloc.ut_selectors[k],
-                alloc.precoders[k], alloc.combiners[k], 0.1, n_p, 2,
-            )
+            alone_alloc = build_matrices([bs_sets[k]], [ut_sets[k]], a_bs, [a_ut])
+            alone = RateInputs([factors[k]], alone_alloc, 0.1)
             interference_free = secret_key_rate(alone, 0)
             assert with_interference <= interference_free + 1e-9
 
@@ -403,11 +461,7 @@ class TestAssembledCovariances:
         rng = np.random.default_rng(11)
         inputs = _random_small_inputs(rng, 1, 8, 2, 2, 2, 2, 0.3)
         zero = [np.zeros_like(inputs.lambda_factors[0])]
-        noise_only = RateInputs(
-            lambda_factors=zero, bs_selectors=inputs.bs_selectors,
-            ut_selectors=inputs.ut_selectors, precoders=inputs.precoders,
-            combiners=inputs.combiners, noise_power=0.3, t_d=2, t_u=2,
-        )
+        noise_only = replace(inputs, lambda_factors=zero)
         cov = assemble_observation_covariances(noise_only, 0)
         np.testing.assert_allclose(cov.r_zdl, 0.3 * np.eye(4), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.3 * np.eye(4), atol=1e-12)
