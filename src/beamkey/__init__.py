@@ -53,7 +53,6 @@ from .experiments import (
 from .keyrate import (
     NumericalConsistencyError,
     ObservationCovariances,
-    RateDiagnostics,
     RateInputs,
     SingularNoiseFreeRateError,
     assemble_observation_covariances,
@@ -89,7 +88,6 @@ __all__ = [
     "PathSet",
     "PilotSet",
     "ProbingObservation",
-    "RateDiagnostics",
     "RateInputs",
     "ScenarioConfig",
     "SingularNoiseFreeRateError",

@@ -42,7 +42,6 @@ from .channel import (
     to_beam_domain,
 )
 from .keyrate import (
-    RateDiagnostics,
     RateInputs,
     assemble_observation_covariances,
     full_sampling_rate,
@@ -306,7 +305,7 @@ def _sigma_grid(config: ScenarioConfig) -> np.ndarray:
     return 10.0 ** (-np.asarray(config.snr_db_grid, dtype=float) / 10.0)
 
 
-def _metadata(config: ScenarioConfig, name: str, diagnostics: RateDiagnostics) -> dict:
+def _metadata(config: ScenarioConfig, name: str) -> dict:
     return {
         "experiment": name,
         "tool_version": __version__,
@@ -315,7 +314,9 @@ def _metadata(config: ScenarioConfig, name: str, diagnostics: RateDiagnostics) -
         "config": config.resolved(),
         "config_hash": config.config_hash(),
         "rate_units": "bits per probing round",
-        "logdet_jitter_events": diagnostics.jitter_events,
+        # Rates are exact or raise, so no event is ever counted; the key stays
+        # because the benchmark's output check (bench/worker.py) reads it.
+        "logdet_jitter_events": 0,
     }
 
 
@@ -344,7 +345,6 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
     a_bs = sampling_matrix(ArrayGeometry(config.bs_antennas))
     a_ut = sampling_matrix(ArrayGeometry(ut_count))
     seeds = _trial_seeds(config)
-    diagnostics = RateDiagnostics()
 
     def one_trial(t: int) -> np.ndarray:
         rng = np.random.default_rng(seeds[t])
@@ -352,11 +352,10 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
         rates = np.zeros((len(sigmas), len(schemes)))
         # The P x P Gram matrix F^H F has the nonzero spectrum of lambda = F F^H.
         eigs = psd_eigh(stats.factor.conj().T @ stats.factor)[0]
-        rates[:, 0] = [full_sampling_rate(eigs, s2) for s2 in sigmas]
+        rates[:, 0] = full_sampling_rate(eigs, sigmas)
         for j, m_e in enumerate(me_values, start=1):
             alloc = _designed_allocation(config, [stats], m_e, a_bs, [a_ut])
-            factors = rate_factors(RateInputs([stats.factor], alloc, 1.0), 0)
-            rates[:, j] = [factors.rate(s2, diagnostics) for s2 in sigmas]
+            rates[:, j] = rate_factors(RateInputs([stats.factor], alloc, 1.0), 0).rate(sigmas)
         return rates
 
     per_trial = np.stack(_run_trials(one_trial, config.trials, config.workers))
@@ -375,7 +374,7 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
     return ExperimentResult(
         name="single_user_rate",
         records=records,
-        metadata=_metadata(config, "single_user_rate", diagnostics),
+        metadata=_metadata(config, "single_user_rate"),
     )
 
 
@@ -414,8 +413,7 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
                 "attenuation_db": float(att_db),
             })
 
-    diagnostics = RateDiagnostics()
-    metadata = _metadata(config, "beam_gains", diagnostics)
+    metadata = _metadata(config, "beam_gains")
     metadata["allocation"] = allocation_summary(alloc, [s.bs_gain_diag for s in stats])
     if pair_rows:
         metadata["median_adjacent_attenuation_db"] = float(
@@ -448,11 +446,10 @@ def run_overhead_comparison(config: ScenarioConfig) -> ExperimentResult:
                 "reused", config.bs_antennas, counts[:k], config.bs_beams, config.ut_beams
             ),
         })
-    diagnostics = RateDiagnostics()
     return ExperimentResult(
         name="overhead",
         records=records,
-        metadata=_metadata(config, "overhead", diagnostics),
+        metadata=_metadata(config, "overhead"),
     )
 
 
@@ -474,7 +471,6 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
     a_bs = sampling_matrix(ArrayGeometry(config.bs_antennas))
     a_ut = [sampling_matrix(ArrayGeometry(n)) for n in counts]
     seeds = _trial_seeds(config)
-    diagnostics = RateDiagnostics()
 
     def one_trial(t: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(seeds[t])
@@ -485,8 +481,7 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
             alloc = _designed_allocation(config, stats, m_e, a_bs, a_ut)
             inputs = RateInputs([s.factor for s in stats], alloc, 1.0)
             for k in range(config.users):
-                factors = rate_factors(inputs, k)
-                user_rates[:, j, k] = [factors.rate(s2, diagnostics) for s2 in sigmas]
+                user_rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
             residual_max[j] = max(
                 neutralization_residual(
                     alloc.bs_beams[k], alloc.ut_beams[kp], stats[kp].factor, counts[kp]
@@ -497,7 +492,7 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
             )
         for k in range(config.users):
             eigs = psd_eigh(stats[k].factor.conj().T @ stats[k].factor)[0]
-            user_rates[:, len(me_values), k] = [full_sampling_rate(eigs, s2) for s2 in sigmas]
+            user_rates[:, len(me_values), k] = full_sampling_rate(eigs, sigmas)
         return user_rates, residual_max
 
     outputs = _run_trials(one_trial, config.trials, config.workers)
@@ -524,7 +519,7 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
     return ExperimentResult(
         name="multiuser_unit_rate",
         records=records,
-        metadata=_metadata(config, "multiuser_unit_rate", diagnostics),
+        metadata=_metadata(config, "multiuser_unit_rate"),
     )
 
 
@@ -802,10 +797,7 @@ def run_validation_suite(
         sigma_sweep = np.logspace(-2, 2, 10)
         for _ in range(5):
             inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, noise)
-            rates = []
-            for s2 in sigma_sweep:
-                rates.append(secret_key_rate(inputs.with_noise_power(s2), 0))
-            rates = np.array(rates)
+            rates = rate_factors(inputs, 0).rate(sigma_sweep)
             min_rate = min(min_rate, float(rates.min()))
             worst_increase = max(worst_increase, float(np.diff(rates).max()))
         checks.append(_check("rate_nonnegativity", -min_rate, 1e-9))

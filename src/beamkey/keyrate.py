@@ -2,17 +2,10 @@
 
 Both ends of a link observe noisy linear images of the same vectorized
 channel, so the extractable key rate per probing round is the mutual
-information of two jointly Gaussian complex vectors,
-
-    I = log det(R_dl) + log det(R_ul) - log det(R_joint),
-
-computed here in bits.  Two independent routes to the same number are
-provided: `gaussian_mi_oracle` evaluates the log-determinant form directly
-from assembled observation covariances, while `secret_key_rate` evaluates the
-closed form expressed through the beam-domain factor matrices.  With F_k any
-factor of the covariance Lambda_k = F_k F_k^H of user k's column-stacked
-beam-domain channel (the rank-P path factor, or psd_sqrt of a dense
-Lambda_k), reshaped to F3_k of shape (M, N_k, P), and b_k, u_k user k's
+information of two jointly Gaussian complex vectors, computed here in bits.
+With F_k any factor of the covariance Lambda_k = F_k F_k^H of user k's
+column-stacked beam-domain channel (the rank-P path factor, or psd_sqrt of a
+dense Lambda_k), reshaped to F3_k of shape (M, N_k, P), and b_k, u_k user k's
 transmit and receive beam indices,
 
     V_k   = ((sum_k' F3_k[b_k'])[:, u_k, :].reshape(-1, P))^H
@@ -20,14 +13,55 @@ transmit and receive beam indices,
 
 whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
 Grid beamformers are columns of unitary sampling matrices, so the noise in
-both observations is white: its covariance is noise_power * I.  Agreement of
-the two routes is the central correctness check of the package.
+both observations is white with covariance sigma^2 * I.  With g and g_k'
+the users' white P-dim path gains (F carries the powers),
+
+    z_dl = V_k^H g + n_dl,    z_ul = V_kk^H g + sum_{k' != k} V_kk'^H g_k' + n_ul.
+
+The rate engine (`rate_factors`, `UserRateFactors.rate`).  Given g the two
+observations are independent, so I(z_dl; z_ul) = I(g; z_ul) - I(g; z_ul | z_dl).
+The uplink sees g through T = V_kk B^-1 V_kk^H, where B = J^H J + sigma^2 I is
+the covariance of its interference plus noise and J stacks V_kk' for k' != k;
+knowing z_dl leaves g with covariance (I + G / sigma^2)^-1, G = V_k V_k^H.
+With G = Q diag(g) Q^H, the full SVD J = W S Z^H and Y = V_kk Z,
+
+    T = Y diag(1 / (s^2 + sigma^2)) Y^H,    D = diag((1 + g / sigma^2)^(-1/2)),
+    I = log det(I + T) - log det(I + D Q^H T Q D)
+
+where s^2 holds J's squared singular values zero-padded to d = m_e * n_e (for
+a single user J is empty, so Y = V_kk and s^2 = 0).  This is the paper's
+closed form -log det(I - V_kk B_ul^-1 V_kk^H V_k B_dl^-1 V_k^H), with
+B_dl = V_k^H V_k + sigma^2 I and B_ul = sum_k' V_kk'^H V_kk' + sigma^2 I, as
+the same number.  Since I + D Q^H T Q D = D Q^H (I + G / sigma^2 + T) Q D,
+
+    I = log det(I + T) + log det(I + G / sigma^2) - log det(I + T + G / sigma^2),
+
+which is what is evaluated: three log-determinants of I plus a P x P
+information matrix, so nothing cancels inside a matrix as sigma^2 -> 0 and
+no regularization is needed.  Each information matrix is a sum of rank-one
+measurements r r^H / (c + sigma^2), where c >= 0 is the measurement's
+interference floor: the columns of Y with c = s^2 and, for G, the columns of
+V_k with c = 0.  Sorted by c, the order of the weights is the same at every
+noise power, so one QR factorization per set (`GradedInformation`) keeps the
+heavy measurements in the leading coordinates and the matrices graded, which
+keeps a plain Cholesky factorization accurate from -10 to 200 dB.  Singular
+values of J below max(J.shape) * eps * (its largest) are round-off and are cut
+to zero, so a direction the interference does not reach has floor exactly 0.
+Everything but the noise power is factored once per user; a rate for a
+whole array of noise powers is then one batched Cholesky factorization of
+(2, n, P, P) matrices.  `secret_key_rate` is the same engine at one noise
+power.
+
+`gaussian_mi_oracle` evaluates I = log det(R_dl) + log det(R_ul) - log det(R_joint)
+directly from the dense assembled observation covariances
+(`assemble_observation_covariances`).  It is the independent reference the
+engine is checked against, not a runner path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,19 +81,7 @@ class NumericalConsistencyError(RuntimeError):
 
 
 class SingularNoiseFreeRateError(NumericalConsistencyError):
-    """Noise-free rate requested on rank-deficient observation covariances."""
-
-
-@dataclass
-class RateDiagnostics:
-    """Mutable log of numerical events during rate evaluations."""
-
-    jitter_events: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def record_jitter(self, context: str) -> None:
-        self.jitter_events += 1
-        self.notes.append(f"jitter added during {context}")
+    """A noise-free rate was requested where it diverges or is not evaluated."""
 
 
 @dataclass(frozen=True)
@@ -171,29 +193,22 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
-def hermitian_logdet(s: np.ndarray, diagnostics: RateDiagnostics | None = None,
-                     context: str = "logdet") -> float:
+def hermitian_logdet(s: np.ndarray, context: str = "logdet") -> float:
     """Natural-log determinant of a Hermitian positive definite matrix.
 
-    Uses a Cholesky factorization; on failure retries once with additive
-    jitter 1e-12 * trace on the diagonal (recorded in `diagnostics`), and
-    raises if the factorization still fails.
+    Uses a Cholesky factorization.  A matrix it cannot factorize (singular,
+    indefinite, or too ill-conditioned for the factorization to succeed)
+    raises `NumericalConsistencyError` naming `context`; the matrix is never
+    regularized.
     """
     s = np.asarray(s, dtype=complex)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(s).real)
-        if jitter <= 0:
-            raise NumericalConsistencyError(f"{context}: matrix is singular") from None
-        if diagnostics is not None:
-            diagnostics.record_jitter(context)
-        try:
-            chol = np.linalg.cholesky(s + jitter * np.eye(s.shape[0]))
-        except np.linalg.LinAlgError:
-            raise NumericalConsistencyError(
-                f"{context}: factorization failed even with jitter"
-            ) from None
+        raise NumericalConsistencyError(
+            f"{context}: Cholesky factorization failed; the matrix is not "
+            "numerically positive definite"
+        ) from None
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
@@ -219,34 +234,128 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
 
 def _beam_rows_h(f3: np.ndarray, bs_beams: np.ndarray, ut_beams: np.ndarray) -> np.ndarray:
     """(F3[bs_beams][:, ut_beams, :].reshape(-1, P))^H, columns in vec order j*n_e + i."""
-    return f3[np.ix_(bs_beams, ut_beams)].reshape(-1, f3.shape[2]).conj().T
+    return f3[bs_beams][:, ut_beams].reshape(-1, f3.shape[2]).conj().T
+
+
+@dataclass(frozen=True)
+class GradedInformation:
+    """Fisher information sum_j r_j r_j^H / (c_j + sigma^2) about a user's
+    path gains, from a graded factor, for evaluation at any noise power
+    sigma^2 > 0.
+
+    terms  : (n, P, P) the rank-one terms r_j r_j^H, except that the terms
+             with floor 0, which share the weight 1/sigma^2, are summed
+             into the first
+    floors : (n,) nondecreasing c_j >= 0, the interference power that
+             measurement j sees on top of the noise
+
+    The r_j are the columns of the upper trapezoidal R of a QR factorization
+    of the measurements sorted by c, so by decreasing weight at every noise
+    power: column j touches only the first j coordinates.  The heaviest
+    measurements thus sit in the leading coordinates, and the information
+    matrix stays graded, which keeps its Cholesky factorization accurate at
+    every noise power.
+    """
+
+    terms: np.ndarray
+    floors: np.ndarray
+
+    @classmethod
+    def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
+        """Factor measurement columns already sorted by nondecreasing floor."""
+        if not floors.any():
+            # One weight for all: a single term, and no basis to choose.
+            return cls(terms=(columns @ columns.conj().T)[None], floors=floors[:1])
+        n_paths = columns.shape[0]
+        r = np.linalg.qr(columns, mode="r")
+        if r.shape[0] < n_paths:
+            r = np.vstack([r, np.zeros((n_paths - r.shape[0], r.shape[1]))])
+        terms = np.einsum("aj,bj->jab", r, r.conj())
+        n_zero = int(np.count_nonzero(floors == 0))
+        if n_zero > 1:
+            terms = np.concatenate([terms[:n_zero].sum(axis=0, keepdims=True), terms[n_zero:]])
+            floors = floors[n_zero - 1:]
+        return cls(terms=terms, floors=floors)
+
+    def plus_identity(self, noise_powers: np.ndarray) -> np.ndarray:
+        """I + sum_j r_j r_j^H / (c_j + sigma^2) for each noise power in the
+        (n, 1) column `noise_powers`, as an (n, P, P) array."""
+        n_terms, n_paths, _ = self.terms.shape
+        weights = 1.0 / (self.floors + noise_powers)
+        # One 1 x n_terms product per noise power, not one matrix product for
+        # all of them: BLAS rounds a single-row product differently, and
+        # this way a noise power gives the same bits alone as within a grid.
+        gram = (weights[:, None, :] @ self.terms.reshape(n_terms, -1))
+        gram = gram.reshape(-1, n_paths, n_paths)
+        diag = np.arange(n_paths)
+        gram[:, diag, diag] += 1.0
+        return gram
 
 
 @dataclass(frozen=True)
 class UserRateFactors:
-    """Noise-independent pieces of one user's observation covariances.
+    """Noise-independent factorization of user k's observation model.
 
-    Precomputing these makes sweeping the noise level cheap: only the white
-    noise on the diagonal changes between points.
+    gains    : (P,) eigenvalues g of G = V_k V_k^H, the squared singular
+               values of V_k
+    uplink   : the uplink's information T about g: the columns of
+               Y = V_kk Z with floors s^2
+    joint    : the information T + G / sigma^2 of both observations: the
+               columns of Y with floors s^2, and with floor 0 the columns
+               U sv of V_k's SVD, whose Gram matrix is G
+    log_base : base of the logarithm the rate is reported in
+
+    `rate` evaluates the module docstring's three-term form for any noise
+    powers from these alone, without assembling a covariance.
     """
 
-    sig_dl: np.ndarray
-    sig_ul: np.ndarray
-    cross: np.ndarray
+    gains: np.ndarray
+    uplink: GradedInformation
+    joint: GradedInformation
+    log_base: float = 2.0
 
-    def covariances(self, noise_power: float) -> ObservationCovariances:
-        noise_power = float(noise_power)
-        if noise_power < 0 or not np.isfinite(noise_power):
-            raise ValueError("noise_power must be finite and nonnegative")
-        return ObservationCovariances.from_blocks(
-            _plus_noise(self.sig_dl, noise_power),
-            _plus_noise(self.sig_ul, noise_power),
-            self.cross,
-        )
+    def rate(self, noise_powers):
+        """User k's key rate at each noise power (a scalar or a 1-D array).
 
-    def rate(self, noise_power: float,
-             diagnostics: RateDiagnostics | None = None) -> float:
-        return gaussian_mi_oracle(self.covariances(noise_power), diagnostics)
+        Returns a float for a scalar and an array for an array.  All noise
+        powers are evaluated at once, with one batched Cholesky
+        factorization of the (2, n, P, P) matrices I + T and I + T + G/sigma^2.
+
+        The rate needs noise_power > 0: a noise power of 0 raises
+        `SingularNoiseFreeRateError` (without noise the observation
+        covariances are singular whenever m_e * n_e > P, and the finite
+        limit that can exist otherwise is not evaluated).  A matrix that
+        cannot be factorized, or a rate that comes out non-finite or
+        negative beyond round-off, raises `NumericalConsistencyError`.
+        """
+        sigma2 = _noise_powers(noise_powers)
+        if np.any(sigma2 == 0):
+            raise SingularNoiseFreeRateError(
+                "singular noise-free rate: the rate engine needs noise_power > 0"
+            )
+        column = np.atleast_1d(sigma2)[:, None]
+        mats = np.stack([self.uplink.plus_identity(column), self.joint.plus_identity(column)])
+        try:
+            chol = np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            raise NumericalConsistencyError(
+                "rate: an information matrix is not numerically positive definite"
+            ) from None
+        logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+        downlink = np.sum(np.log1p(self.gains / column), axis=-1)
+        mi = _finalize_rate((logdets[0] + downlink - logdets[1]) / math.log(self.log_base))
+        return float(mi[0]) if sigma2.ndim == 0 else mi
+
+
+def _noise_powers(noise_powers) -> np.ndarray:
+    """Noise powers as a float array of at most one dimension, all finite and >= 0."""
+    sigma2 = np.asarray(noise_powers, dtype=float)
+    if sigma2.ndim > 1:
+        raise ValueError("noise powers must be a scalar or a 1-D array")
+    # One comparison catches negative, infinite and NaN values.
+    if not ((sigma2 >= 0) & (sigma2 < np.inf)).all():
+        raise ValueError("noise_power must be finite and nonnegative")
+    return sigma2
 
 
 def _plus_noise(signal: np.ndarray, noise_power: float) -> np.ndarray:
@@ -257,84 +366,89 @@ def _plus_noise(signal: np.ndarray, noise_power: float) -> np.ndarray:
 
 
 def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
-    """Assemble user k's covariance factors under the reused-pilot signal model."""
+    """Factor user k's observation model once for `UserRateFactors.rate`.
+
+    g comes from the singular values of V_k, and s^2 and Z from the full SVD
+    of the interference stack J = vstack(V_kk', k' != k).  Singular values of
+    J below max(J.shape) * eps * (its largest) are round-off and are cut to
+    zero.  `inputs.noise_power` is not used.
+    """
     v_k, v_kks = build_v_matrices(inputs, k)
-    sig_dl = hermitize(v_k.conj().T @ v_k)
-    sig_ul = hermitize(sum(v.conj().T @ v for v in v_kks))
-    cross = v_k.conj().T @ v_kks[k]
-    return UserRateFactors(sig_dl=sig_dl, sig_ul=sig_ul, cross=cross)
+    dim = v_k.shape[1]
+    # G = U diag(sv_k^2) U^H: the P columns U sv_k carry the same downlink
+    # information as the d columns of V_k.
+    u_k, sv_k, _ = np.linalg.svd(v_k, full_matrices=False)
+    others = [v for j, v in enumerate(v_kks) if j != k]
+    floors = np.zeros(dim)
+    if others:
+        stack = np.vstack(others)
+        _, sv, zh = np.linalg.svd(stack, full_matrices=True)
+        cut = max(stack.shape) * np.finfo(float).eps * sv[0]
+        floors[: sv.size] = np.where(sv > cut, sv * sv, 0.0)
+        y = v_kks[k] @ zh.conj().T
+    else:
+        y = v_kks[k]
+    # The SVD orders s^2 downwards, so reversed the floors are nondecreasing.
+    y, floors = y[:, ::-1], floors[::-1]
+    return UserRateFactors(
+        gains=sv_k * sv_k,
+        uplink=GradedInformation.from_sorted(y, floors),
+        joint=GradedInformation.from_sorted(
+            np.hstack([u_k * sv_k, y]), np.concatenate([np.zeros(sv_k.size), floors])),
+        log_base=inputs.log_base,
+    )
 
 
 def assemble_observation_covariances(inputs: RateInputs, k: int) -> ObservationCovariances:
-    """Observation covariances of user k under the reused-pilot signal model.
+    """Dense observation covariances of user k under the reused-pilot signal model.
 
     r_zdl   = V_k^H V_k            + noise * I
     r_zul   = sum_k' V_kk'^H V_kk' + noise * I
     r_cross = V_k^H V_kk
+
+    The reference `gaussian_mi_oracle` evaluates; the rate engine never
+    assembles them.
     """
-    return rate_factors(inputs, k).covariances(inputs.noise_power)
+    v_k, v_kks = build_v_matrices(inputs, k)
+    return ObservationCovariances.from_blocks(
+        _plus_noise(hermitize(v_k.conj().T @ v_k), inputs.noise_power),
+        _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), inputs.noise_power),
+        v_k.conj().T @ v_kks[k],
+    )
 
 
 def secret_key_rate(inputs: RateInputs, k: int) -> float:
-    """Closed-form key rate of user k in bits per probing round.
+    """Closed-form key rate of user k at `inputs.noise_power`, in bits per
+    probing round (in `inputs.log_base` units).
 
-    Evaluates
+    The quantity is
 
       -log det( I - V_kk B_ul^{-1} V_kk^H V_k B_dl^{-1} V_k^H )
 
-    with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I.
-    Requires noise_power > 0 unless the inner matrices happen to be invertible.
+    with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I,
+    evaluated by the rate engine at one point:
+    `rate_factors(inputs, k).rate(inputs.noise_power)`.
     """
-    if inputs.noise_power < 0:
-        raise ValueError("noise_power must be nonnegative")
-    v_k, v_kks = build_v_matrices(inputs, k)
-    b_dl = _plus_noise(hermitize(v_k.conj().T @ v_k), inputs.noise_power)
-    b_ul = _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), inputs.noise_power)
-    v_kk = v_kks[k]
-    if inputs.noise_power == 0:
-        for block in (b_dl, b_ul):
-            eigs = np.linalg.eigvalsh(block)
-            if eigs[-1] <= 0 or eigs[0] < 1e-10 * eigs[-1]:
-                raise SingularNoiseFreeRateError(
-                    "singular noise-free rate: the observation covariances are rank deficient"
-                )
-    try:
-        inner = v_kk.conj().T @ v_k @ np.linalg.solve(b_dl, v_k.conj().T)
-        outer = v_kk @ np.linalg.solve(b_ul, inner)
-    except np.linalg.LinAlgError:
-        raise SingularNoiseFreeRateError(
-            "singular noise-free rate: the observation covariances are rank deficient"
-        ) from None
-    if not np.all(np.isfinite(outer)):
-        raise SingularNoiseFreeRateError(
-            "singular noise-free rate: the observation covariances are rank deficient"
-        )
-    mat = np.eye(outer.shape[0], dtype=complex) - outer
-    sign, logabs = np.linalg.slogdet(mat)
-    if not np.isfinite(logabs) or abs(sign - 1.0) > 1e-6:
-        raise NumericalConsistencyError(
-            f"determinant of the rate matrix is not real positive (sign = {sign})"
-        )
-    return _finalize_rate(-logabs / math.log(inputs.log_base))
+    return rate_factors(inputs, k).rate(inputs.noise_power)
 
 
-def gaussian_mi_oracle(cov: ObservationCovariances,
-                       diagnostics: RateDiagnostics | None = None,
-                       log_base: float = 2.0) -> float:
+def gaussian_mi_oracle(cov: ObservationCovariances, log_base: float = 2.0) -> float:
     """Mutual information of two jointly Gaussian complex vectors, in bits.
 
     I = log det(R_dl) + log det(R_ul) - log det(R_joint), evaluated through
-    Cholesky log-determinants.  This is the generic reference the closed-form
-    rate must agree with.
+    Cholesky log-determinants.  This is the generic dense reference the
+    closed-form rate must agree with.  Where a covariance is too
+    ill-conditioned to factorize (at very high SNR) it raises
+    `NumericalConsistencyError` rather than return an inexact rate.
     """
-    ld_dl = hermitian_logdet(cov.r_zdl, diagnostics, "downlink covariance")
-    ld_ul = hermitian_logdet(cov.r_zul, diagnostics, "uplink covariance")
-    ld_joint = hermitian_logdet(cov.joint, diagnostics, "joint covariance")
+    ld_dl = hermitian_logdet(cov.r_zdl, "downlink covariance")
+    ld_ul = hermitian_logdet(cov.r_zul, "uplink covariance")
+    ld_joint = hermitian_logdet(cov.joint, "joint covariance")
     return _finalize_rate((ld_dl + ld_ul - ld_joint) / math.log(log_base))
 
 
-def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power: float,
-                       log_base: float = 2.0) -> float:
+def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power,
+                       log_base: float = 2.0):
     """Single-user rate when both ends probe through complete unitary grids.
 
     In that case the downlink and uplink covariances are Lambda + noise*I with
@@ -344,31 +458,43 @@ def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power: float,
 
         I = sum_i log( (w_i + noise)^2 / (noise * (2 w_i + noise)) ).
 
-    Agrees with `gaussian_mi_oracle` on the equivalent assembled covariances;
-    this form just avoids building the large matrices.
+    `noise_power` is a scalar or a 1-D array; the result is a float or an
+    array of the same length.  Zero eigenvalues give a rate of 0 at any
+    noise power; otherwise a noise power of 0 raises
+    `SingularNoiseFreeRateError`, since the rate diverges.  Agrees with
+    `gaussian_mi_oracle` on the equivalent assembled covariances; this form
+    just avoids building the large matrices.
     """
-    noise_power = float(noise_power)
-    if noise_power < 0 or not np.isfinite(noise_power):
-        raise ValueError("noise_power must be finite and nonnegative")
+    sigma2 = _noise_powers(noise_power)
     w = np.asarray(lambda_eigenvalues, dtype=float)
     w = w[w > 0]
     if w.size == 0:
-        return 0.0
-    if noise_power == 0:
+        return 0.0 if sigma2.ndim == 0 else np.zeros(sigma2.shape)
+    if np.any(sigma2 == 0):
         raise SingularNoiseFreeRateError(
             "singular noise-free rate: full-observation MI diverges without noise"
         )
-    per_mode = 2.0 * np.log(w + noise_power) - np.log(noise_power) - np.log(2.0 * w + noise_power)
-    return _finalize_rate(float(np.sum(per_mode)) / math.log(log_base))
+    s2 = sigma2[..., None]
+    per_mode = 2.0 * np.log(w + s2) - np.log(s2) - np.log(2.0 * w + s2)
+    return _finalize_rate(np.sum(per_mode, axis=-1) / math.log(log_base))
 
 
-def _finalize_rate(value: float) -> float:
-    if value < NEGATIVE_MI_TOL:
+def _finalize_rate(value):
+    """Clip round-off negatives of a rate (a scalar or an array) to zero.
+
+    A non-finite value, or one below `NEGATIVE_MI_TOL`, raises
+    `NumericalConsistencyError`.  Returns a float for a scalar.
+    """
+    value = np.asarray(value, dtype=float)
+    if not ((value >= NEGATIVE_MI_TOL) & (value < np.inf)).all():
+        if not np.isfinite(value).all():
+            raise NumericalConsistencyError("mutual information came out non-finite")
         raise NumericalConsistencyError(
-            f"mutual information came out negative ({value:.3e}); "
+            f"mutual information came out negative ({value.min():.3e}); "
             "the covariance model is numerically inconsistent"
         )
-    return max(value, 0.0)
+    clipped = np.maximum(value, 0.0)
+    return float(clipped) if clipped.ndim == 0 else clipped
 
 
 def pilot_overhead(mode: str, M: int, n_k: Sequence[int], m_e: int, n_e: int) -> int:
@@ -407,7 +533,6 @@ def _check_user(inputs: RateInputs, k: int) -> None:
 __all__ = [
     "NumericalConsistencyError",
     "ObservationCovariances",
-    "RateDiagnostics",
     "RateInputs",
     "SingularNoiseFreeRateError",
     "assemble_observation_covariances",
@@ -421,5 +546,6 @@ __all__ = [
     "rate_factors",
     "secret_key_rate",
     "unit_skr",
+    "GradedInformation",
     "UserRateFactors",
 ]

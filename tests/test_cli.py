@@ -140,3 +140,30 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, scheme_rate", [
+    (["single-user-rate", "--users", "1"], "rate_bits"),
+    (["multiuser-unit-rate"], "sum_rate_bits"),
+], ids=["single_user_rate", "multiuser_unit_rate"])
+def test_high_snr_rates_exit_zero_and_never_fall(tmp_path, command, scheme_rate):
+    # Mutual information cannot fall as the noise falls.  A Cholesky oracle
+    # with diagonal jitter used to report reduced_me6 falling from 276.4 to
+    # 175.6 bits between 150 and 200 dB, with exit code 0.
+    code = main([*command, "--snr-db", "60,100,150,200", "--trials", "2", "--out", str(tmp_path)])
+    assert code == 0
+    table = command[0].replace("-", "_")
+    lines = (tmp_path / f"{table}.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    by_scheme = {}
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        by_scheme.setdefault(row["scheme"], []).append(
+            (float(row["snr_db"]), float(row[scheme_rate])))
+    assert len(by_scheme) == 3
+    for scheme, points in by_scheme.items():
+        rates = [rate for _, rate in sorted(points)]
+        assert len(rates) == 4
+        assert all(later >= earlier for earlier, later in zip(rates, rates[1:])), scheme
+    meta = json.loads((tmp_path / f"{table}_meta.json").read_text())
+    assert meta["logdet_jitter_events"] == 0

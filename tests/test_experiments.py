@@ -17,9 +17,13 @@ from beamkey.channel import (
     synthesize_channel,
 )
 from beamkey.experiments import (
+    DEFAULT_SNR_GRID,
     PROBE_CHUNK,
     ConfigError,
     ScenarioConfig,
+    _designed_allocation,
+    _draw_user,
+    _trial_seeds,
     empirical_downlink_covariance,
     records_to_csv,
     run_beam_gain_profile,
@@ -29,7 +33,13 @@ from beamkey.experiments import (
     run_validation_suite,
     write_result,
 )
-from beamkey.keyrate import full_sampling_rate, psd_eigh
+from beamkey.keyrate import (
+    RateInputs,
+    assemble_observation_covariances,
+    full_sampling_rate,
+    gaussian_mi_oracle,
+    psd_eigh,
+)
 from beamkey.probing import PILOT_MODES, downlink_probe, make_pilots
 
 
@@ -202,6 +212,43 @@ def test_complete_grid_rates_match_dense_spectrum(run, cfg, scheme, column):
         for k, eigs in enumerate(spectra):
             assert rec[column.format(k=k)] == pytest.approx(
                 full_sampling_rate(eigs, noise), rel=1e-10)
+
+
+@pytest.mark.parametrize("run, cfg, prefix, column", [
+    (run_single_user_rate, small_single_user(snr_db_grid=list(DEFAULT_SNR_GRID)),
+     "reduced_me", "rate_bits"),
+    (run_multiuser_unit_rate, small_multi_user(snr_db_grid=list(DEFAULT_SNR_GRID)),
+     "reused_me", "rate_user_{k}"),
+], ids=["single_user_rate", "multiuser_unit_rate"])
+def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
+    # The runners evaluate each user's whole SNR grid in one engine call; the
+    # Gaussian MI of the dense covariances assembled at each point, for the
+    # same draws, is the reference.
+    counts = cfg.ut_antenna_list()
+    a_bs = sampling_matrix(ArrayGeometry(cfg.bs_antennas))
+    a_ut = [sampling_matrix(ArrayGeometry(n)) for n in counts]
+    noise = 10.0 ** (-np.asarray(cfg.snr_db_grid) / 10.0)
+    oracle = {}
+    for seed in _trial_seeds(cfg):
+        rng = np.random.default_rng(seed)
+        stats = [_draw_user(cfg, rng, n) for n in counts]
+        for m_e in cfg.bs_beams_compare:
+            alloc = _designed_allocation(cfg, stats, m_e, a_bs, a_ut)
+            for k in range(cfg.users):
+                rates = [gaussian_mi_oracle(assemble_observation_covariances(
+                    RateInputs([s.factor for s in stats], alloc, s2), k)) for s2 in noise]
+                oracle.setdefault((m_e, k), []).append(rates)
+    checked = 0
+    for rec in run(cfg).records:
+        if not rec["scheme"].startswith(prefix):
+            continue
+        m_e = int(rec["scheme"][len(prefix):])
+        i = list(cfg.snr_db_grid).index(rec["snr_db"])
+        for k in range(cfg.users):
+            expected = np.mean(oracle[m_e, k], axis=0)[i]
+            assert rec[column.format(k=k)] == pytest.approx(expected, rel=1e-10)
+            checked += 1
+    assert checked == len(noise) * len(cfg.bs_beams_compare) * cfg.users
 
 
 class TestMultiuserUnitRate:

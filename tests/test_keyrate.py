@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, build_matrices
 from beamkey.channel import (
@@ -34,7 +36,12 @@ from beamkey.keyrate import (
     secret_key_rate,
     unit_skr,
 )
-from beamkey.experiments import _random_small_inputs
+from beamkey.experiments import (
+    ScenarioConfig,
+    _designed_allocation,
+    _draw_user,
+    _random_small_inputs,
+)
 
 
 def random_psd(rng, n):
@@ -80,6 +87,12 @@ class TestHermitianLogdet:
     def test_singular_raises(self):
         with pytest.raises(NumericalConsistencyError):
             hermitian_logdet(np.zeros((3, 3)))
+
+    def test_failed_factorization_is_not_regularized(self):
+        # Slightly indefinite with a positive trace: diagonal jitter of
+        # 1e-12 * trace would make it factorizable and return a number.
+        with pytest.raises(NumericalConsistencyError, match="not numerically positive definite"):
+            hermitian_logdet(np.diag([1.0, -1e-14]))
 
 
 class TestGaussianMiOracle:
@@ -376,6 +389,140 @@ class TestFactorMatchesDense:
         self.assert_routes_agree(*factor_and_dense_inputs(rng, 1, 128, 4, 6, 6, 4, 0.1))
 
 
+def mp_gaussian_mi_bits(v_k, v_kks, k, noise_powers):
+    """80-digit log det R_dl + log det R_ul - log det R_joint of user k's
+    dense observation covariances, in bits, at each noise power.
+
+    Each covariance is A^H A + s2 I for a stacked A: V_k for R_dl, every
+    V_kk' for R_ul and [[V_k, V_kk], [0, J]] for R_joint.  Its determinant
+    is taken through the smaller Gram matrix, det(s2 I_n + A^H A) =
+    s2^(n - m) det(s2 I_m + A A^H) for an m x n matrix A, by an 80-digit
+    Cholesky factorization.  The float64 V matrices are taken as exact.
+    """
+    import mpmath
+
+    def gram(a):
+        rows = [[mpmath.mpc(complex(x)) for x in row] for row in a]
+        if len(rows) >= len(rows[0]):
+            cols = list(zip(*rows))
+            return [[mpmath.fdot(x, y, conjugate=True) for y in cols] for x in cols]
+        return [[mpmath.fdot(y, x, conjugate=True) for y in rows] for x in rows]
+
+    def logdet_plus(g, s2):
+        n = len(g)
+        low = [[None] * n for _ in range(n)]
+        total = mpmath.mpf(0)
+        for j in range(n):
+            pivot = mpmath.re(g[j][j] + s2 - mpmath.fdot(low[j][:j], low[j][:j], conjugate=True))
+            low[j][j] = mpmath.sqrt(pivot)
+            total += mpmath.log(pivot)
+            conj_j = [mpmath.conj(x) for x in low[j][:j]]
+            for i in range(j + 1, n):
+                low[i][j] = (g[i][j] - mpmath.fdot(low[i][:j], conj_j)) / low[j][j]
+        return total
+
+    others = [v for j, v in enumerate(v_kks) if j != k]
+    joint = np.hstack([v_k, v_kks[k]])
+    if others:
+        j_stack = np.vstack(others)
+        joint = np.vstack([joint, np.hstack([np.zeros_like(j_stack), j_stack])])
+    with mpmath.workdps(80):
+        parts = [(gram(a), a.shape[1] - min(a.shape)) for a in (v_k, np.vstack(v_kks), joint)]
+        rates = []
+        for noise in noise_powers:
+            s2 = mpmath.mpf(float(noise))
+            ld = [logdet_plus(g, s2) + extra * mpmath.log(s2) for g, extra in parts]
+            rates.append(float((ld[0] + ld[1] - ld[2]) / mpmath.log(2)))
+    return np.array(rates)
+
+
+def runner_draw(config, rng, m_e):
+    """One trial's users and allocation, drawn the way the runners draw them."""
+    counts = config.ut_antenna_list()
+    stats = [_draw_user(config, rng, n) for n in counts]
+    alloc = _designed_allocation(config, stats, m_e,
+                                 sampling_matrix(ArrayGeometry(config.bs_antennas)),
+                                 [sampling_matrix(ArrayGeometry(n)) for n in counts])
+    return RateInputs([s.factor for s in stats], alloc, 1.0)
+
+
+HIGH_SNR_DB = np.array([30.0, 60.0, 100.0, 150.0, 200.0])
+
+
+class TestRateEngine:
+    """`rate_factors(...).rate`: exact at every SNR, batched over the grid."""
+
+    @pytest.mark.parametrize("config, users", [
+        (ScenarioConfig(bs_antennas=32, users=1), [0]),
+        # The reference scenario; users 0 and 3 see interference.
+        (ScenarioConfig(), [0, 3]),
+    ], ids=["single_user_m32", "reference_six_users"])
+    def test_matches_80_digit_gaussian_mi(self, config, users):
+        # At 200 dB, user 0 of this draw reads 98.53 bits; the Cholesky
+        # oracle with diagonal jitter used to report 77.5.
+        inputs = runner_draw(config, np.random.default_rng(5), m_e=6)
+        noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
+        for k in users:
+            fast = rate_factors(inputs, k).rate(noise)
+            v_k, v_kks = build_v_matrices(inputs, k)
+            exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
+            np.testing.assert_allclose(fast, exact, rtol=1e-12, atol=0)
+        if inputs.n_users == 6:
+            assert rate_factors(inputs, 0).rate(1e-20) == pytest.approx(98.5279, abs=1e-4)
+
+    def test_batched_grid_equals_single_points(self):
+        inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
+        noise = 10.0 ** (-np.linspace(-10.0, 200.0, 43) / 10.0)
+        for k in (0, 5):
+            factors = rate_factors(inputs, k)
+            batched = factors.rate(noise)
+            singles = np.array([factors.rate(s2) for s2 in noise])
+            assert isinstance(factors.rate(noise[0]), float)
+            np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
+
+    def test_secret_key_rate_is_the_engine_at_one_point(self):
+        rng = np.random.default_rng(16)
+        inputs = _random_small_inputs(rng, 3, 16, 2, 3, 2, 2, 0.05)
+        for k in range(3):
+            assert secret_key_rate(inputs, k) == rate_factors(inputs, k).rate(0.05)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
+           m=st.sampled_from([8, 16]), n_paths=st.integers(1, 3),
+           m_e=st.integers(1, 2), n_e=st.integers(1, 2),
+           exponents=st.lists(st.floats(-20.0, 2.0), min_size=2, max_size=8))
+    def test_rate_grows_as_noise_falls_and_stays_below_complete_probing(
+            self, seed, n_users, m, n_paths, m_e, n_e, exponents):
+        # Round-off slack, relative: 1e-9.
+        rng = np.random.default_rng(seed)
+        inputs = _random_small_inputs(rng, n_users, m, 2, n_paths, m_e, n_e, 1.0)
+        noise = np.sort(10.0 ** np.array(exponents))[::-1]
+        for k in range(n_users):
+            rates = rate_factors(inputs, k).rate(noise)
+            assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+            assert np.all(rates[1:] >= rates[:-1] - 1e-9 * rates[1:])
+        if n_users == 1:
+            f = inputs.lambda_factors[0]
+            perfect = full_sampling_rate(psd_eigh(f.conj().T @ f)[0], noise)
+            assert np.all(rates <= perfect * (1 + 1e-9))
+
+    def test_noise_free_multiuser_rejected(self):
+        inputs = _random_small_inputs(np.random.default_rng(17), 2, 16, 2, 2, 2, 2, 0.1)
+        factors = rate_factors(inputs, 0)
+        with pytest.raises(SingularNoiseFreeRateError):
+            factors.rate(0.0)
+        with pytest.raises(SingularNoiseFreeRateError):
+            factors.rate(np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
+                             ids=["negative", "nan", "inf", "negative_in_array", "2d"])
+    def test_bad_noise_powers_rejected(self, noise):
+        factors = rate_factors(_random_small_inputs(np.random.default_rng(18), 1, 8, 2, 2,
+                                                    2, 2, 0.1), 0)
+        with pytest.raises(ValueError):
+            factors.rate(noise)
+
+
 class TestFullSamplingRate:
     def test_matches_oracle_through_full_grids(self):
         rng = np.random.default_rng(8)
@@ -394,6 +541,19 @@ class TestFullSamplingRate:
     def test_noise_free_rejected(self):
         with pytest.raises(SingularNoiseFreeRateError):
             full_sampling_rate(np.ones(4), 0.0)
+        with pytest.raises(SingularNoiseFreeRateError):
+            full_sampling_rate(np.ones(4), np.array([0.1, 0.0]))
+
+    def test_batched_noise_powers_equal_single_points(self):
+        eigs = np.array([2.0, 0.5, 1e-3, 0.0])
+        noise = 10.0 ** (-np.linspace(-10.0, 200.0, 22) / 10.0)
+        batched = full_sampling_rate(eigs, noise)
+        assert batched.shape == noise.shape
+        assert np.array_equal(batched, [full_sampling_rate(eigs, s2) for s2 in noise])
+        assert isinstance(full_sampling_rate(eigs, 0.1), float)
+
+    def test_zero_covariance_batched(self):
+        assert np.array_equal(full_sampling_rate(np.zeros(8), np.array([0.1, 0.0])), [0.0, 0.0])
 
 
 class TestDominanceAndInterference:
@@ -470,8 +630,8 @@ class TestAssembledCovariances:
         rng = np.random.default_rng(12)
         inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, 0.25)
         direct = assemble_observation_covariances(inputs, 1)
-        via_factors = rate_factors(inputs, 1).covariances(0.25)
-        np.testing.assert_allclose(direct.joint, via_factors.joint, atol=1e-12)
+        assert rate_factors(inputs, 1).rate(0.25) == pytest.approx(
+            gaussian_mi_oracle(direct), rel=1e-10)
 
     def test_joint_block_structure_validated(self):
         with pytest.raises(ValueError):
