@@ -11,42 +11,25 @@ Run:  python demos/02_allocation_and_neutralization.py
 
 import numpy as np
 
-from beamkey import (
-    ArrayGeometry,
-    PathSet,
-    allocate_bs_beams,
-    allocate_ut_beams,
-    beam_covariance_factor,
-    build_matrices,
-    grid_sines,
-    neutralization_residual,
-    sampling_matrix,
-)
+from beamkey import PathSet, Scenario, grid_sines, neutralization_residual
 
 M, N, N_PATHS, USERS = 32, 4, 2, 3
 rng = np.random.default_rng(3)
-bs, ut = ArrayGeometry(M), ArrayGeometry(N)
 
 # On-grid users with disjoint departure beams.
 beam_pool = rng.permutation(M)[: USERS * N_PATHS].reshape(USERS, N_PATHS)
-factors, bs_gains, ut_gains = [], [], []
+paths = []
 for k in range(USERS):
     aoa_idx = rng.choice(N, size=N_PATHS, replace=False)
-    paths = PathSet(
+    paths.append(PathSet(
         gains=np.sqrt(np.full(N_PATHS, 1 / N_PATHS)),
         aoa=np.arcsin(grid_sines(N)[aoa_idx]),
         aod=np.arcsin(grid_sines(M)[beam_pool[k]]),
         powers=np.full(N_PATHS, 1 / N_PATHS),
-    )
-    # Lambda = F F^H never needs forming: the residual works from the factor F.
-    factor, r_bs, r_ut = beam_covariance_factor(paths, bs, ut)
-    factors.append(factor)
-    bs_gains.append(np.real(np.diag(r_bs)))
-    ut_gains.append(np.real(np.diag(r_ut)))
-
-bs_sets = allocate_bs_beams(bs_gains, N_PATHS)
-ut_sets = [allocate_ut_beams(g, 2) for g in ut_gains]
-alloc = build_matrices(bs_sets, ut_sets, sampling_matrix(bs), [sampling_matrix(ut)] * USERS)
+    ))
+# Each user's Lambda = F F^H is carried as its factor F; the residual works from F.
+scenario = Scenario.from_paths(paths, M, [N] * USERS)
+alloc = scenario.allocate(N_PATHS, 2)
 
 print("allocated transmit beams per user:", [s.tolist() for s in alloc.bs_beams])
 print("\ncross-user neutralization residuals (probing user -> listening user):")
@@ -54,12 +37,13 @@ for k in range(USERS):
     for kp in range(USERS):
         if kp == k:
             continue
-        r = neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], factors[kp], N)
+        r = neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], scenario.factors[kp], N)
         print(f"  user {k} -> user {kp}: {r:.2e}")
+print(f"  largest: {scenario.max_residual(alloc):.2e}")
 
 # Force an overlap: probe user 0 straight through user 1's strongest beam.
 shared = int(alloc.bs_beams[1][0])
-r = neutralization_residual([shared], alloc.ut_beams[1], factors[1], N)
+r = neutralization_residual([shared], alloc.ut_beams[1], scenario.factors[1], N)
 print(f"\nprobing directly on user 1's beam {shared} instead: residual = {r:.3f}")
 print(f"(the leak equals the mean power riding on the shared beam, {1 / N_PATHS} here; "
       "disjoint beams keep it at ~0)")

@@ -13,16 +13,11 @@ import numpy as np
 
 from beamkey import (
     ArrayGeometry,
-    allocate_bs_beams,
-    allocate_ut_beams,
-    beam_covariances,
-    build_matrices,
+    Scenario,
     dimension_reduction_factor,
     downlink_probe,
     make_pilots,
     pilot_overhead,
-    sample_paths,
-    sampling_matrix,
     synthesize_channel,
     uplink_probe,
     vectorize_observations,
@@ -30,17 +25,11 @@ from beamkey import (
 
 M, N, N_PATHS, M_E, N_E = 64, 4, 4, 4, 4
 rng = np.random.default_rng(11)
-bs, ut = ArrayGeometry(M), ArrayGeometry(N)
 
-paths = sample_paths(N_PATHS, rng)
-cov = beam_covariances(paths, bs, ut)
-alloc = build_matrices(
-    allocate_bs_beams([np.real(np.diag(cov.r_bs))], M_E),
-    [allocate_ut_beams(np.real(np.diag(cov.r_ut)), N_E)],
-    sampling_matrix(bs), [sampling_matrix(ut)],
-)
+scenario = Scenario.draw(rng, N_PATHS, M, [N])
+alloc = scenario.allocate(M_E, N_E)
 pilots = make_pilots("reused", M_E, N_E, M, [N], 1)
-channel = [synthesize_channel(paths, bs, ut)]
+channel = [synthesize_channel(scenario.paths[0], ArrayGeometry(M), ArrayGeometry(N))]
 
 print(f"full channel: {N}x{M} = {N * M} coefficients; probed effective channel: "
       f"{N_E}x{M_E} = {N_E * M_E}")

@@ -17,6 +17,7 @@ either in closed form over the path gains or by Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -170,10 +171,9 @@ def sampling_matrix(geometry: ArrayGeometry) -> np.ndarray:
     At spacing_ratio = 0.5 the columns coincide with a rephased DFT basis and
     the matrix is unitary; for other spacings a non-fatal warning is issued
     and downstream operations that rely on unitarity will reject the result.
+    The matrix depends only on the geometry, so each one is built once and
+    returned read-only.
     """
-    n = geometry.antenna_count
-    psi = 2.0 * np.pi * geometry.spacing_ratio * grid_sines(n)
-    a = np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n)
     if geometry.spacing_ratio != 0.5:
         warnings.warn(
             "sampling_matrix is only unitary at spacing_ratio = 0.5; "
@@ -181,7 +181,13 @@ def sampling_matrix(geometry: ArrayGeometry) -> np.ndarray:
             UserWarning,
             stacklevel=2,
         )
-    return a
+    return _grid_matrix(geometry.antenna_count, geometry.spacing_ratio)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_matrix(n: int, spacing_ratio: float) -> np.ndarray:
+    psi = 2.0 * np.pi * spacing_ratio * grid_sines(n)
+    return readonly(np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n))
 
 
 def sample_paths(

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .experiments import (
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate")
     _add_common_flags(validate)
     validate.add_argument("--noise-power", dest="noise_power", type=float,
-                          help="noise variance for the rate checks (0 skips them)")
+                          help="noise variance of the covariance_consistency check "
+                               "(default 0.1; 0 skips the four rate checks)")
     validate.add_argument("--corrupt-sampling", action="store_true",
                           help="fault injection: perturb a sampling matrix so the "
                                "unitarity check fails")
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     doc: dict = {}
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ConfigError("invalid config: the config file must hold a JSON object")
     field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -120,23 +122,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         config.validate()
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError, UnicodeDecodeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 
     if args.command == "validate":
-        report = run_validation_suite(
-            config,
-            corrupt_sampling=args.corrupt_sampling,
-            noise_power=args.noise_power,
-        )
-        print(report.to_text(), end="")
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "validation_report.json").write_text(report.to_json())
-        return EXIT_OK if report.passed else EXIT_VALIDATION_FAILURE
-
-    runner = _RUNNERS[args.command]
+        runner = partial(run_validation_suite, corrupt_sampling=args.corrupt_sampling,
+                         noise_power=args.noise_power)
+    else:
+        runner = _RUNNERS[args.command]
     try:
         result = runner(config)
     except ConfigError as exc:
@@ -145,6 +139,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    if args.command == "validate":
+        print(result.to_text(), end="")
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "validation_report.json").write_text(result.to_json())
+        return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
     paths = write_result(result, config.out_dir, config.out_format)
     for path in paths:
         print(f"wrote {path}")

@@ -270,39 +270,102 @@ def write_result(result: ExperimentResult, out_dir: str | Path,
 # Per-trial scenario machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _UserStats:
-    factor: np.ndarray
-    bs_gain_diag: np.ndarray
-    ut_gain_diag: np.ndarray
+@dataclass(frozen=True)
+class Scenario:
+    """Every user's channel statistics, ready for beam allocation and rate evaluation.
 
+    paths    : per-user PathSet
+    factors  : per-user rank-P factor F_k of Lambda_k = F_k F_k^H (M*N_k x P)
+    bs_gains : per-user diagonal of r_bs, the transmit beam gains (length M)
+    ut_gains : per-user diagonal of r_ut, the receive beam gains (length N_k)
+    """
 
-def _draw_user(config: ScenarioConfig, rng: np.random.Generator,
-               ut_count: int) -> _UserStats:
-    grid = (config.bs_antennas, ut_count) if config.angle_mode == "on_grid" else None
-    paths = sample_paths(config.n_paths, rng, grid=grid)
-    factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(config.bs_antennas),
-                                                ArrayGeometry(ut_count))
-    return _UserStats(
-        factor=factor,
-        bs_gain_diag=np.real(np.diag(r_bs)).copy(),
-        ut_gain_diag=np.real(np.diag(r_ut)).copy(),
-    )
+    paths: list[PathSet]
+    factors: list[np.ndarray]
+    bs_gains: list[np.ndarray]
+    ut_gains: list[np.ndarray]
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n_paths: int, bs_antennas: int,
+             ut_counts: Sequence[int], on_grid: bool = False) -> "Scenario":
+        """One `sample_paths` call per user, in user order; on-grid angles sit
+        on the user's BS and UT beam grids."""
+        paths = [sample_paths(n_paths, rng, grid=(bs_antennas, n) if on_grid else None)
+                 for n in ut_counts]
+        return cls.from_paths(paths, bs_antennas, ut_counts)
+
+    @classmethod
+    def from_paths(cls, paths: Sequence[PathSet], bs_antennas: int,
+                   ut_counts: Sequence[int]) -> "Scenario":
+        factors, r_bss, r_uts = zip(*(
+            beam_covariance_factor(p, ArrayGeometry(bs_antennas), ArrayGeometry(n))
+            for p, n in zip(paths, ut_counts, strict=True)))
+        return cls(list(paths), list(factors), [np.real(np.diag(r)).copy() for r in r_bss],
+                   [np.real(np.diag(r)).copy() for r in r_uts])
+
+    def allocate(self, m_e: int, n_e: int) -> BeamAllocation:
+        """Each user's `m_e` strongest transmit beams, disjoint across users,
+        and its `n_e` strongest receive beams."""
+        return build_matrices(
+            allocate_bs_beams(self.bs_gains, m_e),
+            [allocate_ut_beams(g, n_e) for g in self.ut_gains],
+            sampling_matrix(ArrayGeometry(len(self.bs_gains[0]))),
+            [sampling_matrix(ArrayGeometry(len(g))) for g in self.ut_gains],
+        )
+
+    def max_residual(self, alloc: BeamAllocation) -> float:
+        """Largest neutralization residual over ordered user pairs (0 for one user)."""
+        users = range(len(self.factors))
+        return max((
+            neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
+                                    self.factors[kp], len(self.ut_gains[kp]))
+            for k in users for kp in users if kp != k
+        ), default=0.0)
+
+    def full_sampling_rate(self, k: int, noise_powers):
+        """User k's rate under complete-grid probing.  The P x P Gram matrix
+        F^H F has the nonzero spectrum of Lambda = F F^H."""
+        f = self.factors[k]
+        return full_sampling_rate(psd_eigh(f.conj().T @ f)[0], noise_powers)
 
 
 def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(int(config.seed)).spawn(config.trials)
 
 
-def _run_trials(trial_fn: Callable[[int], object], trials: int, workers: int) -> list:
-    if workers <= 1:
-        return [trial_fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, range(trials)))
+def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The trials of both rate runners, one scenario draw each.
 
+    Returns the trial means of the (SNR, scheme, user) rates, with one scheme
+    per `bs_beams_compare` entry and complete-grid probing last, and of the
+    largest neutralization residual per beam count.
+    """
+    counts = config.ut_antenna_list()
+    sigmas = 10.0 ** (-np.asarray(config.snr_db_grid, dtype=float) / 10.0)
+    me_values = [int(m) for m in config.bs_beams_compare]
 
-def _sigma_grid(config: ScenarioConfig) -> np.ndarray:
-    return 10.0 ** (-np.asarray(config.snr_db_grid, dtype=float) / 10.0)
+    def one_trial(seed: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
+        scenario = Scenario.draw(np.random.default_rng(seed), config.n_paths,
+                                 config.bs_antennas, counts, config.angle_mode == "on_grid")
+        rates = np.zeros((len(sigmas), len(me_values) + 1, config.users))
+        residuals = np.zeros(len(me_values))
+        for j, m_e in enumerate(me_values):
+            alloc = scenario.allocate(m_e, config.ut_beams)
+            inputs = RateInputs(scenario.factors, alloc, 1.0)
+            for k in range(config.users):
+                rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
+            residuals[j] = scenario.max_residual(alloc)
+        for k in range(config.users):
+            rates[:, -1, k] = scenario.full_sampling_rate(k, sigmas)
+        return rates, residuals
+
+    if config.workers <= 1:
+        outputs = [one_trial(seed) for seed in _trial_seeds(config)]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            outputs = list(pool.map(one_trial, _trial_seeds(config)))
+    rates, residuals = (np.stack(x).mean(axis=0) for x in zip(*outputs))
+    return rates, residuals
 
 
 def _metadata(config: ScenarioConfig, name: str) -> dict:
@@ -320,14 +383,6 @@ def _metadata(config: ScenarioConfig, name: str) -> dict:
     }
 
 
-def _designed_allocation(config: ScenarioConfig, stats: list[_UserStats],
-                         m_e: int, a_bs: np.ndarray,
-                         a_ut: list[np.ndarray]) -> BeamAllocation:
-    bs_sets = allocate_bs_beams([s.bs_gain_diag for s in stats], m_e)
-    ut_sets = [allocate_ut_beams(s.ut_gain_diag, config.ut_beams) for s in stats]
-    return build_matrices(bs_sets, ut_sets, a_bs, a_ut)
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
@@ -339,27 +394,10 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
     if config.users != 1:
         raise ConfigError("invalid config: single-user rate experiment requires users = 1")
     ut_count = config.ut_antenna_list()[0]
-    sigmas = _sigma_grid(config)
     me_values = [int(m) for m in config.bs_beams_compare]
     schemes = ["perfect"] + [f"reduced_me{m}" for m in me_values]
-    a_bs = sampling_matrix(ArrayGeometry(config.bs_antennas))
-    a_ut = sampling_matrix(ArrayGeometry(ut_count))
-    seeds = _trial_seeds(config)
-
-    def one_trial(t: int) -> np.ndarray:
-        rng = np.random.default_rng(seeds[t])
-        stats = _draw_user(config, rng, ut_count)
-        rates = np.zeros((len(sigmas), len(schemes)))
-        # The P x P Gram matrix F^H F has the nonzero spectrum of lambda = F F^H.
-        eigs = psd_eigh(stats.factor.conj().T @ stats.factor)[0]
-        rates[:, 0] = full_sampling_rate(eigs, sigmas)
-        for j, m_e in enumerate(me_values, start=1):
-            alloc = _designed_allocation(config, [stats], m_e, a_bs, [a_ut])
-            rates[:, j] = rate_factors(RateInputs([stats.factor], alloc, 1.0), 0).rate(sigmas)
-        return rates
-
-    per_trial = np.stack(_run_trials(one_trial, config.trials, config.workers))
-    mean_rates = per_trial.mean(axis=0)
+    # Complete-grid probing is the last column, so scheme j reads column j - 1.
+    mean_rates = _mean_trial_rates(config)[0][:, :, 0]
 
     records = []
     for i, snr in enumerate(config.snr_db_grid):
@@ -369,7 +407,7 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
                 "scheme": scheme,
                 "bs_beams": config.bs_antennas if scheme == "perfect" else me_values[j - 1],
                 "ut_beams": ut_count if scheme == "perfect" else config.ut_beams,
-                "rate_bits": float(mean_rates[i, j]),
+                "rate_bits": float(mean_rates[i, j - 1]),
             })
     return ExperimentResult(
         name="single_user_rate",
@@ -382,28 +420,27 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
     """One seeded multi-user draw: per-user beam-domain gain profiles plus the
     attenuation each user sees at its beam-axis neighbor's peak beam."""
     config.validate()
-    counts = config.ut_antenna_list()
-    rng = np.random.default_rng(np.random.SeedSequence(int(config.seed)))
-    a_bs = sampling_matrix(ArrayGeometry(config.bs_antennas))
-    a_ut = [sampling_matrix(ArrayGeometry(n)) for n in counts]
-    stats = [_draw_user(config, rng, counts[k]) for k in range(config.users)]
-    alloc = _designed_allocation(config, stats, config.bs_beams, a_bs, a_ut)
+    scenario = Scenario.draw(np.random.default_rng(np.random.SeedSequence(int(config.seed))),
+                             config.n_paths, config.bs_antennas, config.ut_antenna_list(),
+                             config.angle_mode == "on_grid")
+    alloc = scenario.allocate(config.bs_beams, config.ut_beams)
+    gains = scenario.bs_gains
 
     records = []
     for m in range(config.bs_antennas):
         row: dict = {"beam": m}
         for k in range(config.users):
-            row[f"gain_user_{k}"] = float(stats[k].bs_gain_diag[m])
+            row[f"gain_user_{k}"] = float(gains[k][m])
         records.append(row)
 
     # Users ordered along the beam axis by their peak beam; consecutive users
     # are "adjacent" and each direction of a pair yields one attenuation row.
-    peaks = [int(np.argmax(s.bs_gain_diag)) for s in stats]
+    peaks = [int(np.argmax(g)) for g in gains]
     order = sorted(range(config.users), key=lambda k: peaks[k])
     pair_rows = []
     for a, b in zip(order, order[1:]):
         for k, other in ((a, b), (b, a)):
-            own = stats[k].bs_gain_diag
+            own = gains[k]
             att_db = 10.0 * np.log10(own[peaks[k]] / max(own[peaks[other]], 1e-300))
             pair_rows.append({
                 "user": k,
@@ -414,7 +451,7 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
             })
 
     metadata = _metadata(config, "beam_gains")
-    metadata["allocation"] = allocation_summary(alloc, [s.bs_gain_diag for s in stats])
+    metadata["allocation"] = allocation_summary(alloc, gains)
     if pair_rows:
         metadata["median_adjacent_attenuation_db"] = float(
             np.median([r["attenuation_db"] for r in pair_rows])
@@ -460,7 +497,6 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
     if config.users < 2:
         raise ConfigError("invalid config: multiuser unit-rate experiment requires users >= 2")
     counts = config.ut_antenna_list()
-    sigmas = _sigma_grid(config)
     me_values = [int(m) for m in config.bs_beams_compare]
     schemes = [f"reused_me{m}" for m in me_values] + ["orthogonal"]
     overheads = [
@@ -468,36 +504,7 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
         for m in me_values
     ] + [pilot_overhead("traditional", config.bs_antennas, counts, config.bs_beams,
                         config.ut_beams)]
-    a_bs = sampling_matrix(ArrayGeometry(config.bs_antennas))
-    a_ut = [sampling_matrix(ArrayGeometry(n)) for n in counts]
-    seeds = _trial_seeds(config)
-
-    def one_trial(t: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(seeds[t])
-        stats = [_draw_user(config, rng, counts[k]) for k in range(config.users)]
-        user_rates = np.zeros((len(sigmas), len(schemes), config.users))
-        residual_max = np.zeros(len(schemes))
-        for j, m_e in enumerate(me_values):
-            alloc = _designed_allocation(config, stats, m_e, a_bs, a_ut)
-            inputs = RateInputs([s.factor for s in stats], alloc, 1.0)
-            for k in range(config.users):
-                user_rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
-            residual_max[j] = max(
-                neutralization_residual(
-                    alloc.bs_beams[k], alloc.ut_beams[kp], stats[kp].factor, counts[kp]
-                )
-                for k in range(config.users)
-                for kp in range(config.users)
-                if kp != k
-            )
-        for k in range(config.users):
-            eigs = psd_eigh(stats[k].factor.conj().T @ stats[k].factor)[0]
-            user_rates[:, len(me_values), k] = full_sampling_rate(eigs, sigmas)
-        return user_rates, residual_max
-
-    outputs = _run_trials(one_trial, config.trials, config.workers)
-    user_rates = np.stack([o[0] for o in outputs]).mean(axis=0)
-    residuals = np.stack([o[1] for o in outputs]).mean(axis=0)
+    user_rates, residuals = _mean_trial_rates(config)
 
     records = []
     for i, snr in enumerate(config.snr_db_grid):
@@ -566,26 +573,6 @@ class ValidationReport:
         )
 
 
-def _random_small_inputs(rng: np.random.Generator, n_users: int, m: int,
-                         n_ut: int, n_p: int, m_e: int, n_e: int,
-                         noise_power: float) -> RateInputs:
-    """A random multi-user scenario at small scale, ready for rate evaluation."""
-    bs_geom = ArrayGeometry(m)
-    ut_geom = ArrayGeometry(n_ut)
-    a_bs = sampling_matrix(bs_geom)
-    a_ut = sampling_matrix(ut_geom)
-    factors, diags_bs, diags_ut = [], [], []
-    for _ in range(n_users):
-        factor, r_bs, r_ut = beam_covariance_factor(sample_paths(n_p, rng), bs_geom, ut_geom)
-        factors.append(factor)
-        diags_bs.append(np.real(np.diag(r_bs)))
-        diags_ut.append(np.real(np.diag(r_ut)))
-    bs_sets = allocate_bs_beams(diags_bs, m_e)
-    ut_sets = [allocate_ut_beams(d, n_e) for d in diags_ut]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
-    return RateInputs(factors, alloc, noise_power)
-
-
 def closed_form_agreement_sweep(seed: int, instances: int) -> float:
     """Worst relative disagreement between the closed-form rate and the
     Gaussian mutual-information reference over random small scenarios.
@@ -602,7 +589,8 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
         m_e = int(rng.integers(1, min(2, m // n_users) + 1))
         n_e = int(rng.integers(1, 3))
         s2 = float(rng.choice([0.01, 0.1, 1.0]))
-        inputs = _random_small_inputs(rng, n_users, m, 2, n_p, m_e, n_e, s2)
+        scenario = Scenario.draw(rng, n_p, m, [2] * n_users)
+        inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e), s2)
         for k in range(n_users):
             closed = secret_key_rate(inputs, k)
             oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k))
@@ -689,13 +677,19 @@ def run_validation_suite(
 ) -> ValidationReport:
     """Cross-module invariant checks at small scale.
 
-    The config supplies the seed (and, via `noise_power`, the noise level for
-    the rate checks; passing 0 skips those and reports them as skipped).
+    The config supplies the seed.  `noise_power` (default 0.1) is read only by
+    `covariance_consistency`; the closed-form/oracle sweep draws its noise
+    powers from {0.01, 0.1, 1} and the nonnegativity and monotonicity checks
+    sweep logspace(-2, 2).  Passing 0 skips all four rate checks and reports
+    them as skipped; a negative or non-finite value raises ConfigError.
     `corrupt_sampling` deliberately perturbs a sampling matrix so the
     unitarity check must fail; it exists to test the reporting path.
     """
     config.validate()
     noise = 0.1 if noise_power is None else float(noise_power)
+    if not np.isfinite(noise) or noise < 0:
+        raise ConfigError(f"invalid config: noise_power must be finite and nonnegative, "
+                          f"got {noise_power!r}")
     seed = int(config.seed)
     checks: list[PropertyCheck] = []
 
@@ -742,13 +736,8 @@ def run_validation_suite(
         rank_ok = rank_ok and big <= paths.n_paths
     checks.append(_check("covariance_psd", worst_psd, 1e-10))
     checks.append(_check("covariance_trace_preservation", worst_trace, 1e-10))
-    checks.append(PropertyCheck(
-        name="lambda_rank_bound",
-        status="pass" if rank_ok else "fail",
-        measured=None,
-        tolerance=None,
-        detail="eigenvalue count above 1e-10*trace never exceeds the path count",
-    ))
+    checks.append(_holds("lambda_rank_bound", rank_ok,
+                         "eigenvalue count above 1e-10*trace never exceeds the path count"))
 
     # Closed-form rate against the Gaussian MI reference.
     if noise > 0:
@@ -761,13 +750,10 @@ def run_validation_suite(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     worst_recip = 0.0
     for _ in range(10):
-        paths = sample_paths(3, rng)
-        _, r_bs, r_ut = beam_covariance_factor(paths, bs_geom, ut_geom)
-        bs_sets = allocate_bs_beams([np.real(np.diag(r_bs))], 3)
-        ut_sets = [allocate_ut_beams(np.real(np.diag(r_ut)), 2)]
-        alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut])
+        scenario = Scenario.draw(rng, 3, 16, [4])
+        alloc = scenario.allocate(3, 2)
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
-        h = [synthesize_channel(paths, bs_geom, ut_geom)]
+        h = [synthesize_channel(scenario.paths[0], bs_geom, ut_geom)]
         z_dl = vec(downlink_probe(h, alloc, pilots, 0.0)[0])
         z_ul = vec(uplink_probe(h, alloc, pilots, 0.0)[0].T)
         worst_recip = max(
@@ -796,7 +782,8 @@ def run_validation_suite(
         worst_increase = -np.inf
         sigma_sweep = np.logspace(-2, 2, 10)
         for _ in range(5):
-            inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, noise)
+            scenario = Scenario.draw(rng, 2, 16, [2, 2])
+            inputs = RateInputs(scenario.factors, scenario.allocate(2, 2), noise)
             rates = rate_factors(inputs, 0).rate(sigma_sweep)
             min_rate = min(min_rate, float(rates.min()))
             worst_increase = max(worst_increase, float(np.diff(rates).max()))
@@ -814,23 +801,14 @@ def run_validation_suite(
         base = rank_beams(d)
         for c in (1e-6, 0.5, 3.0, 1e6):
             scale_ok = scale_ok and np.array_equal(base, rank_beams(c * d))
-    checks.append(PropertyCheck(
-        name="selection_scale_invariance",
-        status="pass" if scale_ok else "fail",
-        measured=None,
-        tolerance=None,
-        detail="rank_beams unchanged under positive scaling",
-    ))
+    checks.append(_holds("selection_scale_invariance", scale_ok,
+                         "rank_beams unchanged under positive scaling"))
 
     # Bit-identical reproducibility from a fixed seed.
     repro_ok = _reproducibility_check(seed)
-    checks.append(PropertyCheck(
-        name="deterministic_reproducibility",
-        status="pass" if repro_ok else "fail",
-        measured=None,
-        tolerance=None,
-        detail="path draws, Monte Carlo covariances and probes repeat bit-identically",
-    ))
+    checks.append(_holds(
+        "deterministic_reproducibility", repro_ok,
+        "path draws, Monte Carlo covariances and probes repeat bit-identically"))
 
     return ValidationReport(checks=checks)
 
@@ -841,6 +819,11 @@ def _check(name: str, measured: float, tolerance: float) -> PropertyCheck:
                          tolerance=float(tolerance))
 
 
+def _holds(name: str, ok: bool, detail: str) -> PropertyCheck:
+    return PropertyCheck(name=name, status="pass" if ok else "fail", measured=None,
+                         tolerance=None, detail=detail)
+
+
 def _skip(name: str, reason: str) -> PropertyCheck:
     return PropertyCheck(name=name, status="skip", measured=None, tolerance=None,
                          detail=reason)
@@ -849,7 +832,6 @@ def _skip(name: str, reason: str) -> PropertyCheck:
 def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
                             n_ut: int, n_p: int) -> tuple[float, float]:
     bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
-    a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
     # Disjoint on-grid departure beams across users, drawn without replacement.
     all_bs = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
     paths_list = []
@@ -860,25 +842,16 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
         gains = complex_normal(rng, n_p, 1.0 / n_p)
         paths = PathSet(gains=gains, aoa=aoa, aod=aod, powers=np.full(n_p, 1.0 / n_p))
         paths_list.append(paths)
-    factors, r_bss, r_uts = zip(*(beam_covariance_factor(p, bs_geom, ut_geom)
-                                  for p in paths_list))
-    bs_sets = allocate_bs_beams([np.real(np.diag(r)) for r in r_bss], n_p)
-    ut_sets = [allocate_ut_beams(np.real(np.diag(r)), min(n_p, n_ut)) for r in r_uts]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
-    worst_resid = max(
-        neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], factors[kp], n_ut)
-        for k in range(n_users)
-        for kp in range(n_users)
-        if kp != k
-    )
+    scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
+    alloc = scenario.allocate(n_p, min(n_p, n_ut))
+    worst_resid = scenario.max_residual(alloc)
     pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut] * n_users, n_users)
     channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
     z_multi = downlink_probe(channels, alloc, pilots, 0.0)
     worst_e2e = 0.0
     for k in range(n_users):
-        single_alloc = build_matrices(
-            [alloc.bs_beams[k]], [alloc.ut_beams[k]], a_bs, [a_ut]
-        )
+        single_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]],
+                                      alloc.a_bs, [alloc.a_ut[k]])
         single_pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut], 1)
         z_single = downlink_probe([channels[k]], single_alloc, single_pilots, 0.0)[0]
         denom = max(float(np.linalg.norm(z_single)), 1e-300)
@@ -890,19 +863,13 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
                             rounds: int) -> float:
     m, n_ut, n_p, m_e, n_e = 16, 2, 2, 2, 2
     n_users = 2
-    bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
-    a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
-    paths_list = [sample_paths(n_p, rng) for _ in range(n_users)]
-    factors, r_bss, r_uts = zip(*(beam_covariance_factor(p, bs_geom, ut_geom)
-                                  for p in paths_list))
-    bs_sets = allocate_bs_beams([np.real(np.diag(r)) for r in r_bss], m_e)
-    ut_sets = [allocate_ut_beams(np.real(np.diag(r)), n_e) for r in r_uts]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
+    scenario = Scenario.draw(rng, n_p, m, [n_ut] * n_users)
+    alloc = scenario.allocate(m_e, n_e)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
-    inputs = RateInputs(list(factors), alloc, noise)
+    inputs = RateInputs(scenario.factors, alloc, noise)
     expected = assemble_observation_covariances(inputs, 0).r_zdl
     empirical = empirical_downlink_covariance(
-        paths_list, alloc, pilots, noise, rounds, rng, user=0
+        scenario.paths, alloc, pilots, noise, rounds, rng, user=0
     )
     return float(np.max(np.abs(empirical - expected)))
 
@@ -915,11 +882,7 @@ def _reproducibility_check(seed: int) -> bool:
             paths, ArrayGeometry(8), ArrayGeometry(2), mode="monte_carlo",
             samples=500, rng=rng,
         )
-        bs_sets = allocate_bs_beams([np.real(np.diag(cov.r_bs))], 2)
-        ut_sets = [allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)]
-        alloc = build_matrices(bs_sets, ut_sets,
-                               sampling_matrix(ArrayGeometry(8)),
-                               [sampling_matrix(ArrayGeometry(2))])
+        alloc = Scenario.from_paths([paths], 8, [2]).allocate(2, 2)
         pilots = make_pilots("reused", 2, 2, 8, [2], 1)
         h = [synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(2))]
         z = downlink_probe(h, alloc, pilots, 0.25, rng)[0]
@@ -941,6 +904,7 @@ __all__ = [
     "DEFAULT_SNR_GRID",
     "ExperimentResult",
     "PropertyCheck",
+    "Scenario",
     "ScenarioConfig",
     "ValidationReport",
     "empirical_downlink_covariance",

@@ -44,9 +44,11 @@ interference floor: the columns of Y with c = s^2 and, for G, the columns of
 V_k with c = 0.  Sorted by c, the order of the weights is the same at every
 noise power, so one QR factorization per set (`GradedInformation`) keeps the
 heavy measurements in the leading coordinates and the matrices graded, which
-keeps a plain Cholesky factorization accurate from -10 to 200 dB.  Singular
-values of J below max(J.shape) * eps * (its largest) are round-off and are cut
-to zero, so a direction the interference does not reach has floor exactly 0.
+keeps a plain Cholesky factorization accurate from -10 to 200 dB; a set
+whose floors are all 0 has one weight and is taken diagonal, in the
+eigenbasis of sum r r^H.  Singular values of J below
+max(J.shape) * eps * (its largest) are round-off and are cut to zero, so a
+direction the interference does not reach has floor exactly 0.
 Everything but the noise power is factored once per user; a rate for a
 whole array of noise powers is then one batched Cholesky factorization of
 (2, n, P, P) matrices.  `secret_key_rate` is the same engine at one noise
@@ -245,7 +247,8 @@ class GradedInformation:
 
     terms  : (n, P, P) the rank-one terms r_j r_j^H, except that the terms
              with floor 0, which share the weight 1/sigma^2, are summed
-             into the first
+             into the first; when every floor is 0, the single term is
+             diag(s^2), s the singular values of the measurements
     floors : (n,) nondecreasing c_j >= 0, the interference power that
              measurement j sees on top of the noise
 
@@ -263,10 +266,14 @@ class GradedInformation:
     @classmethod
     def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
         """Factor measurement columns already sorted by nondecreasing floor."""
-        if not floors.any():
-            # One weight for all: a single term, and no basis to choose.
-            return cls(terms=(columns @ columns.conj().T)[None], floors=floors[:1])
         n_paths = columns.shape[0]
+        if not floors.any():
+            # One weight for all: a single term, diagonal in the eigenbasis of
+            # C C^H.  C C^H itself fails to factorize at low noise when C has
+            # rank below P (fewer measurements than paths, or uncaptured paths).
+            sv = np.linalg.svd(columns, compute_uv=False)
+            return cls(terms=np.diag(np.pad(sv * sv, (0, n_paths - sv.size)))[None],
+                       floors=floors[:1])
         r = np.linalg.qr(columns, mode="r")
         if r.shape[0] < n_paths:
             r = np.vstack([r, np.zeros((n_paths - r.shape[0], r.shape[1]))])

@@ -90,6 +90,19 @@ class TestSamplingMatrix:
         with pytest.raises(ValueError, match="unitary"):
             to_beam_domain(h, a, a)
 
+    def test_half_wavelength_grid_is_built_once_and_read_only(self):
+        a = sampling_matrix(ArrayGeometry(8))
+        assert sampling_matrix(ArrayGeometry(8)) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+    def test_non_half_wavelength_warns_on_every_call(self):
+        geom = ArrayGeometry(4, spacing_ratio=0.3)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="spacing_ratio"):
+                sampling_matrix(geom)
+
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
             ArrayGeometry(0)

@@ -90,6 +90,14 @@ def test_config_file_with_flag_override(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     code = main(["overhead", "--config", str(tmp_path / "nope.json")])
     assert code == 1
+    # A directory and a file that is not UTF-8 fail the same way, not with a
+    # traceback.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+    for unreadable in (tmp_path, latin1):
+        capsys.readouterr()
+        assert main(["overhead", "--config", str(unreadable)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_validate_passes(tmp_path, capsys):
@@ -99,6 +107,17 @@ def test_validate_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sampling_unitarity" in out
     assert (tmp_path / "validation_report.json").exists()
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf", "-inf"])
+def test_validate_bad_noise_power_exits_one(tmp_path, capsys, noise):
+    out = tmp_path / "out"
+    code = main(["validate", "--seed", "3", "--out", str(out), f"--noise-power={noise}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "noise_power" in captured.err
+    assert "passed" not in captured.out
+    assert not out.exists()
 
 
 def test_validate_corrupt_sampling_exits_two(tmp_path, capsys):

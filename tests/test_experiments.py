@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from beamkey._util import complex_normal, vec
-from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, build_matrices
+from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, neutralization_residual
 from beamkey.channel import (
     ArrayGeometry,
     PathSet,
+    _grid_matrix,
     beam_covariance_factor,
     beam_covariances,
     sample_paths,
@@ -20,9 +21,8 @@ from beamkey.experiments import (
     DEFAULT_SNR_GRID,
     PROBE_CHUNK,
     ConfigError,
+    Scenario,
     ScenarioConfig,
-    _designed_allocation,
-    _draw_user,
     _trial_seeds,
     empirical_downlink_covariance,
     records_to_csv,
@@ -188,6 +188,48 @@ class TestOverheadComparison:
         assert [rec["users"] for rec in res.records] == [1, 2, 3]
 
 
+class TestScenario:
+    """The one draw -> allocate route of every runner and check."""
+
+    @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
+    def test_draw_and_allocate_are_the_explicit_chain(self, on_grid):
+        m, counts, n_p = 16, [4, 2, 3], 2
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        scenario = Scenario.draw(rng, n_p, m, counts, on_grid)
+        diags_bs, diags_ut = [], []
+        for k, n in enumerate(counts):
+            ref = sample_paths(n_p, ref_rng, grid=(m, n) if on_grid else None)
+            for name in ("gains", "aoa", "aod", "powers"):
+                assert np.array_equal(getattr(scenario.paths[k], name), getattr(ref, name))
+            factor, r_bs, r_ut = beam_covariance_factor(ref, ArrayGeometry(m), ArrayGeometry(n))
+            assert np.array_equal(scenario.factors[k], factor)
+            diags_bs.append(np.real(np.diag(r_bs)))
+            diags_ut.append(np.real(np.diag(r_ut)))
+        assert rng.random() == ref_rng.random()  # the stream is left where it was
+        alloc = scenario.allocate(2, 2)
+        for k, bs_set in enumerate(allocate_bs_beams(diags_bs, 2)):
+            assert np.array_equal(alloc.bs_beams[k], bs_set)
+            assert np.array_equal(alloc.ut_beams[k], allocate_ut_beams(diags_ut[k], 2))
+
+    # The largest residual has k < k' at seed 23 and k > k' at seed 28.
+    @pytest.mark.parametrize("seed", [23, 28])
+    def test_max_residual_over_ordered_pairs(self, seed):
+        scenario = Scenario.draw(np.random.default_rng(seed), 2, 16, [4, 2, 3])
+        alloc = scenario.allocate(2, 2)
+        expected = max(
+            neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
+                                    scenario.factors[kp], [4, 2, 3][kp])
+            for k in range(3) for kp in range(3) if kp != k)
+        assert scenario.max_residual(alloc) == expected > 0
+        alone = Scenario.from_paths(scenario.paths[:1], 16, [4])
+        assert alone.max_residual(alone.allocate(2, 2)) == 0.0
+
+    def test_one_grid_per_array_size(self):
+        _grid_matrix.cache_clear()
+        run_multiuser_unit_rate(small_multi_user(ut_antennas=[4, 2, 4]))
+        assert _grid_matrix.cache_info().misses == 3  # 16, 4 and 2 antennas
+
+
 def dense_spectra(cfg):
     """Eigenvalues of each user's dense covariance in trial 0, drawn the way
     the runners draw them."""
@@ -224,19 +266,16 @@ def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
     # The runners evaluate each user's whole SNR grid in one engine call; the
     # Gaussian MI of the dense covariances assembled at each point, for the
     # same draws, is the reference.
-    counts = cfg.ut_antenna_list()
-    a_bs = sampling_matrix(ArrayGeometry(cfg.bs_antennas))
-    a_ut = [sampling_matrix(ArrayGeometry(n)) for n in counts]
     noise = 10.0 ** (-np.asarray(cfg.snr_db_grid) / 10.0)
     oracle = {}
     for seed in _trial_seeds(cfg):
-        rng = np.random.default_rng(seed)
-        stats = [_draw_user(cfg, rng, n) for n in counts]
+        scenario = Scenario.draw(np.random.default_rng(seed), cfg.n_paths, cfg.bs_antennas,
+                                 cfg.ut_antenna_list(), cfg.angle_mode == "on_grid")
         for m_e in cfg.bs_beams_compare:
-            alloc = _designed_allocation(cfg, stats, m_e, a_bs, a_ut)
+            alloc = scenario.allocate(m_e, cfg.ut_beams)
             for k in range(cfg.users):
                 rates = [gaussian_mi_oracle(assemble_observation_covariances(
-                    RateInputs([s.factor for s in stats], alloc, s2), k)) for s2 in noise]
+                    RateInputs(scenario.factors, alloc, s2), k)) for s2 in noise]
                 oracle.setdefault((m_e, k), []).append(rates)
     checked = 0
     for rec in run(cfg).records:
@@ -324,6 +363,11 @@ class TestValidationSuite:
         assert "rate_nonnegativity" in skipped
         assert report.passed  # skips are not failures
 
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_bad_noise_power_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise_power"):
+            run_validation_suite(small_multi_user(), noise_power=noise)
+
     def test_corrupt_sampling_fails_unitarity(self):
         report = run_validation_suite(small_multi_user(), corrupt_sampling=True,
                                       noise_power=0.0)
@@ -343,15 +387,8 @@ def probing_scenario(mode):
     """Two users with different path and antenna counts, probed in `mode`."""
     rng = np.random.default_rng(41)
     m, n_ut, n_p, m_e, n_e = 16, [2, 3], [2, 3], 2, 2
-    bs = ArrayGeometry(m)
     paths = [sample_paths(p, rng) for p in n_p]
-    stats = [beam_covariance_factor(p, bs, ArrayGeometry(n))
-             for p, n in zip(paths, n_ut)]
-    alloc = build_matrices(
-        allocate_bs_beams([np.real(np.diag(r_bs)) for _, r_bs, _ in stats], m_e),
-        [allocate_ut_beams(np.real(np.diag(r_ut)), n_e) for _, _, r_ut in stats],
-        sampling_matrix(bs), [sampling_matrix(ArrayGeometry(n)) for n in n_ut],
-    )
+    alloc = Scenario.from_paths(paths, m, n_ut).allocate(m_e, n_e)
     return paths, alloc, make_pilots(mode, m_e, n_e, m, n_ut, len(n_ut))
 
 

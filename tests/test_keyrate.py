@@ -36,12 +36,7 @@ from beamkey.keyrate import (
     secret_key_rate,
     unit_skr,
 )
-from beamkey.experiments import (
-    ScenarioConfig,
-    _designed_allocation,
-    _draw_user,
-    _random_small_inputs,
-)
+from beamkey.experiments import Scenario, ScenarioConfig
 
 
 def random_psd(rng, n):
@@ -169,45 +164,25 @@ class TestBuildVMatrices:
         rng = np.random.default_rng(3)
         m, n_ut, n_p = 16, 4, 2
         bs_idx = rng.permutation(m)[: 2 * n_p].reshape(2, n_p)
-        a_bs = sampling_matrix(ArrayGeometry(m))
-        a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        factors, diags_bs, diags_ut = [], [], []
+        paths = []
         for k in range(2):
             ut_idx = rng.choice(n_ut, size=n_p, replace=False)
-            paths = PathSet(
+            paths.append(PathSet(
                 gains=np.full(n_p, np.sqrt(1 / n_p)),
                 aoa=np.arcsin(grid_sines(n_ut)[ut_idx]),
                 aod=np.arcsin(grid_sines(m)[bs_idx[k]]),
                 powers=np.full(n_p, 1 / n_p),
-            )
-            factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(m),
-                                                        ArrayGeometry(n_ut))
-            factors.append(factor)
-            diags_bs.append(np.real(np.diag(r_bs)))
-            diags_ut.append(np.real(np.diag(r_ut)))
-        bs_sets = allocate_bs_beams(diags_bs, n_p)
-        ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
-        alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
-        inputs = RateInputs(factors, alloc, 0.1)
+            ))
+        scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
+        inputs = RateInputs(scenario.factors, scenario.allocate(n_p, 2), 0.1)
         _, v_kks = build_v_matrices(inputs, 0)
         assert np.max(np.abs(v_kks[1])) < 1e-10
 
 
 def scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e, noise=0.1):
-    """Random users with the given antenna counts, allocated as the runners do."""
-    bs = ArrayGeometry(m)
-    factors, diags_bs, diags_ut = [], [], []
-    for n in ut_counts:
-        factor, r_bs, r_ut = beam_covariance_factor(sample_paths(n_p, rng), bs,
-                                                    ArrayGeometry(n))
-        factors.append(factor)
-        diags_bs.append(np.real(np.diag(r_bs)))
-        diags_ut.append(np.real(np.diag(r_ut)))
-    alloc = build_matrices(allocate_bs_beams(diags_bs, m_e),
-                           [allocate_ut_beams(d, n_e) for d in diags_ut],
-                           sampling_matrix(bs),
-                           [sampling_matrix(ArrayGeometry(n)) for n in ut_counts])
-    return RateInputs(factors, alloc, noise)
+    """Random off-grid users with the given antenna counts, allocated as the runners do."""
+    scenario = Scenario.draw(rng, n_p, m, ut_counts)
+    return RateInputs(scenario.factors, scenario.allocate(m_e, n_e), noise)
 
 
 def kron_v_matrices(inputs, k):
@@ -291,8 +266,8 @@ class TestSecretKeyRate:
         worst = 0.0
         for _ in range(40):
             n_users = int(rng.integers(1, 4))
-            inputs = _random_small_inputs(
-                rng, n_users, int(rng.choice([8, 16])), 2,
+            inputs = scenario_inputs(
+                rng, int(rng.choice([8, 16])), [2] * n_users,
                 int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                 int(rng.integers(1, 3)), float(rng.choice([0.01, 0.1, 1.0])),
             )
@@ -304,7 +279,7 @@ class TestSecretKeyRate:
 
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(5)
-        inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, 1.0)
+        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2, 1.0)
         rates = [secret_key_rate(inputs.with_noise_power(s2), 0)
                  for s2 in (1.0, 10.0, 100.0, 1000.0)]
         for earlier, later in zip(rates, rates[1:]):
@@ -315,7 +290,7 @@ class TestSecretKeyRate:
 
     def test_negative_noise_rejected(self):
         rng = np.random.default_rng(6)
-        inputs = _random_small_inputs(rng, 1, 8, 2, 2, 2, 2, 0.1)
+        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2, 0.1)
         with pytest.raises(ValueError):
             secret_key_rate(inputs.with_noise_power(-1.0), 0)
 
@@ -438,12 +413,9 @@ def mp_gaussian_mi_bits(v_k, v_kks, k, noise_powers):
 
 def runner_draw(config, rng, m_e):
     """One trial's users and allocation, drawn the way the runners draw them."""
-    counts = config.ut_antenna_list()
-    stats = [_draw_user(config, rng, n) for n in counts]
-    alloc = _designed_allocation(config, stats, m_e,
-                                 sampling_matrix(ArrayGeometry(config.bs_antennas)),
-                                 [sampling_matrix(ArrayGeometry(n)) for n in counts])
-    return RateInputs([s.factor for s in stats], alloc, 1.0)
+    scenario = Scenario.draw(rng, config.n_paths, config.bs_antennas,
+                             config.ut_antenna_list(), config.angle_mode == "on_grid")
+    return RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams), 1.0)
 
 
 HIGH_SNR_DB = np.array([30.0, 60.0, 100.0, 150.0, 200.0])
@@ -470,6 +442,16 @@ class TestRateEngine:
         if inputs.n_users == 6:
             assert rate_factors(inputs, 0).rate(1e-20) == pytest.approx(98.5279, abs=1e-4)
 
+    @pytest.mark.parametrize("m_e, n_e", [(4, 1), (1, 4), (1, 1)])
+    def test_rank_deficient_single_user_matches_80_digit_gaussian_mi(self, m_e, n_e):
+        # Fewer measurements than paths (m_e * n_e < P = 6): the information
+        # matrices are singular, and used to fail to factorize at high SNR.
+        inputs = scenario_inputs(np.random.default_rng(0), 128, [4], 6, m_e, n_e)
+        noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
+        v_k, v_kks = build_v_matrices(inputs, 0)
+        np.testing.assert_allclose(rate_factors(inputs, 0).rate(noise),
+                                   mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
+
     def test_batched_grid_equals_single_points(self):
         inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-np.linspace(-10.0, 200.0, 43) / 10.0)
@@ -482,7 +464,7 @@ class TestRateEngine:
 
     def test_secret_key_rate_is_the_engine_at_one_point(self):
         rng = np.random.default_rng(16)
-        inputs = _random_small_inputs(rng, 3, 16, 2, 3, 2, 2, 0.05)
+        inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2, 0.05)
         for k in range(3):
             assert secret_key_rate(inputs, k) == rate_factors(inputs, k).rate(0.05)
 
@@ -495,7 +477,7 @@ class TestRateEngine:
             self, seed, n_users, m, n_paths, m_e, n_e, exponents):
         # Round-off slack, relative: 1e-9.
         rng = np.random.default_rng(seed)
-        inputs = _random_small_inputs(rng, n_users, m, 2, n_paths, m_e, n_e, 1.0)
+        inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e, 1.0)
         noise = np.sort(10.0 ** np.array(exponents))[::-1]
         for k in range(n_users):
             rates = rate_factors(inputs, k).rate(noise)
@@ -507,7 +489,7 @@ class TestRateEngine:
             assert np.all(rates <= perfect * (1 + 1e-9))
 
     def test_noise_free_multiuser_rejected(self):
-        inputs = _random_small_inputs(np.random.default_rng(17), 2, 16, 2, 2, 2, 2, 0.1)
+        inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2, 0.1)
         factors = rate_factors(inputs, 0)
         with pytest.raises(SingularNoiseFreeRateError):
             factors.rate(0.0)
@@ -517,8 +499,8 @@ class TestRateEngine:
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
                              ids=["negative", "nan", "inf", "negative_in_array", "2d"])
     def test_bad_noise_powers_rejected(self, noise):
-        factors = rate_factors(_random_small_inputs(np.random.default_rng(18), 1, 8, 2, 2,
-                                                    2, 2, 0.1), 0)
+        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2, 0.1),
+                               0)
         with pytest.raises(ValueError):
             factors.rate(noise)
 
@@ -581,30 +563,21 @@ class TestDominanceAndInterference:
         # probing of the same reduced beams can only be better.
         m, n_ut, n_p = 16, 4, 2
         shared_bs, shared_ut = [3, 9], [1, 2]
-        a_bs = sampling_matrix(ArrayGeometry(m))
-        a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        factors, diags_bs, diags_ut = [], [], []
         rng = np.random.default_rng(10)
-        for k in range(2):
-            paths = PathSet(
-                gains=np.sqrt([0.6, 0.4]) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)),
-                aoa=np.arcsin(grid_sines(n_ut)[shared_ut]),
-                aod=np.arcsin(grid_sines(m)[shared_bs]),
-                powers=[0.6, 0.4],
-            )
-            factor, r_bs, r_ut = beam_covariance_factor(paths, ArrayGeometry(m),
-                                                        ArrayGeometry(n_ut))
-            factors.append(factor)
-            diags_bs.append(np.real(np.diag(r_bs)))
-            diags_ut.append(np.real(np.diag(r_ut)))
-        bs_sets = allocate_bs_beams(diags_bs, n_p)
-        ut_sets = [allocate_ut_beams(d, 2) for d in diags_ut]
-        alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * 2)
-        reused = RateInputs(factors, alloc, 0.1)
+        paths = [PathSet(
+            gains=np.sqrt([0.6, 0.4]) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2)),
+            aoa=np.arcsin(grid_sines(n_ut)[shared_ut]),
+            aod=np.arcsin(grid_sines(m)[shared_bs]),
+            powers=[0.6, 0.4],
+        ) for _ in range(2)]
+        scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
+        alloc = scenario.allocate(n_p, 2)
+        reused = RateInputs(scenario.factors, alloc, 0.1)
         for k in range(2):
             with_interference = secret_key_rate(reused, k)
-            alone_alloc = build_matrices([bs_sets[k]], [ut_sets[k]], a_bs, [a_ut])
-            alone = RateInputs([factors[k]], alone_alloc, 0.1)
+            alone_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]],
+                                         alloc.a_bs, [alloc.a_ut[k]])
+            alone = RateInputs([scenario.factors[k]], alone_alloc, 0.1)
             interference_free = secret_key_rate(alone, 0)
             assert with_interference <= interference_free + 1e-9
 
@@ -619,7 +592,7 @@ class TestAssembledCovariances:
 
     def test_orthonormal_matrices_give_scaled_identity_noise(self):
         rng = np.random.default_rng(11)
-        inputs = _random_small_inputs(rng, 1, 8, 2, 2, 2, 2, 0.3)
+        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2, 0.3)
         zero = [np.zeros_like(inputs.lambda_factors[0])]
         noise_only = replace(inputs, lambda_factors=zero)
         cov = assemble_observation_covariances(noise_only, 0)
@@ -628,7 +601,7 @@ class TestAssembledCovariances:
 
     def test_rate_factors_match_direct_assembly(self):
         rng = np.random.default_rng(12)
-        inputs = _random_small_inputs(rng, 2, 16, 2, 2, 2, 2, 0.25)
+        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2, 0.25)
         direct = assemble_observation_covariances(inputs, 1)
         assert rate_factors(inputs, 1).rate(0.25) == pytest.approx(
             gaussian_mi_oracle(direct), rel=1e-10)
