@@ -1,11 +1,12 @@
-"""Multi-user beam selection and precoder/combiner construction.
+"""Multi-user beam selection.
 
 The base station assigns each user a set of its strongest transmit beams,
 subject to the sets being pairwise disjoint across users; each terminal
-independently keeps its strongest receive beams.  Precoding and receiving
-matrices are then the corresponding columns of the unitary grid sampling
-matrices, i.e. unit-norm beamformers.  In the beam domain such a beamformer
-just picks beams, so the rate layer works from the beam indices alone.
+independently keeps its strongest receive beams.  A grid beamformer is a
+column of a unitary sampling matrix, so the beam indices and the array sizes
+describe an allocation fully: probing forms the beamformers from them, and
+the rate layer, in whose beam domain a beamformer just picks beams, reads
+the indices alone.
 Disjoint transmit beams are what make simultaneous (pilot-reusing) probing of
 several users interference free when each user's channel power is confined to
 its own beams.
@@ -23,24 +24,18 @@ from ._util import readonly
 
 @dataclass(frozen=True)
 class BeamAllocation:
-    """Per-user beam index sets and the array-domain matrices built from them.
+    """Per-user beam index sets on the beam grids of the two arrays.
 
-    bs_beams   : per-user transmit beam indices, strongest first, pairwise disjoint
-    ut_beams   : per-user receive beam indices, strongest first
-    precoders  : per-user M x m_e matrices (columns of the BS sampling matrix)
-    combiners  : per-user N_k x n_e matrices (columns of the UT sampling matrix)
-    a_bs, a_ut : the sampling matrices themselves (a_ut is per user)
-
-    The precoders and combiners serve probing; the rate layer reads only the
-    indices (the beam-domain image of a grid beamformer is a basis column).
+    bs_beams    : per-user transmit beam indices, strongest first, pairwise disjoint
+    ut_beams    : per-user receive beam indices, strongest first
+    bs_antennas : M, the size of the base-station array and of its beam grid
+    ut_counts   : per-user N_k, the size of each terminal's array and beam grid
     """
 
     bs_beams: list[np.ndarray]
     ut_beams: list[np.ndarray]
-    precoders: list[np.ndarray]
-    combiners: list[np.ndarray]
-    a_bs: np.ndarray
-    a_ut: list[np.ndarray]
+    bs_antennas: int
+    ut_counts: list[int]
 
     @property
     def n_users(self) -> int:
@@ -109,39 +104,31 @@ def allocate_ut_beams(diagonal: np.ndarray, n_e: int) -> np.ndarray:
 def build_matrices(
     bs_sets: Sequence[np.ndarray],
     ut_sets: Sequence[np.ndarray],
-    a_bs: np.ndarray,
-    a_ut: Sequence[np.ndarray],
+    bs_antennas: int,
+    ut_counts: Sequence[int],
 ) -> BeamAllocation:
-    """Turn beam index sets into a BeamAllocation with precoders/combiners.
+    """Validate beam index sets and return them, read-only, as a BeamAllocation.
 
-    Validates the indices (in range, no repeats, transmit sets pairwise
-    disjoint).  Column order follows the given beam order (strongest first).
-    The precoders and combiners have orthonormal columns because they are
-    columns of unitary sampling matrices.
+    The indices must be in range for the `bs_antennas` and `ut_counts[k]`
+    beam grids, no set may repeat a beam, and the transmit sets must be
+    pairwise disjoint; their order (strongest first) is kept.  No matrix is
+    built: probing forms the beamformers.  The name stays because the
+    benchmark's tracer hooks `experiments.build_matrices` as allocation.
     """
-    a_bs = np.asarray(a_bs, dtype=complex)
-    if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(a_ut):
-        raise ValueError("bs_sets, ut_sets and a_ut must have one entry per user")
-    m = a_bs.shape[0]
-    _check_disjoint(bs_sets, m)
-    precoders, combiners, a_ut_mats = [], [], []
-    for k, (b_k, u_k) in enumerate(zip(bs_sets, ut_sets)):
-        b_k = np.asarray(b_k, dtype=int)
+    bs_antennas = int(bs_antennas)
+    ut_counts = [int(n) for n in ut_counts]
+    if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(ut_counts):
+        raise ValueError("bs_sets, ut_sets and ut_counts must have one entry per user")
+    _check_disjoint(bs_sets, bs_antennas)
+    for k, (u_k, n_k) in enumerate(zip(ut_sets, ut_counts)):
         u_k = np.asarray(u_k, dtype=int)
-        a_ut_k = np.asarray(a_ut[k], dtype=complex)
-        n_k = a_ut_k.shape[0]
         if np.any(u_k < 0) or np.any(u_k >= n_k) or len(set(u_k.tolist())) != u_k.size:
             raise ValueError(f"invalid receive beam indices for user {k}")
-        precoders.append(readonly(a_bs[:, b_k]))
-        combiners.append(readonly(a_ut_k[:, u_k]))
-        a_ut_mats.append(readonly(a_ut_k))
     return BeamAllocation(
         bs_beams=[readonly(np.asarray(b, dtype=int)) for b in bs_sets],
         ut_beams=[readonly(np.asarray(u, dtype=int)) for u in ut_sets],
-        precoders=precoders,
-        combiners=combiners,
-        a_bs=readonly(a_bs),
-        a_ut=a_ut_mats,
+        bs_antennas=bs_antennas,
+        ut_counts=ut_counts,
     )
 
 

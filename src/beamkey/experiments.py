@@ -124,6 +124,11 @@ class ScenarioConfig:
             counts = [int(self.ut_antennas)] * self.users
         return counts
 
+    def noise_powers(self) -> np.ndarray:
+        """The noise power 10^(-SNR/10) of each `snr_db_grid` entry (unit signal power)."""
+        with np.errstate(over="ignore", under="ignore"):
+            return 10.0 ** (-np.asarray(self.snr_db_grid, dtype=float) / 10.0)
+
     def validate(self) -> None:
         def fail(invariant: str) -> None:
             raise ConfigError(f"invalid config: {invariant}")
@@ -149,8 +154,14 @@ class ScenarioConfig:
             fail("ut_beams must not exceed the smallest ut_antennas")
         if any(int(m) < 1 for m in self.bs_beams_compare):
             fail("bs_beams_compare entries must be positive")
-        if not self.snr_db_grid or not all(np.isfinite(s) for s in self.snr_db_grid):
-            fail("snr_db_grid must be a nonempty list of finite values")
+        try:
+            sigmas = self.noise_powers()
+        except OverflowError:  # an integer SNR beyond float64
+            sigmas = np.zeros(1)
+        if not self.snr_db_grid or not (
+                (sigmas >= np.finfo(float).tiny) & (sigmas < np.inf)).all():
+            fail("snr_db_grid must be a nonempty list of finite values whose noise powers "
+                 "10^(-SNR/10) are normal float64 numbers (about -3082 to 3076 dB)")
         if self.angle_mode not in ANGLE_MODES:
             fail(f"angle_mode must be one of {ANGLE_MODES}")
         if self.angle_mode == "on_grid" and self.n_paths > min([self.bs_antennas] + counts):
@@ -309,8 +320,8 @@ class Scenario:
         return build_matrices(
             allocate_bs_beams(self.bs_gains, m_e),
             [allocate_ut_beams(g, n_e) for g in self.ut_gains],
-            sampling_matrix(ArrayGeometry(len(self.bs_gains[0]))),
-            [sampling_matrix(ArrayGeometry(len(g))) for g in self.ut_gains],
+            len(self.bs_gains[0]),
+            [len(g) for g in self.ut_gains],
         )
 
     def max_residual(self, alloc: BeamAllocation) -> float:
@@ -341,7 +352,7 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     largest neutralization residual per beam count.
     """
     counts = config.ut_antenna_list()
-    sigmas = 10.0 ** (-np.asarray(config.snr_db_grid, dtype=float) / 10.0)
+    sigmas = config.noise_powers()
     me_values = [int(m) for m in config.bs_beams_compare]
 
     def one_trial(seed: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +362,7 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         residuals = np.zeros(len(me_values))
         for j, m_e in enumerate(me_values):
             alloc = scenario.allocate(m_e, config.ut_beams)
-            inputs = RateInputs(scenario.factors, alloc, 1.0)
+            inputs = RateInputs(scenario.factors, alloc)
             for k in range(config.users):
                 rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
             residuals[j] = scenario.max_residual(alloc)
@@ -590,10 +601,10 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
         n_e = int(rng.integers(1, 3))
         s2 = float(rng.choice([0.01, 0.1, 1.0]))
         scenario = Scenario.draw(rng, n_p, m, [2] * n_users)
-        inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e), s2)
+        inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
         for k in range(n_users):
-            closed = secret_key_rate(inputs, k)
-            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k))
+            closed = secret_key_rate(inputs, k, s2)
+            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
             worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
     return worst
 
@@ -632,7 +643,7 @@ def empirical_downlink_covariance(
     if not np.isfinite(noise_power) or noise_power < 0:
         raise ValueError(f"noise_power must be finite and nonnegative, got {noise_power!r}")
     dl = downlink_maps(allocation, pilots)[user]
-    n_ut = [a.shape[0] for a in allocation.a_ut]
+    n_ut = allocation.ut_counts
 
     # One round's normal draws, in stream order: each user's gains (real
     # block, then imaginary), then each user's N_k x t_d noise, likewise.
@@ -643,7 +654,7 @@ def empirical_downlink_covariance(
 
     # Rows of `mapping` take one round's draws to vec(Z) of this user.
     paths = stats_paths[user]
-    u, w = path_steering(paths, ArrayGeometry(allocation.a_bs.shape[0]),
+    u, w = path_steering(paths, ArrayGeometry(allocation.bs_antennas),
                          ArrayGeometry(n_ut[user]))
     unit_channels = u.T[:, :, None] * w.conj().T[:, None, :]
     terms = [(offsets[user], np.sqrt(paths.powers / 2.0), dl.signal(unit_channels))]
@@ -783,7 +794,7 @@ def run_validation_suite(
         sigma_sweep = np.logspace(-2, 2, 10)
         for _ in range(5):
             scenario = Scenario.draw(rng, 2, 16, [2, 2])
-            inputs = RateInputs(scenario.factors, scenario.allocate(2, 2), noise)
+            inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
             rates = rate_factors(inputs, 0).rate(sigma_sweep)
             min_rate = min(min_rate, float(rates.min()))
             worst_increase = max(worst_increase, float(np.diff(rates).max()))
@@ -851,7 +862,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
     worst_e2e = 0.0
     for k in range(n_users):
         single_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]],
-                                      alloc.a_bs, [alloc.a_ut[k]])
+                                      alloc.bs_antennas, [alloc.ut_counts[k]])
         single_pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut], 1)
         z_single = downlink_probe([channels[k]], single_alloc, single_pilots, 0.0)[0]
         denom = max(float(np.linalg.norm(z_single)), 1e-300)
@@ -866,8 +877,8 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
     scenario = Scenario.draw(rng, n_p, m, [n_ut] * n_users)
     alloc = scenario.allocate(m_e, n_e)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
-    inputs = RateInputs(scenario.factors, alloc, noise)
-    expected = assemble_observation_covariances(inputs, 0).r_zdl
+    inputs = RateInputs(scenario.factors, alloc)
+    expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
     empirical = empirical_downlink_covariance(
         scenario.paths, alloc, pilots, noise, rounds, rng, user=0
     )

@@ -63,7 +63,7 @@ engine is checked against, not a runner path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -125,32 +125,28 @@ class ObservationCovariances:
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything a per-user rate evaluation needs.
+    """Everything but the noise power that a per-user rate evaluation needs.
 
     lambda_factors : per-user covariance factors F_k with M*N_k rows and any
                      column count, Lambda_k = F_k F_k^H
-    allocation     : the users' beams; only the index sets `bs_beams` (m_e
-                     each) and `ut_beams` (n_e each) and the array sizes enter,
-                     and the post-correlation pilot dimensions are m_e and n_e
-    noise_power    : variance of each complex noise entry
+    allocation     : the users' beams: the index sets `bs_beams` (m_e each)
+                     and `ut_beams` (n_e each) and the array sizes
+                     `bs_antennas` (M) and `ut_counts` (N_k); the
+                     post-correlation pilot dimensions are m_e and n_e
     """
 
     lambda_factors: list[np.ndarray]
     allocation: BeamAllocation
-    noise_power: float
-    log_base: float = 2.0
 
     def __post_init__(self) -> None:
         alloc = self.allocation
         if len(self.lambda_factors) != alloc.n_users or alloc.n_users == 0:
             raise ValueError("need one covariance factor per allocated user, at least one")
-        if not np.isfinite(self.noise_power) or self.noise_power < 0:
-            raise ValueError("noise_power must be finite and nonnegative")
-        m = alloc.a_bs.shape[0]
+        m = alloc.bs_antennas
         m_e, n_e = len(alloc.bs_beams[0]), len(alloc.ut_beams[0])
         for k, factor in enumerate(self.lambda_factors):
             b_k, u_k = np.asarray(alloc.bs_beams[k]), np.asarray(alloc.ut_beams[k])
-            n_k = alloc.a_ut[k].shape[0]
+            n_k = alloc.ut_counts[k]
             if factor.ndim != 2 or factor.shape[0] != m * n_k:
                 raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
             if len(b_k) != m_e or len(u_k) != n_e:
@@ -165,10 +161,6 @@ class RateInputs:
     @property
     def n_users(self) -> int:
         return len(self.lambda_factors)
-
-    def with_noise_power(self, noise_power: float) -> "RateInputs":
-        """Same instance at a different noise level."""
-        return replace(self, noise_power=float(noise_power))
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +219,7 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
     _check_user(inputs, k)
     alloc = inputs.allocation
     b, u = alloc.bs_beams, alloc.ut_beams
-    m = alloc.a_bs.shape[0]
+    m = alloc.bs_antennas
     f3s = [f.reshape(m, -1, f.shape[1]) for f in inputs.lambda_factors]
     v_k = sum(_beam_rows_h(f3s[k], b_kp, u[k]) for b_kp in b)
     v_kks = [_beam_rows_h(f3, b[k], u_kp) for f3, u_kp in zip(f3s, u)]
@@ -310,7 +302,6 @@ class UserRateFactors:
     joint    : the information T + G / sigma^2 of both observations: the
                columns of Y with floors s^2, and with floor 0 the columns
                U sv of V_k's SVD, whose Gram matrix is G
-    log_base : base of the logarithm the rate is reported in
 
     `rate` evaluates the module docstring's three-term form for any noise
     powers from these alone, without assembling a covariance.
@@ -319,10 +310,9 @@ class UserRateFactors:
     gains: np.ndarray
     uplink: GradedInformation
     joint: GradedInformation
-    log_base: float = 2.0
 
     def rate(self, noise_powers):
-        """User k's key rate at each noise power (a scalar or a 1-D array).
+        """User k's key rate in bits at each noise power (a scalar or a 1-D array).
 
         Returns a float for a scalar and an array for an array.  All noise
         powers are evaluated at once, with one batched Cholesky
@@ -350,7 +340,7 @@ class UserRateFactors:
             ) from None
         logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
         downlink = np.sum(np.log1p(self.gains / column), axis=-1)
-        mi = _finalize_rate((logdets[0] + downlink - logdets[1]) / math.log(self.log_base))
+        mi = _finalize_rate((logdets[0] + downlink - logdets[1]) / math.log(2.0))
         return float(mi[0]) if sigma2.ndim == 0 else mi
 
 
@@ -378,7 +368,7 @@ def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
     g comes from the singular values of V_k, and s^2 and Z from the full SVD
     of the interference stack J = vstack(V_kk', k' != k).  Singular values of
     J below max(J.shape) * eps * (its largest) are round-off and are cut to
-    zero.  `inputs.noise_power` is not used.
+    zero.
     """
     v_k, v_kks = build_v_matrices(inputs, k)
     dim = v_k.shape[1]
@@ -402,31 +392,32 @@ def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
         uplink=GradedInformation.from_sorted(y, floors),
         joint=GradedInformation.from_sorted(
             np.hstack([u_k * sv_k, y]), np.concatenate([np.zeros(sv_k.size), floors])),
-        log_base=inputs.log_base,
     )
 
 
-def assemble_observation_covariances(inputs: RateInputs, k: int) -> ObservationCovariances:
-    """Dense observation covariances of user k under the reused-pilot signal model.
+def assemble_observation_covariances(inputs: RateInputs, k: int,
+                                     noise_power: float) -> ObservationCovariances:
+    """Dense observation covariances of user k under the reused-pilot signal
+    model, at `noise_power` (the variance of each complex noise entry):
 
-    r_zdl   = V_k^H V_k            + noise * I
-    r_zul   = sum_k' V_kk'^H V_kk' + noise * I
+    r_zdl   = V_k^H V_k            + noise_power * I
+    r_zul   = sum_k' V_kk'^H V_kk' + noise_power * I
     r_cross = V_k^H V_kk
 
-    The reference `gaussian_mi_oracle` evaluates; the rate engine never
-    assembles them.
+    A negative or non-finite `noise_power` raises ValueError.  The reference
+    `gaussian_mi_oracle` evaluates these; the rate engine never assembles them.
     """
+    noise_power = float(_noise_powers(noise_power))
     v_k, v_kks = build_v_matrices(inputs, k)
     return ObservationCovariances.from_blocks(
-        _plus_noise(hermitize(v_k.conj().T @ v_k), inputs.noise_power),
-        _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), inputs.noise_power),
+        _plus_noise(hermitize(v_k.conj().T @ v_k), noise_power),
+        _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), noise_power),
         v_k.conj().T @ v_kks[k],
     )
 
 
-def secret_key_rate(inputs: RateInputs, k: int) -> float:
-    """Closed-form key rate of user k at `inputs.noise_power`, in bits per
-    probing round (in `inputs.log_base` units).
+def secret_key_rate(inputs: RateInputs, k: int, noise_power: float) -> float:
+    """Closed-form key rate of user k at `noise_power`, in bits per probing round.
 
     The quantity is
 
@@ -434,12 +425,12 @@ def secret_key_rate(inputs: RateInputs, k: int) -> float:
 
     with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I,
     evaluated by the rate engine at one point:
-    `rate_factors(inputs, k).rate(inputs.noise_power)`.
+    `rate_factors(inputs, k).rate(noise_power)`.
     """
-    return rate_factors(inputs, k).rate(inputs.noise_power)
+    return rate_factors(inputs, k).rate(noise_power)
 
 
-def gaussian_mi_oracle(cov: ObservationCovariances, log_base: float = 2.0) -> float:
+def gaussian_mi_oracle(cov: ObservationCovariances) -> float:
     """Mutual information of two jointly Gaussian complex vectors, in bits.
 
     I = log det(R_dl) + log det(R_ul) - log det(R_joint), evaluated through
@@ -451,12 +442,11 @@ def gaussian_mi_oracle(cov: ObservationCovariances, log_base: float = 2.0) -> fl
     ld_dl = hermitian_logdet(cov.r_zdl, "downlink covariance")
     ld_ul = hermitian_logdet(cov.r_zul, "uplink covariance")
     ld_joint = hermitian_logdet(cov.joint, "joint covariance")
-    return _finalize_rate((ld_dl + ld_ul - ld_joint) / math.log(log_base))
+    return _finalize_rate((ld_dl + ld_ul - ld_joint) / math.log(2.0))
 
 
-def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power,
-                       log_base: float = 2.0):
-    """Single-user rate when both ends probe through complete unitary grids.
+def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power):
+    """Single-user rate in bits when both ends probe through complete unitary grids.
 
     In that case the downlink and uplink covariances are Lambda + noise*I with
     cross-covariance Lambda, so the mutual information diagonalizes over the
@@ -483,7 +473,7 @@ def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power,
         )
     s2 = sigma2[..., None]
     per_mode = 2.0 * np.log(w + s2) - np.log(s2) - np.log(2.0 * w + s2)
-    return _finalize_rate(np.sum(per_mode, axis=-1) / math.log(log_base))
+    return _finalize_rate(np.sum(per_mode, axis=-1) / math.log(2.0))
 
 
 def _finalize_rate(value):

@@ -34,6 +34,7 @@ import numpy as np
 
 from ._util import complex_normal, readonly, vec
 from .allocation import BeamAllocation
+from .channel import ArrayGeometry, sampling_matrix
 
 PILOT_MODES = ("reused", "orthogonal", "orthogonal_reduced")
 
@@ -116,15 +117,15 @@ def make_pilots(mode: str, m_e: int, n_e: int, M: int,
 
 
 def _probe_matrices(allocation: BeamAllocation, pilots: PilotSet):
-    # The traditional baseline probes the full channel through the complete
-    # sampling matrices; the reduced modes use the allocated beams.
+    """Every user's (precoders, combiners): the columns of the unitary grid
+    sampling matrices at the allocated beams, so orthonormal, or the complete
+    sampling matrices for the traditional "orthogonal" baseline."""
+    a_bs = sampling_matrix(ArrayGeometry(allocation.bs_antennas))
+    a_uts = [sampling_matrix(ArrayGeometry(n)) for n in allocation.ut_counts]
     if pilots.mode == "orthogonal":
-        precoders = [allocation.a_bs] * allocation.n_users
-        combiners = list(allocation.a_ut)
-    else:
-        precoders = list(allocation.precoders)
-        combiners = list(allocation.combiners)
-    return precoders, combiners
+        return [a_bs] * allocation.n_users, a_uts
+    return ([a_bs[:, b] for b in allocation.bs_beams],
+            [a[:, u] for a, u in zip(a_uts, allocation.ut_beams)])
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,9 @@ def _check_counts(channels, allocation: BeamAllocation, pilots: PilotSet) -> Non
             f"user count mismatch: {k} channels, {allocation.n_users} allocations, "
             f"{pilots.n_users} pilot sets"
         )
-    m = allocation.a_bs.shape[0]
+    m = allocation.bs_antennas
     for idx, h in enumerate(channels):
-        if h.ndim != 2 or h.shape[1] != m or h.shape[0] != allocation.a_ut[idx].shape[0]:
+        if h.ndim != 2 or h.shape[1] != m or h.shape[0] != allocation.ut_counts[idx]:
             raise ValueError(f"channel {idx} has shape {h.shape}, inconsistent with the arrays")
 
 

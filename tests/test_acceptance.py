@@ -23,7 +23,6 @@ from beamkey.channel import (
     beam_covariances,
     grid_sines,
     sample_paths,
-    sampling_matrix,
     synthesize_channel,
 )
 from beamkey.experiments import (
@@ -167,7 +166,6 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
     rng = np.random.default_rng(SEED)
     n_users, m, n_ut, n_p = 3, 32, 4, 3
     bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
-    a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
     bs_idx = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
     paths_list, covs = [], []
     for k in range(n_users):
@@ -182,7 +180,7 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
         covs.append(beam_covariances(paths, bs_geom, ut_geom))
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], n_p)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), 3) for c in covs]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
+    alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
     pilots = make_pilots("reused", n_p, 3, m, [n_ut] * n_users, n_users)
     channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
 
@@ -212,16 +210,15 @@ def test_criterion_7_covariance_consistency():
     m, n_ut, n_p, m_e, n_e, n_users = 16, 2, 2, 2, 2, 2
     noise = 0.1
     bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
-    a_bs, a_ut = sampling_matrix(bs_geom), sampling_matrix(ut_geom)
     paths_list = [sample_paths(n_p, rng) for _ in range(n_users)]
     covs = [beam_covariances(p, bs_geom, ut_geom) for p in paths_list]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
+    alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
     pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
     factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
-    inputs = RateInputs(factors, alloc, noise)
-    expected = assemble_observation_covariances(inputs, 0).r_zdl
+    inputs = RateInputs(factors, alloc)
+    expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
     empirical = empirical_downlink_covariance(
         paths_list, alloc, pilots, noise, rounds=100_000, rng=rng, user=0
     )

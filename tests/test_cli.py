@@ -63,6 +63,18 @@ def test_mistyped_config_field_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr_db", ["-4000", "3200", "4000"])
+def test_snr_outside_float64_noise_powers_exits_one(tmp_path, capsys, snr_db):
+    # 10^(-SNR/10) overflows, is subnormal or is zero at these SNRs.
+    out = tmp_path / "out"
+    code = main(["single-user-rate", "--users", "1", "--trials", "1",
+                 f"--snr-db={snr_db}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "snr_db_grid" in err
+    assert not out.exists()
+
+
 def test_wrong_user_count_exits_one(tmp_path, capsys):
     code = main(["single-user-rate", "--users", "2", "--bs-antennas", "16",
                  "--trials", "1", "--out", str(tmp_path)])

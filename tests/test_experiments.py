@@ -118,6 +118,20 @@ class TestConfigValidation:
         cfg.validate()
         assert cfg.ut_antenna_list() == [4, 3, 2]
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, 3200.0, 4000.0, 10 ** 400, np.nan, np.inf],
+                             ids=["noise_overflows", "noise_subnormal", "noise_zero",
+                                  "int_beyond_float", "nan", "inf"])
+    def test_snr_whose_noise_power_leaves_float64_rejected(self, snr_db):
+        # The runners evaluate at 10^(-SNR/10); it must be a finite normal float64.
+        with pytest.raises(ConfigError, match="snr_db_grid"):
+            ScenarioConfig(snr_db_grid=[0.0, snr_db]).validate()
+
+    def test_extreme_snr_with_normal_noise_power_accepted(self):
+        cfg = ScenarioConfig(snr_db_grid=[-3082.0, -3000.0, 3075.0, 3076.0])
+        cfg.validate()
+        sigmas = cfg.noise_powers()
+        assert np.all(np.isfinite(sigmas)) and np.all(sigmas >= np.finfo(float).tiny)
+
     def test_hash_stable_and_sensitive(self):
         a, b = ScenarioConfig(), ScenarioConfig()
         assert a.config_hash() == b.config_hash()
@@ -274,8 +288,9 @@ def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
         for m_e in cfg.bs_beams_compare:
             alloc = scenario.allocate(m_e, cfg.ut_beams)
             for k in range(cfg.users):
-                rates = [gaussian_mi_oracle(assemble_observation_covariances(
-                    RateInputs(scenario.factors, alloc, s2), k)) for s2 in noise]
+                inputs = RateInputs(scenario.factors, alloc)
+                rates = [gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
+                         for s2 in noise]
                 oracle.setdefault((m_e, k), []).append(rates)
     checked = 0
     for rec in run(cfg).records:
@@ -397,8 +412,8 @@ def _loop_downlink_covariance(stats_paths, allocation, pilots, noise_power,
     """Round-at-a-time reference: a validated PathSet, every user's channel
     and one `downlink_probe` call per round.  Returns the sample covariance
     after each round count in `rounds`."""
-    bs_geom = ArrayGeometry(allocation.a_bs.shape[0])
-    geoms = [ArrayGeometry(a.shape[0]) for a in allocation.a_ut]
+    bs_geom = ArrayGeometry(allocation.bs_antennas)
+    geoms = [ArrayGeometry(n) for n in allocation.ut_counts]
     acc = None
     out = {}
     for done in range(1, max(rounds) + 1):

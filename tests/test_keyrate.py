@@ -16,7 +16,6 @@ from beamkey.channel import (
     beam_covariances,
     grid_sines,
     sample_paths,
-    sampling_matrix,
 )
 from beamkey.keyrate import (
     NumericalConsistencyError,
@@ -44,12 +43,9 @@ def random_psd(rng, n):
     return b.conj().T @ b
 
 
-def full_inputs(factor, m, n_ut, noise):
+def full_inputs(factor, m, n_ut):
     """Complete-grid probing of a single user."""
-    alloc = build_matrices([np.arange(m)], [np.arange(n_ut)],
-                           sampling_matrix(ArrayGeometry(m)),
-                           [sampling_matrix(ArrayGeometry(n_ut))])
-    return RateInputs([factor], alloc, noise)
+    return RateInputs([factor], build_matrices([np.arange(m)], [np.arange(n_ut)], m, [n_ut]))
 
 
 class TestPsdSqrt:
@@ -135,12 +131,12 @@ class TestFinalizeRate:
 
 class TestBuildVMatrices:
     def test_zero_covariance_gives_zero_factors(self):
-        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4, 0.5)
+        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4)
         v_k, v_kks = build_v_matrices(inputs, 0)
         assert np.all(v_k == 0) and np.all(v_kks[0] == 0)
-        assert secret_key_rate(inputs, 0) == 0.0
-        assert gaussian_mi_oracle(assemble_observation_covariances(inputs, 0)) == pytest.approx(
-            0.0, abs=1e-12)
+        assert secret_key_rate(inputs, 0, 0.5) == 0.0
+        assert gaussian_mi_oracle(assemble_observation_covariances(inputs, 0, 0.5)) == (
+            pytest.approx(0.0, abs=1e-12))
 
     def test_aligned_on_grid_path_has_unit_factor_norm(self):
         # One unit-power path exactly on the selected transmit/receive beams:
@@ -153,10 +149,7 @@ class TestBuildVMatrices:
             powers=[1.0],
         )
         factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
-        a_bs = sampling_matrix(ArrayGeometry(m))
-        a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        alloc = build_matrices([[5]], [[2]], a_bs, [a_ut])
-        inputs = RateInputs([factor], alloc, 0.1)
+        inputs = RateInputs([factor], build_matrices([[5]], [[2]], m, [n_ut]))
         v_k, _ = build_v_matrices(inputs, 0)
         assert np.linalg.norm(v_k) == pytest.approx(1.0, abs=1e-10)
 
@@ -174,23 +167,23 @@ class TestBuildVMatrices:
                 powers=np.full(n_p, 1 / n_p),
             ))
         scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
-        inputs = RateInputs(scenario.factors, scenario.allocate(n_p, 2), 0.1)
+        inputs = RateInputs(scenario.factors, scenario.allocate(n_p, 2))
         _, v_kks = build_v_matrices(inputs, 0)
         assert np.max(np.abs(v_kks[1])) < 1e-10
 
 
-def scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e, noise=0.1):
+def scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e):
     """Random off-grid users with the given antenna counts, allocated as the runners do."""
     scenario = Scenario.draw(rng, n_p, m, ut_counts)
-    return RateInputs(scenario.factors, scenario.allocate(m_e, n_e), noise)
+    return RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
 
 
 def kron_v_matrices(inputs, k):
     """V_k and every V_kk' through dense 0/1 selectors and kron, built from the
     beam indices: V_k = (kron(S_sum^T, C_k^H) F_k)^H, V_kk' = (kron(S_k^T, C_k'^H) F_k')^H."""
     alloc = inputs.allocation
-    sel_bs = [np.eye(alloc.a_bs.shape[0])[:, b] for b in alloc.bs_beams]
-    sel_ut = [np.eye(a.shape[0])[:, u] for a, u in zip(alloc.a_ut, alloc.ut_beams)]
+    sel_bs = [np.eye(alloc.bs_antennas)[:, b] for b in alloc.bs_beams]
+    sel_ut = [np.eye(n)[:, u] for n, u in zip(alloc.ut_counts, alloc.ut_beams)]
     f = inputs.lambda_factors
     v_k = (np.kron(sum(sel_bs).T, sel_ut[k].conj().T) @ f[k]).conj().T
     v_kks = [(np.kron(sel_bs[k].T, c.conj().T) @ f_kp).conj().T
@@ -232,22 +225,22 @@ class TestIndexRoute:
         alloc = replace(self.alloc, bs_beams=[self.alloc.bs_beams[0],
                                               self.alloc.bs_beams[1][:1]])
         with pytest.raises(ValueError, match="user 1 has 1 transmit"):
-            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
+            RateInputs(self.inputs.lambda_factors, alloc)
 
     def test_mismatched_ut_beam_counts_rejected(self):
         alloc = replace(self.alloc, ut_beams=[self.alloc.ut_beams[0],
                                               self.alloc.ut_beams[1][:1]])
         with pytest.raises(ValueError, match="user 1 has 2 transmit and 1 receive"):
-            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
+            RateInputs(self.inputs.lambda_factors, alloc)
 
     def test_wrong_factor_rows_rejected(self):
         factors = [self.inputs.lambda_factors[0], self.inputs.lambda_factors[0]]
         with pytest.raises(ValueError, match=r"lambda_factors\[1\] must be a matrix with 32 rows"):
-            RateInputs(factors, self.alloc, 0.1)
+            RateInputs(factors, self.alloc)
 
     def test_factor_count_must_match_users(self):
         with pytest.raises(ValueError, match="one covariance factor per allocated user"):
-            RateInputs(self.inputs.lambda_factors[:1], self.alloc, 0.1)
+            RateInputs(self.inputs.lambda_factors[:1], self.alloc)
 
     @pytest.mark.parametrize("field, beams", [
         ("bs_beams", [5, 16]), ("bs_beams", [5, -1]), ("ut_beams", [0, 2]), ("ut_beams", [0, -1]),
@@ -257,7 +250,7 @@ class TestIndexRoute:
         # otherwise wrap around silently.
         alloc = replace(self.alloc, **{field: [getattr(self.alloc, field)[0], np.array(beams)]})
         with pytest.raises(ValueError, match="out of range for user 1"):
-            RateInputs(self.inputs.lambda_factors, alloc, 0.1)
+            RateInputs(self.inputs.lambda_factors, alloc)
 
 
 class TestSecretKeyRate:
@@ -266,33 +259,30 @@ class TestSecretKeyRate:
         worst = 0.0
         for _ in range(40):
             n_users = int(rng.integers(1, 4))
-            inputs = scenario_inputs(
-                rng, int(rng.choice([8, 16])), [2] * n_users,
-                int(rng.integers(1, 4)), int(rng.integers(1, 3)),
-                int(rng.integers(1, 3)), float(rng.choice([0.01, 0.1, 1.0])),
-            )
+            sizes = [int(rng.choice([8, 16])), [2] * n_users, int(rng.integers(1, 4)),
+                     int(rng.integers(1, 3)), int(rng.integers(1, 3))]
+            noise = float(rng.choice([0.01, 0.1, 1.0]))
+            inputs = scenario_inputs(rng, *sizes)
             for k in range(n_users):
-                closed = secret_key_rate(inputs, k)
-                oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k))
+                closed = secret_key_rate(inputs, k, noise)
+                oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, noise))
                 worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
         assert worst <= 1e-8
 
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(5)
-        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2, 1.0)
-        rates = [secret_key_rate(inputs.with_noise_power(s2), 0)
-                 for s2 in (1.0, 10.0, 100.0, 1000.0)]
+        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
+        rates = [secret_key_rate(inputs, 0, s2) for s2 in (1.0, 10.0, 100.0, 1000.0)]
         for earlier, later in zip(rates, rates[1:]):
             assert later <= earlier + 1e-9
-        sweep = [secret_key_rate(inputs.with_noise_power(s2), 0)
-                 for s2 in np.logspace(-2, 2, 10)]
+        sweep = [secret_key_rate(inputs, 0, s2) for s2 in np.logspace(-2, 2, 10)]
         assert np.max(np.diff(sweep)) <= 1e-9
 
     def test_negative_noise_rejected(self):
         rng = np.random.default_rng(6)
-        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2, 0.1)
+        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2)
         with pytest.raises(ValueError):
-            secret_key_rate(inputs.with_noise_power(-1.0), 0)
+            secret_key_rate(inputs, 0, -1.0)
 
     def test_noise_free_rank_deficient_rejected(self):
         # A single path probed through two beams leaves the observation
@@ -305,15 +295,12 @@ class TestSecretKeyRate:
             powers=[1.0],
         )
         factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
-        a_bs = sampling_matrix(ArrayGeometry(m))
-        a_ut = sampling_matrix(ArrayGeometry(n_ut))
-        alloc = build_matrices([[2, 3]], [[1, 0]], a_bs, [a_ut])
-        inputs = RateInputs([factor], alloc, 0.0)
+        inputs = RateInputs([factor], build_matrices([[2, 3]], [[1, 0]], m, [n_ut]))
         with pytest.raises(SingularNoiseFreeRateError):
-            secret_key_rate(inputs, 0)
+            secret_key_rate(inputs, 0, 0.0)
 
 
-def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e, noise):
+def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e):
     """One random scenario as rate inputs twice: with each user's rank-P path
     factor, and with psd_sqrt of the dense covariance as the factor."""
     bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
@@ -321,9 +308,8 @@ def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e, noise):
     covs = [beam_covariances(p, bs, ut) for p in paths]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
-    alloc = build_matrices(bs_sets, ut_sets, sampling_matrix(bs),
-                           [sampling_matrix(ut)] * n_users)
-    factored = RateInputs([beam_covariance_factor(p, bs, ut)[0] for p in paths], alloc, noise)
+    alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
+    factored = RateInputs([beam_covariance_factor(p, bs, ut)[0] for p in paths], alloc)
     dense = replace(factored, lambda_factors=[psd_sqrt(c.lambda_full) for c in covs])
     return factored, dense, covs
 
@@ -331,10 +317,10 @@ def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e, noise):
 class TestFactorMatchesDense:
     """The rank-P factor route against the dense square-root route."""
 
-    def assert_routes_agree(self, factored, dense, covs):
+    def assert_routes_agree(self, factored, dense, covs, noise):
         for k in range(factored.n_users):
-            assert secret_key_rate(factored, k) == pytest.approx(
-                secret_key_rate(dense, k), rel=1e-10)
+            assert secret_key_rate(factored, k, noise) == pytest.approx(
+                secret_key_rate(dense, k, noise), rel=1e-10)
             for s2 in (0.01, 1.0, 10.0):
                 assert rate_factors(factored, k).rate(s2) == pytest.approx(
                     rate_factors(dense, k).rate(s2), rel=1e-10)
@@ -352,16 +338,15 @@ class TestFactorMatchesDense:
         for _ in range(20):
             n_users = int(rng.integers(1, 4))
             m = int(rng.choice([8, 16]))
-            self.assert_routes_agree(*factor_and_dense_inputs(
-                rng, n_users, m, int(rng.choice([2, 4])), int(rng.integers(1, 4)),
-                int(rng.integers(1, m // (2 * n_users) + 1)), int(rng.integers(1, 3)),
-                float(rng.choice([0.01, 0.1, 1.0])),
-            ))
+            sizes = [n_users, m, int(rng.choice([2, 4])), int(rng.integers(1, 4)),
+                     int(rng.integers(1, m // (2 * n_users) + 1)), int(rng.integers(1, 3))]
+            noise = float(rng.choice([0.01, 0.1, 1.0]))
+            self.assert_routes_agree(*factor_and_dense_inputs(rng, *sizes), noise)
 
     def test_reference_size_user(self):
         # M = 128, N = 4, P = 6: the dense covariance is 512 x 512.
         rng = np.random.default_rng(14)
-        self.assert_routes_agree(*factor_and_dense_inputs(rng, 1, 128, 4, 6, 6, 4, 0.1))
+        self.assert_routes_agree(*factor_and_dense_inputs(rng, 1, 128, 4, 6, 6, 4), 0.1)
 
 
 def mp_gaussian_mi_bits(v_k, v_kks, k, noise_powers):
@@ -415,7 +400,7 @@ def runner_draw(config, rng, m_e):
     """One trial's users and allocation, drawn the way the runners draw them."""
     scenario = Scenario.draw(rng, config.n_paths, config.bs_antennas,
                              config.ut_antenna_list(), config.angle_mode == "on_grid")
-    return RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams), 1.0)
+    return RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
 
 
 HIGH_SNR_DB = np.array([30.0, 60.0, 100.0, 150.0, 200.0])
@@ -464,9 +449,9 @@ class TestRateEngine:
 
     def test_secret_key_rate_is_the_engine_at_one_point(self):
         rng = np.random.default_rng(16)
-        inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2, 0.05)
+        inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2)
         for k in range(3):
-            assert secret_key_rate(inputs, k) == rate_factors(inputs, k).rate(0.05)
+            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs, k).rate(0.05)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
@@ -477,7 +462,7 @@ class TestRateEngine:
             self, seed, n_users, m, n_paths, m_e, n_e, exponents):
         # Round-off slack, relative: 1e-9.
         rng = np.random.default_rng(seed)
-        inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e, 1.0)
+        inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e)
         noise = np.sort(10.0 ** np.array(exponents))[::-1]
         for k in range(n_users):
             rates = rate_factors(inputs, k).rate(noise)
@@ -489,7 +474,7 @@ class TestRateEngine:
             assert np.all(rates <= perfect * (1 + 1e-9))
 
     def test_noise_free_multiuser_rejected(self):
-        inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2, 0.1)
+        inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2)
         factors = rate_factors(inputs, 0)
         with pytest.raises(SingularNoiseFreeRateError):
             factors.rate(0.0)
@@ -499,8 +484,7 @@ class TestRateEngine:
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
                              ids=["negative", "nan", "inf", "negative_in_array", "2d"])
     def test_bad_noise_powers_rejected(self, noise):
-        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2, 0.1),
-                               0)
+        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2), 0)
         with pytest.raises(ValueError):
             factors.rate(noise)
 
@@ -512,8 +496,8 @@ class TestFullSamplingRate:
             paths = sample_paths(3, rng)
             cov = beam_covariances(paths, ArrayGeometry(8), ArrayGeometry(4))
             noise = float(rng.choice([0.05, 0.5, 2.0]))
-            inputs = full_inputs(psd_sqrt(cov.lambda_full), 8, 4, noise)
-            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, 0))
+            inputs = full_inputs(psd_sqrt(cov.lambda_full), 8, 4)
+            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, 0, noise))
             eigs = np.linalg.eigvalsh(cov.lambda_full)
             assert full_sampling_rate(eigs, noise) == pytest.approx(oracle, rel=1e-9)
 
@@ -547,14 +531,11 @@ class TestDominanceAndInterference:
             noise = float(rng.choice([0.01, 0.1, 1.0]))
             perfect = full_sampling_rate(np.linalg.eigvalsh(cov.lambda_full), noise)
             factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(16), ArrayGeometry(4))
-            a_bs = sampling_matrix(ArrayGeometry(16))
-            a_ut = sampling_matrix(ArrayGeometry(4))
             m_e = int(rng.integers(1, 5))
             bs_set = allocate_bs_beams([np.real(np.diag(cov.r_bs))], m_e)[0]
             ut_set = allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)
-            alloc = build_matrices([bs_set], [ut_set], a_bs, [a_ut])
-            inputs = RateInputs([factor], alloc, noise)
-            reduced = secret_key_rate(inputs, 0)
+            inputs = RateInputs([factor], build_matrices([bs_set], [ut_set], 16, [4]))
+            reduced = secret_key_rate(inputs, 0, noise)
             assert reduced <= perfect + 1e-9
 
     def test_reuse_with_overlapping_supports_pays_a_penalty(self):
@@ -572,39 +553,44 @@ class TestDominanceAndInterference:
         ) for _ in range(2)]
         scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
         alloc = scenario.allocate(n_p, 2)
-        reused = RateInputs(scenario.factors, alloc, 0.1)
+        reused = RateInputs(scenario.factors, alloc)
         for k in range(2):
-            with_interference = secret_key_rate(reused, k)
-            alone_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]],
-                                         alloc.a_bs, [alloc.a_ut[k]])
-            alone = RateInputs([scenario.factors[k]], alone_alloc, 0.1)
-            interference_free = secret_key_rate(alone, 0)
+            with_interference = secret_key_rate(reused, k, 0.1)
+            alone_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]], m, [n_ut])
+            alone = RateInputs([scenario.factors[k]], alone_alloc)
+            interference_free = secret_key_rate(alone, 0, 0.1)
             assert with_interference <= interference_free + 1e-9
 
 
 class TestAssembledCovariances:
     def test_zero_channel_leaves_noise_only(self):
-        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4, 0.7)
-        cov = assemble_observation_covariances(inputs, 0)
+        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4)
+        cov = assemble_observation_covariances(inputs, 0, 0.7)
         np.testing.assert_allclose(cov.r_zdl, 0.7 * np.eye(32), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.7 * np.eye(32), atol=1e-12)
         assert np.all(cov.r_cross == 0)
 
     def test_orthonormal_matrices_give_scaled_identity_noise(self):
         rng = np.random.default_rng(11)
-        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2, 0.3)
+        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2)
         zero = [np.zeros_like(inputs.lambda_factors[0])]
         noise_only = replace(inputs, lambda_factors=zero)
-        cov = assemble_observation_covariances(noise_only, 0)
+        cov = assemble_observation_covariances(noise_only, 0, 0.3)
         np.testing.assert_allclose(cov.r_zdl, 0.3 * np.eye(4), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.3 * np.eye(4), atol=1e-12)
 
     def test_rate_factors_match_direct_assembly(self):
         rng = np.random.default_rng(12)
-        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2, 0.25)
-        direct = assemble_observation_covariances(inputs, 1)
+        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
+        direct = assemble_observation_covariances(inputs, 1, 0.25)
         assert rate_factors(inputs, 1).rate(0.25) == pytest.approx(
             gaussian_mi_oracle(direct), rel=1e-10)
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+    def test_bad_noise_power_rejected(self, noise):
+        inputs = scenario_inputs(np.random.default_rng(12), 8, [2], 2, 2, 2)
+        with pytest.raises(ValueError, match="noise_power must be finite and nonnegative"):
+            assemble_observation_covariances(inputs, 0, noise)
 
     def test_joint_block_structure_validated(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ from beamkey.channel import (
     synthesize_channel,
 )
 from beamkey.probing import (
+    PILOT_MODES,
+    _probe_matrices,
     dimension_reduction_factor,
     downlink_probe,
     make_pilots,
@@ -32,7 +34,6 @@ def build_scenario(n_users, m, n_ut, n_p, m_e, n_e, rng, on_grid=False,
                    disjoint_grid=False):
     """Channels plus an allocation for one random scenario."""
     bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
-    a_bs, a_ut = sampling_matrix(bs), sampling_matrix(ut)
     paths_list = []
     if disjoint_grid:
         bs_idx = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
@@ -50,9 +51,22 @@ def build_scenario(n_users, m, n_ut, n_p, m_e, n_e, rng, on_grid=False,
     covs = [beam_covariances(p, bs, ut) for p in paths_list]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
-    alloc = build_matrices(bs_sets, ut_sets, a_bs, [a_ut] * n_users)
+    alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
     channels = [synthesize_channel(p, bs, ut) for p in paths_list]
     return channels, alloc, paths_list
+
+
+def beamformers(alloc, k):
+    """User k's precoder and combiner, written out: the sampling-matrix
+    columns at its allocated beams."""
+    return (sampling_matrix(ArrayGeometry(alloc.bs_antennas))[:, alloc.bs_beams[k]],
+            sampling_matrix(ArrayGeometry(alloc.ut_counts[k]))[:, alloc.ut_beams[k]])
+
+
+def effective_channel(alloc, h, k):
+    """C_k^H H_k P_k."""
+    precoder, combiner = beamformers(alloc, k)
+    return combiner.conj().T @ h @ precoder
 
 
 class TestMakePilots:
@@ -99,14 +113,64 @@ class TestMakePilots:
             make_pilots("bogus", 2, 2, 16, [4], 1)
 
 
+class TestProbeMatrices:
+    """The beamformers probing forms from an allocation: grid columns at the
+    allocated beams, or the complete sampling matrices in "orthogonal" mode."""
+
+    def setup_method(self):
+        self.a_bs = sampling_matrix(ArrayGeometry(128))
+        self.a_ut = sampling_matrix(ArrayGeometry(4))
+
+    def probe_matrices(self, bs_sets, ut_sets, mode):
+        alloc = build_matrices(bs_sets, ut_sets, 128, [4] * len(bs_sets))
+        pilots = make_pilots(mode, len(bs_sets[0]), len(ut_sets[0]), 128,
+                             [4] * len(bs_sets), len(bs_sets))
+        return _probe_matrices(alloc, pilots)
+
+    def test_first_beams_give_first_columns(self):
+        precoders, combiners = self.probe_matrices([np.arange(6)], [np.arange(4)], "reused")
+        np.testing.assert_allclose(precoders[0], self.a_bs[:, :6], atol=1e-15)
+        np.testing.assert_allclose(combiners[0], self.a_ut[:, :4], atol=1e-15)
+
+    @pytest.mark.parametrize("mode", PILOT_MODES)
+    def test_orthonormal_columns(self, mode):
+        rng = np.random.default_rng(3)
+        sets = allocate_bs_beams([rng.random(128) for _ in range(6)], 6)
+        ut_sets = [allocate_ut_beams(rng.random(4), 4) for _ in range(6)]
+        precoders, combiners = self.probe_matrices(sets, ut_sets, mode)
+        assert len(precoders) == len(combiners) == 6
+        for p, c in zip(precoders, combiners):
+            assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-12
+            assert np.max(np.abs(c.conj().T @ c - np.eye(4))) <= 1e-12
+
+    @pytest.mark.parametrize("mode, m_cols", [("reused", 6), ("orthogonal", 128)])
+    def test_paper_scale_shapes(self, mode, m_cols):
+        precoders, combiners = self.probe_matrices([np.arange(6)], [np.arange(4)], mode)
+        assert precoders[0].shape == (128, m_cols)
+        assert combiners[0].shape == (4, 4)
+
+    @pytest.mark.parametrize("mode, bs_cols, ut_cols", [
+        ("reused", [3, 1], [2, 0]),
+        ("orthogonal_reduced", [3, 1], [2, 0]),
+        ("orthogonal", list(range(128)), list(range(4))),
+    ])
+    def test_beam_domain_images_are_basis_columns(self, mode, bs_cols, ut_cols):
+        # In the beam domain a grid precoder/combiner is a basis column, so
+        # the rate layer needs only the beam indices.
+        precoders, combiners = self.probe_matrices([[3, 1]], [[2, 0]], mode)
+        np.testing.assert_allclose(self.a_bs.conj().T @ precoders[0],
+                                   np.eye(128)[:, bs_cols], atol=1e-12)
+        np.testing.assert_allclose(self.a_ut.conj().T @ combiners[0],
+                                   np.eye(4)[:, ut_cols], atol=1e-12)
+
+
 class TestDownlinkProbe:
     def test_noiseless_single_user_is_effective_channel(self):
         rng = np.random.default_rng(0)
         channels, alloc, _ = build_scenario(1, 16, 4, 3, 3, 2, rng)
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         z = downlink_probe(channels, alloc, pilots, 0.0)[0]
-        expected = alloc.combiners[0].conj().T @ channels[0] @ alloc.precoders[0]
-        np.testing.assert_allclose(z, expected, atol=1e-12)
+        np.testing.assert_allclose(z, effective_channel(alloc, channels[0], 0), atol=1e-12)
 
     def test_on_grid_disjoint_users_see_no_interference(self):
         rng = np.random.default_rng(1)
@@ -114,7 +178,7 @@ class TestDownlinkProbe:
         pilots = make_pilots("reused", 2, 2, 16, [4, 4], 2)
         zs = downlink_probe(channels, alloc, pilots, 0.0)
         for k in range(2):
-            clean = alloc.combiners[k].conj().T @ channels[k] @ alloc.precoders[k]
+            clean = effective_channel(alloc, channels[k], k)
             assert np.max(np.abs(zs[k] - clean)) < 1e-10
 
     def test_orthogonal_reduced_pilots_cancel_any_overlap(self):
@@ -123,7 +187,7 @@ class TestDownlinkProbe:
         pilots = make_pilots("orthogonal_reduced", 2, 2, 16, [4] * 3, 3)
         zs = downlink_probe(channels, alloc, pilots, 0.0)
         for k in range(3):
-            clean = alloc.combiners[k].conj().T @ channels[k] @ alloc.precoders[k]
+            clean = effective_channel(alloc, channels[k], k)
             assert np.max(np.abs(zs[k] - clean)) < 1e-12
 
     def test_traditional_mode_gives_full_beam_channel(self):
@@ -131,9 +195,9 @@ class TestDownlinkProbe:
         channels, alloc, _ = build_scenario(2, 16, 4, 2, 2, 2, rng)
         pilots = make_pilots("orthogonal", 2, 2, 16, [4, 4], 2)
         zs = downlink_probe(channels, alloc, pilots, 0.0)
+        a_bs, a_ut = sampling_matrix(ArrayGeometry(16)), sampling_matrix(ArrayGeometry(4))
         for k in range(2):
-            full = alloc.a_ut[k].conj().T @ channels[k] @ alloc.a_bs
-            np.testing.assert_allclose(zs[k], full, atol=1e-12)
+            np.testing.assert_allclose(zs[k], a_ut.conj().T @ channels[k] @ a_bs, atol=1e-12)
 
     def test_noise_requires_rng(self):
         rng = np.random.default_rng(4)
@@ -157,11 +221,11 @@ class TestDownlinkProbe:
         zs = downlink_probe(channels, alloc, pilots, 0.3, np.random.default_rng(10))
         rng = np.random.default_rng(10)
         if mode == "orthogonal":
-            x = alloc.a_bs @ pilots.s_dl[0]
-            combiners = alloc.a_ut
+            x = sampling_matrix(ArrayGeometry(16)) @ pilots.s_dl[0]
+            combiners = [sampling_matrix(ArrayGeometry(4))] * 2
         else:
-            x = sum(p @ s for p, s in zip(alloc.precoders, pilots.s_dl))
-            combiners = alloc.combiners
+            precoders, combiners = zip(*(beamformers(alloc, k) for k in range(2)))
+            x = sum(p @ s for p, s in zip(precoders, pilots.s_dl))
         for k, h in enumerate(channels):
             c_h, s_h = combiners[k].conj().T, pilots.s_dl[k].conj().T
             n = complex_normal(rng, (4, pilots.t_d), 0.3)
@@ -174,8 +238,7 @@ class TestUplinkProbe:
         channels, alloc, _ = build_scenario(1, 16, 4, 3, 3, 2, rng)
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         z_ul = uplink_probe(channels, alloc, pilots, 0.0)[0]
-        expected = (alloc.combiners[0].conj().T @ channels[0] @ alloc.precoders[0]).T
-        np.testing.assert_allclose(z_ul, expected, atol=1e-12)
+        np.testing.assert_allclose(z_ul, effective_channel(alloc, channels[0], 0).T, atol=1e-12)
 
     def test_on_grid_disjoint_users_reciprocal(self):
         rng = np.random.default_rng(11)
@@ -183,8 +246,26 @@ class TestUplinkProbe:
         pilots = make_pilots("reused", 2, 2, 16, [4] * 3, 3)
         z_ul = uplink_probe(channels, alloc, pilots, 0.0)
         for k in range(3):
-            clean = (alloc.combiners[k].conj().T @ channels[k] @ alloc.precoders[k]).T
+            clean = effective_channel(alloc, channels[k], k).T
             assert np.max(np.abs(z_ul[k] - clean)) < 1e-10
+
+    @pytest.mark.parametrize("mode", PILOT_MODES)
+    def test_matches_hand_written_round_bit_for_bit(self, mode):
+        channels, alloc, _ = build_scenario(2, 16, 4, 2, 2, 2, np.random.default_rng(7))
+        pilots = make_pilots(mode, 2, 2, 16, [4, 4], 2)
+        zs = uplink_probe(channels, alloc, pilots, 0.3, np.random.default_rng(11))
+        if mode == "orthogonal":
+            precoders = [sampling_matrix(ArrayGeometry(16))] * 2
+            combiners = [sampling_matrix(ArrayGeometry(4))] * 2
+        else:
+            precoders, combiners = zip(*(beamformers(alloc, k) for k in range(2)))
+        # P_k^T (sum_k' H_k'^T C_k'^* S_k'^UL) S_k^H + P_k^T N S_k^H, one
+        # base-station noise matrix N shared by every user.
+        x = sum(h.T @ c.conj() @ s for h, c, s in zip(channels, combiners, pilots.s_ul))
+        n = complex_normal(np.random.default_rng(11), (16, pilots.t_u), 0.3)
+        for k in range(2):
+            p_t, s_h = precoders[k].T, pilots.s_ul[k].conj().T
+            np.testing.assert_array_equal(zs[k], p_t @ x @ s_h + p_t @ n @ s_h)
 
     def test_noise_energy_matches_prediction(self):
         # E ||P^T N S^H||_F^2 = noise * m_e * n_e for orthonormal columns/rows.
