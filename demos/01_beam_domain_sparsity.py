@@ -30,9 +30,9 @@ beam = to_beam_domain(h, sampling_matrix(ut), sampling_matrix(bs))
 print(f"channel: {N}x{M}, {N_PATHS} paths at sines "
       + ", ".join(f"{s:+.3f}" for s in np.sin(paths.aod)))
 print(f"Frobenius norm before/after transform: "
-      f"{np.linalg.norm(h):.6f} / {np.linalg.norm(beam.matrix):.6f}")
+      f"{np.linalg.norm(h):.6f} / {np.linalg.norm(beam):.6f}")
 
-energy = np.abs(beam.matrix) ** 2
+energy = np.abs(beam) ** 2
 total = energy.sum()
 flat = np.argsort(energy, axis=None)[::-1]
 print("\nstrongest beam-domain entries (receive beam, transmit beam, share of energy):")

@@ -39,8 +39,8 @@ print(f"pilot overhead: reused = {pilot_overhead('reused', M, [N], M_E, N_E)} sl
 
 z_dl = downlink_probe(channel, alloc, pilots, 0.0)[0]
 z_ul = uplink_probe(channel, alloc, pilots, 0.0)[0]
-obs = vectorize_observations(z_dl, z_ul, 0.0)
-print(f"\nnoiseless: max |z_dl - z_ul| = {np.max(np.abs(obs.z_dl - obs.z_ul)):.2e}")
+v_dl, v_ul = vectorize_observations(z_dl, z_ul)
+print(f"\nnoiseless: max |z_dl - z_ul| = {np.max(np.abs(v_dl - v_ul)):.2e}")
 
 for snr_db in (0, 10, 20):
     noise = 10 ** (-snr_db / 10)
@@ -49,9 +49,9 @@ for snr_db in (0, 10, 20):
     for _ in range(2000):
         zd = downlink_probe(channel, alloc, pilots, noise, noise_rng)[0]
         zu = uplink_probe(channel, alloc, pilots, noise, noise_rng)[0]
-        o = vectorize_observations(zd, zu, noise)
-        num += np.vdot(o.z_dl, o.z_ul).real
-        den_d += np.linalg.norm(o.z_dl) ** 2
-        den_u += np.linalg.norm(o.z_ul) ** 2
+        v_dl, v_ul = vectorize_observations(zd, zu)
+        num += np.vdot(v_dl, v_ul).real
+        den_d += np.linalg.norm(v_dl) ** 2
+        den_u += np.linalg.norm(v_ul) ** 2
     print(f"snr {snr_db:3d} dB: downlink/uplink correlation = "
           f"{num / np.sqrt(den_d * den_u):.4f}")

@@ -24,17 +24,13 @@ from .allocation import (
 from .channel import (
     ArrayGeometry,
     BeamCovariances,
-    BeamDomainChannel,
     PathSet,
     beam_covariance_factor,
     beam_covariances,
     beam_path_factors,
     grid_sines,
-    pathset_from_json,
-    pathset_to_json,
     sample_paths,
     sampling_matrix,
-    steering_vector,
     synthesize_channel,
     to_beam_domain,
 )
@@ -68,11 +64,9 @@ from .keyrate import (
 )
 from .probing import (
     PilotSet,
-    ProbingObservation,
     dimension_reduction_factor,
     downlink_probe,
     make_pilots,
-    observations_to_csv,
     uplink_probe,
     vectorize_observations,
 )
@@ -81,14 +75,12 @@ __all__ = [
     "ArrayGeometry",
     "BeamAllocation",
     "BeamCovariances",
-    "BeamDomainChannel",
     "ConfigError",
     "ExperimentResult",
     "NumericalConsistencyError",
     "ObservationCovariances",
     "PathSet",
     "PilotSet",
-    "ProbingObservation",
     "RateInputs",
     "Scenario",
     "ScenarioConfig",
@@ -110,9 +102,6 @@ __all__ = [
     "grid_sines",
     "make_pilots",
     "neutralization_residual",
-    "observations_to_csv",
-    "pathset_from_json",
-    "pathset_to_json",
     "pilot_overhead",
     "psd_sqrt",
     "rank_beams",
@@ -125,7 +114,6 @@ __all__ = [
     "sample_paths",
     "sampling_matrix",
     "secret_key_rate",
-    "steering_vector",
     "synthesize_channel",
     "to_beam_domain",
     "unit_skr",

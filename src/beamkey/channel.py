@@ -12,14 +12,12 @@ half-wavelength spacing the projection matrices are unitary, so the transform
 is lossless.  This module synthesizes such channels, performs the beam-domain
 transform, and computes the second-order statistics (transmit/receive beam
 covariances and the full covariance of the vectorized beam-domain channel)
-either in closed form over the path gains or by Monte Carlo.
+in closed form over the path gains.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +32,13 @@ UNITARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array: element count and spacing as a fraction of wavelength."""
+    """Uniform linear array with half-wavelength element spacing."""
 
     antenna_count: int
-    spacing_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if int(self.antenna_count) != self.antenna_count or self.antenna_count < 1:
             raise ValueError(f"antenna_count must be a positive integer, got {self.antenna_count}")
-        if not np.isfinite(self.spacing_ratio) or self.spacing_ratio <= 0:
-            raise ValueError(f"spacing_ratio must be positive and finite, got {self.spacing_ratio}")
         object.__setattr__(self, "antenna_count", int(self.antenna_count))
 
 
@@ -100,33 +95,17 @@ def _validate_angles(angles: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class BeamDomainChannel:
-    """Beam-domain channel matrix together with the sampling matrices that produced it."""
-
-    matrix: np.ndarray
-    a_ut: np.ndarray
-    a_bs: np.ndarray
-    source: PathSet | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", readonly(np.asarray(self.matrix, dtype=complex)))
-
-
-@dataclass(frozen=True)
 class BeamCovariances:
     """Second-order beam-domain statistics of one link.
 
     r_bs        : transmit-side covariance, Hermitian PSD (M x M)
     r_ut        : receive-side covariance, Hermitian PSD (N x N)
     lambda_full : covariance of the column-stacked beam-domain channel (MN x MN)
-    provenance  : "analytic" or "monte_carlo"
     """
 
     r_bs: np.ndarray
     r_ut: np.ndarray
     lambda_full: np.ndarray
-    provenance: str
-    sample_count: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("r_bs", "r_ut", "lambda_full"):
@@ -138,23 +117,6 @@ class BeamCovariances:
             object.__setattr__(self, name, readonly(mat))
         if self.lambda_full.shape[0] != self.r_bs.shape[0] * self.r_ut.shape[0]:
             raise ValueError("lambda_full dimension must equal r_bs dim times r_ut dim")
-        if self.provenance not in ("analytic", "monte_carlo"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
-def steering_vector(geometry: ArrayGeometry, angle: float) -> np.ndarray:
-    """Unit-norm array response of a ULA toward `angle` (radians off broadside).
-
-    Entry q is exp(-j*q*psi)/sqrt(n) with psi = 2*pi*(d/lambda)*sin(angle).
-    """
-    angle = float(angle)
-    if not np.isfinite(angle):
-        raise ValueError("steering angle must be finite")
-    if abs(angle) > HALF_PI:
-        raise ValueError("steering angle must lie within [-pi/2, pi/2]")
-    n = geometry.antenna_count
-    psi = 2.0 * np.pi * geometry.spacing_ratio * np.sin(angle)
-    return np.exp(-1j * psi * np.arange(n)) / np.sqrt(n)
 
 
 def grid_sines(antenna_count: int) -> np.ndarray:
@@ -168,25 +130,16 @@ def grid_sines(antenna_count: int) -> np.ndarray:
 def sampling_matrix(geometry: ArrayGeometry) -> np.ndarray:
     """n x n matrix whose columns are steering vectors on the uniform sine grid.
 
-    At spacing_ratio = 0.5 the columns coincide with a rephased DFT basis and
-    the matrix is unitary; for other spacings a non-fatal warning is issued
-    and downstream operations that rely on unitarity will reject the result.
-    The matrix depends only on the geometry, so each one is built once and
-    returned read-only.
+    At half-wavelength spacing the columns coincide with a rephased DFT basis,
+    so the matrix is unitary.  It depends only on the antenna count, so each
+    one is built once and returned read-only.
     """
-    if geometry.spacing_ratio != 0.5:
-        warnings.warn(
-            "sampling_matrix is only unitary at spacing_ratio = 0.5; "
-            f"got {geometry.spacing_ratio}",
-            UserWarning,
-            stacklevel=2,
-        )
-    return _grid_matrix(geometry.antenna_count, geometry.spacing_ratio)
+    return _grid_matrix(geometry.antenna_count)
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_matrix(n: int, spacing_ratio: float) -> np.ndarray:
-    psi = 2.0 * np.pi * spacing_ratio * grid_sines(n)
+def _grid_matrix(n: int) -> np.ndarray:
+    psi = np.pi * grid_sines(n)
     return readonly(np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n))
 
 
@@ -248,8 +201,9 @@ def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _steering_columns(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
+    # Unit-norm responses: entry q of column p is exp(-j*q*pi*sin(angle_p))/sqrt(n).
     n = geometry.antenna_count
-    psi = 2.0 * np.pi * geometry.spacing_ratio * np.sin(np.asarray(angles, dtype=float))
+    psi = np.pi * np.sin(np.asarray(angles, dtype=float))
     return np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n)
 
 
@@ -269,9 +223,8 @@ def synthesize_channel(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> 
     return (u * paths.gains) @ w.conj().T
 
 
-def to_beam_domain(h: np.ndarray, a_ut: np.ndarray, a_bs: np.ndarray,
-                   source: PathSet | None = None) -> BeamDomainChannel:
-    """Project a channel matrix onto the beam grids: H_beam = A_ut^H H A_bs.
+def to_beam_domain(h: np.ndarray, a_ut: np.ndarray, a_bs: np.ndarray) -> np.ndarray:
+    """Project a channel matrix onto the beam grids; returns H_beam = A_ut^H H A_bs.
 
     Both sampling matrices must be unitary (per-entry tolerance 1e-12), which
     guarantees the Frobenius norm is preserved.
@@ -294,7 +247,7 @@ def to_beam_domain(h: np.ndarray, a_ut: np.ndarray, a_bs: np.ndarray,
     norm_in = np.linalg.norm(h)
     if abs(np.linalg.norm(hb) - norm_in) > 1e-10 * max(norm_in, 1.0):
         raise ValueError("beam-domain transform failed to preserve the Frobenius norm")
-    return BeamDomainChannel(matrix=hb, a_ut=a_ut, a_bs=a_bs, source=source)
+    return hb
 
 
 def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
@@ -317,8 +270,6 @@ def beam_covariance_factor(
     of the MN x P factor is sqrt(power_p) (w_p^* kron u_p), matching
     column-major vectorization; lambda itself is never formed.
     """
-    if bs.spacing_ratio != 0.5 or ut.spacing_ratio != 0.5:
-        raise ValueError("beam covariances require unitary grids (spacing_ratio = 0.5)")
     u, w = beam_path_factors(paths, bs, ut)
     powers = paths.powers
     vmat = (w.conj()[:, None, :] * u[None, :, :]).reshape(-1, paths.n_paths)
@@ -327,100 +278,35 @@ def beam_covariance_factor(
     return vmat * np.sqrt(powers), r_bs, r_ut
 
 
-def beam_covariances(
-    paths: PathSet,
-    bs: ArrayGeometry,
-    ut: ArrayGeometry,
-    mode: str = "analytic",
-    samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> BeamCovariances:
+def beam_covariances(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> BeamCovariances:
     """Beam-domain covariances of one link, averaging over the path gains.
 
     The expectation treats the path angles as fixed and the gains as
-    independent zero-mean complex Gaussians with variances `paths.powers`.
-    Analytic mode evaluates the expectation in closed form:
+    independent zero-mean complex Gaussians with variances `paths.powers`,
+    and is evaluated in closed form:
 
         r_bs   = sum_p power_p w_p w_p^H
         r_ut   = sum_p power_p u_p u_p^H
         lambda = sum_p power_p (w_p^* kron u_p)(w_p^* kron u_p)^H = F F^H
 
-    with F from `beam_covariance_factor`.  Monte Carlo mode averages the
-    outer products of `samples` fresh draws F g, g ~ CN(0, I) (chunked
-    internally; the result depends only on the seed).
+    with F from `beam_covariance_factor`.  The dense lambda is the reference
+    the rank-P factor is checked against; the runners use the factor.
     """
     factor, r_bs, r_ut = beam_covariance_factor(paths, bs, ut)
-
-    if mode == "analytic":
-        lam = hermitize(factor @ factor.conj().T)
-        return BeamCovariances(r_bs=r_bs, r_ut=r_ut, lambda_full=lam, provenance="analytic")
-
-    if mode == "monte_carlo":
-        if samples is None or int(samples) < 1:
-            raise ValueError("monte_carlo mode needs samples >= 1")
-        if rng is None:
-            raise ValueError("monte_carlo mode needs an explicit rng")
-        samples = int(samples)
-        m_bs, n_ut = r_bs.shape[0], r_ut.shape[0]
-        gains = complex_normal(rng, (samples, paths.n_paths))
-        lam = np.zeros((m_bs * n_ut,) * 2, dtype=complex)
-        r_bs = np.zeros((m_bs, m_bs), dtype=complex)
-        r_ut = np.zeros((n_ut, n_ut), dtype=complex)
-        for start in range(0, samples, 4096):
-            chunk = gains[start:start + 4096]
-            b = factor @ chunk.T                    # columns are vec(H_beam) draws
-            lam += b @ b.conj().T
-            hb = b.T.reshape(chunk.shape[0], m_bs, n_ut).transpose(0, 2, 1)
-            r_ut += np.einsum("snm,spm->np", hb, hb.conj())
-            r_bs += np.einsum("snm,snp->mp", hb.conj(), hb)
-        return BeamCovariances(
-            r_bs=hermitize(r_bs / samples),
-            r_ut=hermitize(r_ut / samples),
-            lambda_full=hermitize(lam / samples),
-            provenance="monte_carlo",
-            sample_count=samples,
-        )
-
-    raise ValueError(f"unknown covariance mode {mode!r}")
-
-
-def pathset_to_json(paths: PathSet) -> str:
-    """Serialize a PathSet (gains as [re, im] pairs, angles in radians)."""
-    doc = {
-        "gains": [[float(g.real), float(g.imag)] for g in paths.gains],
-        "aoa_rad": [float(a) for a in paths.aoa],
-        "aod_rad": [float(a) for a in paths.aod],
-        "powers": [float(p) for p in paths.powers],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def pathset_from_json(text: str) -> PathSet:
-    doc = json.loads(text)
-    gains = np.array([complex(re, im) for re, im in doc["gains"]])
-    return PathSet(
-        gains=gains,
-        aoa=np.array(doc["aoa_rad"], dtype=float),
-        aod=np.array(doc["aod_rad"], dtype=float),
-        powers=np.array(doc["powers"], dtype=float),
-    )
+    return BeamCovariances(r_bs=r_bs, r_ut=r_ut, lambda_full=hermitize(factor @ factor.conj().T))
 
 
 __all__ = [
     "ArrayGeometry",
     "BeamCovariances",
-    "BeamDomainChannel",
     "PathSet",
     "beam_covariance_factor",
     "beam_covariances",
     "beam_path_factors",
     "grid_sines",
     "path_steering",
-    "pathset_from_json",
-    "pathset_to_json",
     "sample_paths",
     "sampling_matrix",
-    "steering_vector",
     "synthesize_channel",
     "to_beam_domain",
     "vec",

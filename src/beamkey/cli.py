@@ -10,7 +10,8 @@ Subcommands map one-to-one onto the experiment runners:
 
 Every ScenarioConfig field can be set in a JSON config file (--config) and
 overridden by the flag of the same name.  Exit codes: 0 success, 1 invalid
-configuration, 2 validation failure, 3 numerical failure.
+configuration or unwritable output directory, 2 validation failure, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -141,11 +142,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL_FAILURE
     if args.command == "validate":
         print(result.to_text(), end="")
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "validation_report.json").write_text(result.to_json())
-        return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
-    paths = write_result(result, config.out_dir, config.out_format)
+    try:
+        if args.command == "validate":
+            out_dir = Path(config.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "validation_report.json").write_text(result.to_json())
+            return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
+        paths = write_result(result, config.out_dir, config.out_format)
+    except OSError as exc:
+        print(f"error: cannot write results to {config.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import complex_normal, vec
+from ._util import complex_normal
 from .allocation import (
     BeamAllocation,
     allocate_bs_beams,
@@ -52,7 +52,13 @@ from .keyrate import (
     secret_key_rate,
     unit_skr,
 )
-from .probing import downlink_maps, downlink_probe, make_pilots, uplink_probe
+from .probing import (
+    downlink_maps,
+    downlink_probe,
+    make_pilots,
+    uplink_probe,
+    vectorize_observations,
+)
 
 ANGLE_MODES = ("on_grid", "off_grid")
 OUTPUT_FORMATS = ("csv", "json")
@@ -722,7 +728,7 @@ def run_validation_suite(
     for _ in range(100):
         paths = sample_paths(3, rng)
         h = synthesize_channel(paths, bs_geom, ut_geom)
-        hb = to_beam_domain(h, a_ut, a_bs).matrix
+        hb = to_beam_domain(h, a_ut, a_bs)
         worst_norm = max(
             worst_norm,
             abs(np.linalg.norm(hb) - np.linalg.norm(h)) / max(np.linalg.norm(h), 1e-300),
@@ -765,8 +771,8 @@ def run_validation_suite(
         alloc = scenario.allocate(3, 2)
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         h = [synthesize_channel(scenario.paths[0], bs_geom, ut_geom)]
-        z_dl = vec(downlink_probe(h, alloc, pilots, 0.0)[0])
-        z_ul = vec(uplink_probe(h, alloc, pilots, 0.0)[0].T)
+        z_dl, z_ul = vectorize_observations(downlink_probe(h, alloc, pilots, 0.0)[0],
+                                            uplink_probe(h, alloc, pilots, 0.0)[0])
         worst_recip = max(
             worst_recip, float(np.linalg.norm(z_dl - z_ul) / max(np.linalg.norm(z_dl), 1e-300))
         )
@@ -889,15 +895,12 @@ def _reproducibility_check(seed: int) -> bool:
     def draws():
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(8,)))
         paths = sample_paths(3, rng)
-        cov = beam_covariances(
-            paths, ArrayGeometry(8), ArrayGeometry(2), mode="monte_carlo",
-            samples=500, rng=rng,
-        )
         alloc = Scenario.from_paths([paths], 8, [2]).allocate(2, 2)
         pilots = make_pilots("reused", 2, 2, 8, [2], 1)
+        cov = empirical_downlink_covariance([paths], alloc, pilots, 0.25, 500, rng)
         h = [synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(2))]
         z = downlink_probe(h, alloc, pilots, 0.25, rng)[0]
-        return paths, cov.lambda_full, z
+        return paths, cov, z
 
     p1, lam1, z1 = draws()
     p2, lam2, z2 = draws()

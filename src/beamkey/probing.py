@@ -26,7 +26,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,25 +51,6 @@ class PilotSet:
     @property
     def n_users(self) -> int:
         return len(self.s_dl)
-
-
-@dataclass(frozen=True)
-class ProbingObservation:
-    """Vectorized downlink/uplink estimates of one user's effective channel."""
-
-    z_dl: np.ndarray
-    z_ul: np.ndarray
-    noise_power: float
-
-    def __post_init__(self) -> None:
-        z_dl = np.asarray(self.z_dl, dtype=complex).reshape(-1)
-        z_ul = np.asarray(self.z_ul, dtype=complex).reshape(-1)
-        if z_dl.shape != z_ul.shape:
-            raise ValueError("z_dl and z_ul must have equal lengths")
-        if not (np.all(np.isfinite(z_dl)) and np.all(np.isfinite(z_ul))):
-            raise ValueError("observations must be finite")
-        object.__setattr__(self, "z_dl", readonly(z_dl))
-        object.__setattr__(self, "z_ul", readonly(z_ul))
 
 
 def make_pilots(mode: str, m_e: int, n_e: int, M: int,
@@ -252,9 +232,9 @@ def _check_counts(channels, allocation: BeamAllocation, pilots: PilotSet) -> Non
             raise ValueError(f"channel {idx} has shape {h.shape}, inconsistent with the arrays")
 
 
-def vectorize_observations(z_dl: np.ndarray, z_ul: np.ndarray,
-                           noise_power: float) -> ProbingObservation:
-    """Stack both estimates into key-material vectors.
+def vectorize_observations(z_dl: np.ndarray,
+                           z_ul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack both estimates into key-material vectors: (vec(Z_dl), vec(Z_ul^T)).
 
     The uplink matrix is transposed before vectorization so that, in the
     noiseless single-user case, the two vectors are identical.
@@ -265,7 +245,7 @@ def vectorize_observations(z_dl: np.ndarray, z_ul: np.ndarray,
         raise ValueError(
             f"Z_ul must be the transposed shape of Z_dl, got {z_dl.shape} and {z_ul.shape}"
         )
-    return ProbingObservation(z_dl=vec(z_dl), z_ul=vec(z_ul.T), noise_power=float(noise_power))
+    return vec(z_dl), vec(z_ul.T)
 
 
 def dimension_reduction_factor(M: int, n_k: int, m_e: int, n_e: int) -> float:
@@ -276,29 +256,14 @@ def dimension_reduction_factor(M: int, n_k: int, m_e: int, n_e: int) -> float:
     return (M * n_k) / (m_e * n_e)
 
 
-def observations_to_csv(observations: Sequence[ProbingObservation]) -> str:
-    """CSV dump of observations, one row per vector element."""
-    buf = io.StringIO()
-    buf.write("user,index,z_dl_re,z_dl_im,z_ul_re,z_ul_im\n")
-    for user, obs in enumerate(observations):
-        for i in range(obs.z_dl.shape[0]):
-            buf.write(
-                f"{user},{i},{float(obs.z_dl[i].real)!r},{float(obs.z_dl[i].imag)!r},"
-                f"{float(obs.z_ul[i].real)!r},{float(obs.z_ul[i].imag)!r}\n"
-            )
-    return buf.getvalue()
-
-
 __all__ = [
     "DownlinkMap",
     "PILOT_MODES",
     "PilotSet",
-    "ProbingObservation",
     "dimension_reduction_factor",
     "downlink_maps",
     "downlink_probe",
     "make_pilots",
-    "observations_to_csv",
     "uplink_probe",
     "vectorize_observations",
 ]

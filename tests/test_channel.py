@@ -10,11 +10,9 @@ from beamkey.channel import (
     beam_covariances,
     beam_path_factors,
     grid_sines,
-    pathset_from_json,
-    pathset_to_json,
+    path_steering,
     sample_paths,
     sampling_matrix,
-    steering_vector,
     synthesize_channel,
     to_beam_domain,
 )
@@ -28,21 +26,30 @@ def nearest_grid_index(sine: float, n: int) -> int:
     return int(np.argmin(np.minimum(dist, 2.0 - dist)))
 
 
+def steering(n: int, angles) -> np.ndarray:
+    # Base-station responses of an n-element array, one column per departure
+    # angle, read from `path_steering`.
+    aod = np.atleast_1d(np.asarray(angles, dtype=float))
+    ones = np.ones(aod.shape)
+    paths = PathSet(gains=ones, aoa=np.zeros(aod.shape), aod=aod, powers=ones)
+    return path_steering(paths, ArrayGeometry(n), ArrayGeometry(1))[1]
+
+
 class TestSteeringVector:
     def test_broadside_is_uniform(self):
-        v = steering_vector(ArrayGeometry(2), 0.0)
+        v = steering(2, 0.0)[:, 0]
         np.testing.assert_allclose(v, np.ones(2) / np.sqrt(2), atol=1e-15)
 
     def test_endfire_limit_alternates(self):
         # sin(angle) -> 1 drives the phase increment to pi: alternating +-1/2.
-        v = steering_vector(ArrayGeometry(4), np.pi / 2 - 1e-12)
+        v = steering(4, np.pi / 2 - 1e-12)[:, 0]
         expected = np.array([0.5, -0.5, 0.5, -0.5], dtype=complex)
         np.testing.assert_allclose(v, expected, atol=1e-9)
 
     def test_matches_sampling_matrix_column(self):
         # Grid index m = 3 of an 8-element array sits at sin = 2*3/8 - 1 = -0.25.
         a = sampling_matrix(ArrayGeometry(8))
-        v = steering_vector(ArrayGeometry(8), np.arcsin(-0.25))
+        v = steering(8, np.arcsin(-0.25))[:, 0]
         np.testing.assert_allclose(v, a[:, 3], atol=1e-14)
 
     def test_unit_norm(self):
@@ -50,16 +57,7 @@ class TestSteeringVector:
         for _ in range(20):
             n = int(rng.integers(1, 40))
             angle = float(rng.uniform(-np.pi / 2, np.pi / 2))
-            assert np.linalg.norm(steering_vector(ArrayGeometry(n), angle)) == pytest.approx(1.0)
-
-    def test_rejects_bad_angles(self):
-        geom = ArrayGeometry(4)
-        with pytest.raises(ValueError):
-            steering_vector(geom, np.nan)
-        with pytest.raises(ValueError):
-            steering_vector(geom, np.inf)
-        with pytest.raises(ValueError):
-            steering_vector(geom, 2.0)
+            assert np.linalg.norm(steering(n, angle)) == pytest.approx(1.0)
 
 
 class TestSamplingMatrix:
@@ -76,19 +74,11 @@ class TestSamplingMatrix:
         n = 128
         a = sampling_matrix(ArrayGeometry(n))
         sweep = np.arcsin(np.linspace(-0.999, 0.999, 4001))
-        responses = np.stack([steering_vector(ArrayGeometry(n), ang) for ang in sweep])
+        responses = steering(n, sweep).T
         for m in (0, 5, 64, 100, 127):
             gains = np.abs(responses.conj() @ a[:, m])
             peak_sine = np.sin(sweep[int(np.argmax(gains))])
             assert abs(peak_sine - grid_sines(n)[m]) < 2e-3
-
-    def test_non_half_wavelength_warns_and_is_rejected_downstream(self):
-        geom = ArrayGeometry(4, spacing_ratio=0.3)
-        with pytest.warns(UserWarning):
-            a = sampling_matrix(geom)
-        h = np.zeros((4, 4), dtype=complex)
-        with pytest.raises(ValueError, match="unitary"):
-            to_beam_domain(h, a, a)
 
     def test_half_wavelength_grid_is_built_once_and_read_only(self):
         a = sampling_matrix(ArrayGeometry(8))
@@ -96,12 +86,6 @@ class TestSamplingMatrix:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
-
-    def test_non_half_wavelength_warns_on_every_call(self):
-        geom = ArrayGeometry(4, spacing_ratio=0.3)
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="spacing_ratio"):
-                sampling_matrix(geom)
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
@@ -185,7 +169,7 @@ class TestToBeamDomain:
 
     def test_zero_maps_to_zero(self):
         out = to_beam_domain(np.zeros((4, 8)), self.a_ut, self.a_bs)
-        assert np.all(out.matrix == 0)
+        assert out.shape == (4, 8) and np.all(out == 0)
 
     def test_on_grid_single_path_is_one_entry(self):
         paths = PathSet(
@@ -195,7 +179,7 @@ class TestToBeamDomain:
             powers=[1.0],
         )
         h = synthesize_channel(paths, self.bs, self.ut)
-        hb = to_beam_domain(h, self.a_ut, self.a_bs).matrix
+        hb = to_beam_domain(h, self.a_ut, self.a_bs)
         assert abs(abs(hb[1, 3]) - 1.0) < 1e-10
         rest = np.abs(hb).copy()
         rest[1, 3] = 0.0
@@ -206,7 +190,7 @@ class TestToBeamDomain:
         for _ in range(10):
             paths = sample_paths(1, rng)
             h = synthesize_channel(paths, self.bs, self.ut)
-            hb = to_beam_domain(h, self.a_ut, self.a_bs).matrix
+            hb = to_beam_domain(h, self.a_ut, self.a_bs)
             n_best, m_best = np.unravel_index(np.argmax(np.abs(hb)), hb.shape)
             assert m_best == nearest_grid_index(np.sin(paths.aod[0]), 8)
             assert n_best == nearest_grid_index(np.sin(paths.aoa[0]), 4)
@@ -216,7 +200,7 @@ class TestToBeamDomain:
         for _ in range(100):
             paths = sample_paths(3, rng)
             h = synthesize_channel(paths, self.bs, self.ut)
-            hb = to_beam_domain(h, self.a_ut, self.a_bs).matrix
+            hb = to_beam_domain(h, self.a_ut, self.a_bs)
             assert abs(np.linalg.norm(hb) - np.linalg.norm(h)) <= 1e-10 * np.linalg.norm(h)
 
     def test_on_grid_exact_sparsity(self):
@@ -224,13 +208,21 @@ class TestToBeamDomain:
         for n_p in (1, 2, 4):
             paths = sample_paths(n_p, rng, grid=(8, 4))
             h = synthesize_channel(paths, self.bs, self.ut)
-            hb = np.abs(to_beam_domain(h, self.a_ut, self.a_bs).matrix)
+            hb = np.abs(to_beam_domain(h, self.a_ut, self.a_bs))
             assert int(np.sum(hb > 1e-8)) == n_p
             assert np.all(hb[hb <= 1e-8] < 1e-10)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             to_beam_domain(np.zeros((4, 8)), self.a_bs, self.a_ut)
+
+    def test_non_unitary_grid_rejected(self):
+        # A ULA with 0.3-wavelength spacing steered onto the same sine grid:
+        # its columns are not orthogonal.
+        n = 4
+        a = np.exp(-1j * np.outer(np.arange(n), 0.6 * np.pi * grid_sines(n))) / np.sqrt(n)
+        with pytest.raises(ValueError, match="not unitary"):
+            to_beam_domain(np.zeros((n, 8)), a, self.a_bs)
 
 
 class TestBeamCovariances:
@@ -307,26 +299,17 @@ class TestBeamCovariances:
         np.testing.assert_allclose(np.real(np.diag(r_bs)), fejer @ paths.powers,
                                    rtol=0, atol=1e-12)
 
-    def test_monte_carlo_agrees_with_analytic(self):
-        paths = sample_paths(3, np.random.default_rng(30))
-        analytic = beam_covariances(paths, self.bs, self.ut)
-        mc = beam_covariances(
-            paths, self.bs, self.ut, mode="monte_carlo",
-            samples=100_000, rng=np.random.default_rng(31),
-        )
-        assert np.max(np.abs(mc.r_bs - analytic.r_bs)) < 5e-2
-        assert np.max(np.abs(mc.r_ut - analytic.r_ut)) < 5e-2
-        assert np.max(np.abs(mc.lambda_full - analytic.lambda_full)) < 5e-2
-        assert mc.provenance == "monte_carlo"
-        assert mc.sample_count == 100_000
-
-    def test_monte_carlo_deterministic(self):
-        paths = sample_paths(2, np.random.default_rng(8))
-        a = beam_covariances(paths, self.bs, self.ut, mode="monte_carlo",
-                             samples=2000, rng=np.random.default_rng(99))
-        b = beam_covariances(paths, self.bs, self.ut, mode="monte_carlo",
-                             samples=2000, rng=np.random.default_rng(99))
-        np.testing.assert_array_equal(a.lambda_full, b.lambda_full)
+    def test_factor_maps_whitened_gains_to_the_beam_channel(self):
+        # F @ (gains / sqrt(powers)) = sum_p gain_p (w_p^* kron u_p) is the
+        # column-stacked beam-domain channel of the realized draw.
+        rng = np.random.default_rng(30)
+        a_ut, a_bs = sampling_matrix(self.ut), sampling_matrix(self.bs)
+        for n_p in (1, 3, 6):
+            paths = sample_paths(n_p, rng, power_profile=rng.dirichlet(np.ones(n_p)))
+            hb = to_beam_domain(synthesize_channel(paths, self.bs, self.ut), a_ut, a_bs)
+            factor = beam_covariance_factor(paths, self.bs, self.ut)[0]
+            np.testing.assert_allclose(vec(hb), factor @ (paths.gains / np.sqrt(paths.powers)),
+                                       rtol=0, atol=1e-14)
 
     def test_concentration_improves_with_refinement(self):
         # A path aligned with the 32-beam grid but off the 16-beam grid: the
@@ -344,13 +327,6 @@ class TestBeamCovariances:
         for earlier, later in zip(fractions, fractions[1:]):
             assert later >= earlier - 1e-12
 
-    def test_monte_carlo_requires_samples_and_rng(self):
-        paths = sample_paths(2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            beam_covariances(paths, self.bs, self.ut, mode="monte_carlo")
-        with pytest.raises(ValueError):
-            beam_covariances(paths, self.bs, self.ut, mode="monte_carlo", samples=10)
-
 
 class TestVecConvention:
     def test_vec_of_product_matches_kron_identity(self):
@@ -360,12 +336,3 @@ class TestVecConvention:
         b = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         np.testing.assert_allclose(vec(a @ x @ b), np.kron(b.T, a) @ vec(x), atol=1e-12)
 
-
-class TestPathSetJson:
-    def test_round_trip(self):
-        paths = sample_paths(4, np.random.default_rng(42))
-        restored = pathset_from_json(pathset_to_json(paths))
-        np.testing.assert_array_equal(paths.gains, restored.gains)
-        np.testing.assert_array_equal(paths.aoa, restored.aoa)
-        np.testing.assert_array_equal(paths.aod, restored.aod)
-        np.testing.assert_array_equal(paths.powers, restored.powers)

@@ -132,6 +132,19 @@ def test_validate_bad_noise_power_exits_one(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["overhead", "validate"])
+def test_unwritable_out_dir_exits_one(tmp_path, capsys, command):
+    # --out names an existing file, so the output directory cannot be made.
+    out = tmp_path / "taken"
+    out.write_text("")
+    fast = ["--noise-power", "0"] if command == "validate" else []
+    code = main([command, "--seed", "3", *fast, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write results to {out}: ")
+    assert "Traceback" not in err
+
+
 def test_validate_corrupt_sampling_exits_two(tmp_path, capsys):
     code = main(["validate", "--seed", "3", "--out", str(tmp_path),
                  "--noise-power", "0", "--corrupt-sampling"])

@@ -24,7 +24,6 @@ from beamkey.probing import (
     dimension_reduction_factor,
     downlink_probe,
     make_pilots,
-    observations_to_csv,
     uplink_probe,
     vectorize_observations,
 )
@@ -324,19 +323,19 @@ class TestVectorizeObservations:
         pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         z_dl = downlink_probe(channels, alloc, pilots, 0.0)[0]
         z_ul = uplink_probe(channels, alloc, pilots, 0.0)[0]
-        obs = vectorize_observations(z_dl, z_ul, 0.0)
-        np.testing.assert_allclose(obs.z_dl, obs.z_ul, atol=1e-12)
+        v_dl, v_ul = vectorize_observations(z_dl, z_ul)
+        np.testing.assert_allclose(v_dl, v_ul, atol=1e-12)
 
     def test_lengths(self):
-        obs = vectorize_observations(np.ones((2, 3)), np.ones((3, 2)), 0.1)
-        assert obs.z_dl.shape == (6,)
-        assert obs.z_ul.shape == (6,)
-        assert obs.noise_power == 0.1
+        v_dl, v_ul = vectorize_observations(np.ones((2, 3)), np.ones((3, 2)))
+        assert v_dl.shape == (6,)
+        assert v_ul.shape == (6,)
 
     def test_vectorization_is_column_major(self):
         z_dl = np.arange(6, dtype=complex).reshape(2, 3)
-        obs = vectorize_observations(z_dl, z_dl.T, 0.0)
-        np.testing.assert_array_equal(obs.z_dl, vec(z_dl))
+        v_dl, v_ul = vectorize_observations(z_dl, z_dl.T)
+        np.testing.assert_array_equal(v_dl, vec(z_dl))
+        np.testing.assert_array_equal(v_ul, vec(z_dl))
 
     def test_noisy_correlation_strictly_between_zero_and_one(self):
         rng = np.random.default_rng(21)
@@ -354,8 +353,9 @@ class TestVectorizeObservations:
             fresh = PathSet(gains=gains, aoa=paths[0].aoa, aod=paths[0].aod,
                             powers=paths[0].powers)
             h = [synthesize_channel(fresh, bs, ut)]
-            z_dl = vec(downlink_probe(h, alloc, pilots, 0.5, noise_rng)[0])
-            z_ul = vec(uplink_probe(h, alloc, pilots, 0.5, noise_rng)[0].T)
+            z_dl, z_ul = vectorize_observations(
+                downlink_probe(h, alloc, pilots, 0.5, noise_rng)[0],
+                uplink_probe(h, alloc, pilots, 0.5, noise_rng)[0])
             num += np.vdot(z_dl, z_ul).real
             den_dl += np.linalg.norm(z_dl) ** 2
             den_ul += np.linalg.norm(z_ul) ** 2
@@ -364,7 +364,7 @@ class TestVectorizeObservations:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            vectorize_observations(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+            vectorize_observations(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestDimensionReduction:
@@ -381,19 +381,3 @@ class TestDimensionReduction:
         with pytest.raises(ValueError):
             dimension_reduction_factor(0, 4, 4, 4)
 
-
-class TestObservationsCsv:
-    def test_header_and_rows(self):
-        rng = np.random.default_rng(30)
-        channels, alloc, _ = build_scenario(2, 16, 4, 2, 2, 2, rng)
-        pilots = make_pilots("reused", 2, 2, 16, [4, 4], 2)
-        z_dl = downlink_probe(channels, alloc, pilots, 0.1, np.random.default_rng(1))
-        z_ul = uplink_probe(channels, alloc, pilots, 0.1, np.random.default_rng(2))
-        obs = [vectorize_observations(d, u, 0.1) for d, u in zip(z_dl, z_ul)]
-        text = observations_to_csv(obs)
-        lines = text.strip().split("\n")
-        assert lines[0] == "user,index,z_dl_re,z_dl_im,z_ul_re,z_ul_im"
-        assert len(lines) == 1 + 2 * 4  # two users, 2x2 effective channels
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == obs[0].z_dl[0].real
