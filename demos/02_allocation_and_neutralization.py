@@ -11,7 +11,8 @@ Run:  python demos/02_allocation_and_neutralization.py
 
 import numpy as np
 
-from beamkey import PathSet, Scenario, grid_sines, neutralization_residual
+from beamkey import (PathSet, RateInputs, Scenario, build_matrices, grid_sines,
+                     neutralization_residual)
 
 M, N, N_PATHS, USERS = 32, 4, 2, 3
 rng = np.random.default_rng(3)
@@ -27,9 +28,12 @@ for k in range(USERS):
         aod=np.arcsin(grid_sines(M)[beam_pool[k]]),
         powers=np.full(N_PATHS, 1 / N_PATHS),
     ))
-# Each user's Lambda = F F^H is carried as its factor F; the residual works from F.
+# Each user's Lambda = F F^H is carried as its factor F.  The rate inputs cut,
+# once, the rows of every F that each pair of users' beams select; the
+# residual reads those rows and the user's Gram matrix F^H F.
 scenario = Scenario.from_paths(paths, M, [N] * USERS)
 alloc = scenario.allocate(N_PATHS, 2)
+inputs = RateInputs(scenario.factors, alloc)
 
 print("allocated transmit beams per user:", [s.tolist() for s in alloc.bs_beams])
 print("\ncross-user neutralization residuals (probing user -> listening user):")
@@ -37,13 +41,16 @@ for k in range(USERS):
     for kp in range(USERS):
         if kp == k:
             continue
-        r = neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp], scenario.factors[kp], N)
+        r = neutralization_residual(inputs.blocks[k][kp], scenario.grams[kp])
         print(f"  user {k} -> user {kp}: {r:.2e}")
-print(f"  largest: {scenario.max_residual(alloc):.2e}")
+print(f"  largest: {scenario.max_residual(inputs):.2e}")
 
-# Force an overlap: probe user 0 straight through user 1's strongest beam.
+# Force an overlap: one beam per user, with user 0 probing straight through
+# user 1's strongest beam and user 1 moved to its second one.
 shared = int(alloc.bs_beams[1][0])
-r = neutralization_residual([shared], alloc.ut_beams[1], scenario.factors[1], N)
+forced = build_matrices([[shared], alloc.bs_beams[1][1:2]], alloc.ut_beams[:2], M, [N] * 2)
+r = neutralization_residual(RateInputs(scenario.factors[:2], forced).blocks[0][1],
+                            scenario.grams[1])
 print(f"\nprobing directly on user 1's beam {shared} instead: residual = {r:.3f}")
 print(f"(the leak equals the mean power riding on the shared beam, {1 / N_PATHS} here; "
       "disjoint beams keep it at ~0)")

@@ -14,6 +14,7 @@ its own beams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,12 +31,41 @@ class BeamAllocation:
     ut_beams    : per-user receive beam indices, strongest first
     bs_antennas : M, the size of the base-station array and of its beam grid
     ut_counts   : per-user N_k, the size of each terminal's array and beam grid
+
+    Construction checks the allocation once: one entry per user in each
+    list, every index in range for its grid, no beam repeated within a set
+    and no transmit beam shared between users.  The index sets are stored as
+    read-only integer arrays, so an allocation is valid for its lifetime.
     """
 
     bs_beams: list[np.ndarray]
     ut_beams: list[np.ndarray]
     bs_antennas: int
     ut_counts: list[int]
+
+    def __post_init__(self) -> None:
+        n_bs = int(self.bs_antennas)
+        ut_counts = [int(n) for n in self.ut_counts]
+        bs_sets = [np.asarray(b, dtype=int) for b in self.bs_beams]
+        ut_sets = [np.asarray(u, dtype=int) for u in self.ut_beams]
+        if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(ut_counts):
+            raise ValueError("bs_sets, ut_sets and ut_counts must have one entry per user")
+        seen: set[int] = set()
+        for k, (b_k, u_k, n_k) in enumerate(zip(bs_sets, ut_sets, ut_counts)):
+            if np.any(b_k < 0) or np.any(b_k >= n_bs):
+                raise ValueError(f"transmit beam index out of range for user {k}")
+            as_set = set(b_k.tolist())
+            if len(as_set) != b_k.size:
+                raise ValueError(f"repeated transmit beam for user {k}")
+            if seen & as_set:
+                raise ValueError(f"transmit beams of user {k} overlap another user's")
+            seen |= as_set
+            if np.any(u_k < 0) or np.any(u_k >= n_k) or len(set(u_k.tolist())) != u_k.size:
+                raise ValueError(f"invalid receive beam indices for user {k}")
+        object.__setattr__(self, "bs_beams", [readonly(b) for b in bs_sets])
+        object.__setattr__(self, "ut_beams", [readonly(u) for u in ut_sets])
+        object.__setattr__(self, "bs_antennas", n_bs)
+        object.__setattr__(self, "ut_counts", ut_counts)
 
     @property
     def n_users(self) -> int:
@@ -107,76 +137,30 @@ def build_matrices(
     bs_antennas: int,
     ut_counts: Sequence[int],
 ) -> BeamAllocation:
-    """Validate beam index sets and return them, read-only, as a BeamAllocation.
+    """The BeamAllocation of these beam index sets, checked on construction.
 
-    The indices must be in range for the `bs_antennas` and `ut_counts[k]`
-    beam grids, no set may repeat a beam, and the transmit sets must be
-    pairwise disjoint; their order (strongest first) is kept.  No matrix is
-    built: probing forms the beamformers.  The name stays because the
-    benchmark's tracer hooks `experiments.build_matrices` as allocation.
+    No matrix is built: probing forms the beamformers.  The name stays
+    because the benchmark's tracer hooks `experiments.build_matrices` as
+    allocation.
     """
-    bs_antennas = int(bs_antennas)
-    ut_counts = [int(n) for n in ut_counts]
-    if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(ut_counts):
-        raise ValueError("bs_sets, ut_sets and ut_counts must have one entry per user")
-    _check_disjoint(bs_sets, bs_antennas)
-    for k, (u_k, n_k) in enumerate(zip(ut_sets, ut_counts)):
-        u_k = np.asarray(u_k, dtype=int)
-        if np.any(u_k < 0) or np.any(u_k >= n_k) or len(set(u_k.tolist())) != u_k.size:
-            raise ValueError(f"invalid receive beam indices for user {k}")
-    return BeamAllocation(
-        bs_beams=[readonly(np.asarray(b, dtype=int)) for b in bs_sets],
-        ut_beams=[readonly(np.asarray(u, dtype=int)) for u in ut_sets],
-        bs_antennas=bs_antennas,
-        ut_counts=ut_counts,
-    )
+    return BeamAllocation(list(bs_sets), list(ut_sets), bs_antennas, list(ut_counts))
 
 
-def _check_disjoint(bs_sets: Sequence[np.ndarray], n_beams: int) -> None:
-    seen: set[int] = set()
-    for k, b_k in enumerate(bs_sets):
-        b_k = np.asarray(b_k, dtype=int)
-        if np.any(b_k < 0) or np.any(b_k >= n_beams):
-            raise ValueError(f"transmit beam index out of range for user {k}")
-        as_set = set(b_k.tolist())
-        if len(as_set) != b_k.size:
-            raise ValueError(f"repeated transmit beam for user {k}")
-        if seen & as_set:
-            raise ValueError(f"transmit beams of user {k} overlap another user's")
-        seen |= as_set
-
-
-def neutralization_residual(
-    bs_beams_k: Sequence[int],
-    ut_beams_other: Sequence[int],
-    factor_other: np.ndarray,
-    n_ut_other: int,
-) -> float:
+def neutralization_residual(block: np.ndarray, gram: np.ndarray) -> float:
     """Frobenius norm of the cross-user interference constraint violation.
 
     For user k probing through transmit beams b while user k' listens on
     receive beams u, the constraint is that the entries (b, u) of user k''s
-    beam-domain channel carry no power: with Lambda_k' = F F^H given by its
-    factor F (M*N_k' rows, reshaped to F3 of shape (M, N_k', P)), the residual
-    is ||F3[b][:, u, :] F^H||_F, returned without normalization.
+    beam-domain channel carry no power.  With Lambda_k' = F F^H, `block`
+    B = F3[b][:, u, :] the rows of F those entries select
+    (`RateInputs.blocks[k][k']`) and `gram` = F^H F, the residual is
+
+        ||B F^H||_F = sqrt(Re <B, B F^H F>),
+
+    returned without normalization; the M*N_k' columns of B F^H are never
+    formed.
     """
-    f = np.asarray(factor_other, dtype=complex)
-    n_ut = int(n_ut_other)
-    if f.ndim != 2 or n_ut < 1 or f.shape[0] % n_ut:
-        raise ValueError(
-            f"dimension mismatch: factor has {f.shape[0]} rows, "
-            f"not a multiple of {n_ut} receive antennas"
-        )
-    f3 = f.reshape(-1, n_ut, f.shape[1])
-    b = np.asarray(bs_beams_k, dtype=int)
-    u = np.asarray(ut_beams_other, dtype=int)
-    if np.any(b < 0) or np.any(b >= f3.shape[0]) or np.any(u < 0) or np.any(u >= n_ut):
-        raise ValueError(
-            f"beam index out of range for a factor of {f3.shape[0]} transmit "
-            f"and {n_ut} receive beams"
-        )
-    rows = f3[np.ix_(b, u)].reshape(-1, f.shape[1])
-    return float(np.linalg.norm(rows @ f.conj().T))
+    return math.sqrt(max(np.vdot(block, block @ gram).real, 0.0))
 
 
 def allocation_summary(allocation: BeamAllocation,

@@ -147,30 +147,18 @@ def sample_paths(
     n_paths: int,
     rng: np.random.Generator,
     grid: tuple[int, int] | None = None,
-    power_profile=None,
 ) -> PathSet:
-    """Draw a random PathSet.
+    """Draw a random PathSet with equal path powers 1/n_paths.
 
     With grid=None the path sines are i.i.d. uniform on (-1, 1) (so paths are
     uniform over the beam grid); with grid=(bs_count, ut_count) the departure
     and arrival angles are drawn without replacement from the two beam grids.
-    Gains are circularly symmetric complex Gaussian with per-path variance
-    given by `power_profile` (uniform 1/n_paths by default; a custom profile
-    must sum to 1).
+    Gains are circularly symmetric complex Gaussian with variance 1/n_paths.
     """
     n_paths = int(n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    if power_profile is None:
-        powers = np.full(n_paths, 1.0 / n_paths)
-    else:
-        powers = np.asarray(power_profile, dtype=float)
-        if powers.shape != (n_paths,):
-            raise ValueError("power_profile length must equal n_paths")
-        if np.any(powers < 0) or not np.all(np.isfinite(powers)):
-            raise ValueError("power_profile entries must be finite and nonnegative")
-        if abs(powers.sum() - 1.0) > 1e-9:
-            raise ValueError("custom power_profile must sum to 1")
+    powers = np.full(n_paths, 1.0 / n_paths)
 
     if grid is None:
         sin_aod = _open_uniform(rng, n_paths)
@@ -264,18 +252,18 @@ def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
 def beam_covariance_factor(
     paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-P factor F of the beam-domain covariance lambda = F F^H, and r_bs, r_ut.
+    """Rank-P factor F of the beam-domain covariance lambda = F F^H, and the
+    transmit and receive beam gains.
 
-    Returns (F, r_bs, r_ut), r_bs and r_ut as in `beam_covariances`.  Column p
-    of the MN x P factor is sqrt(power_p) (w_p^* kron u_p), matching
-    column-major vectorization; lambda itself is never formed.
+    Returns (F, bs_gains, ut_gains).  Column p of the MN x P factor is
+    sqrt(power_p) (w_p^* kron u_p), matching column-major vectorization;
+    bs_gains = |w|^2 powers and ut_gains = |u|^2 powers are the diagonals of
+    `beam_covariances`' r_bs and r_ut.  Neither lambda nor r_bs, r_ut is formed.
     """
     u, w = beam_path_factors(paths, bs, ut)
     powers = paths.powers
     vmat = (w.conj()[:, None, :] * u[None, :, :]).reshape(-1, paths.n_paths)
-    r_bs = hermitize((w * powers) @ w.conj().T)
-    r_ut = hermitize((u * powers) @ u.conj().T)
-    return vmat * np.sqrt(powers), r_bs, r_ut
+    return vmat * np.sqrt(powers), np.abs(w) ** 2 @ powers, np.abs(u) ** 2 @ powers
 
 
 def beam_covariances(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> BeamCovariances:
@@ -289,11 +277,17 @@ def beam_covariances(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> Be
         r_ut   = sum_p power_p u_p u_p^H
         lambda = sum_p power_p (w_p^* kron u_p)(w_p^* kron u_p)^H = F F^H
 
-    with F from `beam_covariance_factor`.  The dense lambda is the reference
-    the rank-P factor is checked against; the runners use the factor.
+    with F from `beam_covariance_factor`.  These dense matrices are the
+    reference the factor and the beam gains are checked against; the
+    runners use `beam_covariance_factor`.
     """
-    factor, r_bs, r_ut = beam_covariance_factor(paths, bs, ut)
-    return BeamCovariances(r_bs=r_bs, r_ut=r_ut, lambda_full=hermitize(factor @ factor.conj().T))
+    u, w = beam_path_factors(paths, bs, ut)
+    factor = beam_covariance_factor(paths, bs, ut)[0]
+    return BeamCovariances(
+        r_bs=hermitize((w * paths.powers) @ w.conj().T),
+        r_ut=hermitize((u * paths.powers) @ u.conj().T),
+        lambda_full=hermitize(factor @ factor.conj().T),
+    )
 
 
 __all__ = [

@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         config.validate()
-    except (ConfigError, json.JSONDecodeError, OSError, UnicodeDecodeError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 

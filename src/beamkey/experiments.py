@@ -178,6 +178,8 @@ class ScenarioConfig:
             fail("seed must fit in 64 bits")
         if self.workers < 1:
             fail("workers must be at least 1")
+        if "\0" in self.out_dir:
+            fail("out_dir must not contain a NUL byte")
         if self.out_format not in OUTPUT_FORMATS:
             fail(f"out_format must be one of {OUTPUT_FORMATS}")
 
@@ -293,12 +295,14 @@ class Scenario:
 
     paths    : per-user PathSet
     factors  : per-user rank-P factor F_k of Lambda_k = F_k F_k^H (M*N_k x P)
-    bs_gains : per-user diagonal of r_bs, the transmit beam gains (length M)
-    ut_gains : per-user diagonal of r_ut, the receive beam gains (length N_k)
+    grams    : per-user P x P Gram matrix F_k^H F_k, formed once
+    bs_gains : per-user transmit beam gains, the diagonal of r_bs (length M)
+    ut_gains : per-user receive beam gains, the diagonal of r_ut (length N_k)
     """
 
     paths: list[PathSet]
     factors: list[np.ndarray]
+    grams: list[np.ndarray]
     bs_gains: list[np.ndarray]
     ut_gains: list[np.ndarray]
 
@@ -314,11 +318,11 @@ class Scenario:
     @classmethod
     def from_paths(cls, paths: Sequence[PathSet], bs_antennas: int,
                    ut_counts: Sequence[int]) -> "Scenario":
-        factors, r_bss, r_uts = zip(*(
+        factors, bs_gains, ut_gains = zip(*(
             beam_covariance_factor(p, ArrayGeometry(bs_antennas), ArrayGeometry(n))
             for p, n in zip(paths, ut_counts, strict=True)))
-        return cls(list(paths), list(factors), [np.real(np.diag(r)).copy() for r in r_bss],
-                   [np.real(np.diag(r)).copy() for r in r_uts])
+        return cls(list(paths), list(factors), [f.conj().T @ f for f in factors],
+                   list(bs_gains), list(ut_gains))
 
     def allocate(self, m_e: int, n_e: int) -> BeamAllocation:
         """Each user's `m_e` strongest transmit beams, disjoint across users,
@@ -330,20 +334,17 @@ class Scenario:
             [len(g) for g in self.ut_gains],
         )
 
-    def max_residual(self, alloc: BeamAllocation) -> float:
-        """Largest neutralization residual over ordered user pairs (0 for one user)."""
-        users = range(len(self.factors))
-        return max((
-            neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
-                                    self.factors[kp], len(self.ut_gains[kp]))
-            for k in users for kp in users if kp != k
-        ), default=0.0)
+    def max_residual(self, inputs: RateInputs) -> float:
+        """Largest neutralization residual over ordered user pairs (0 for one
+        user), for rate inputs over this scenario's factors."""
+        users = range(inputs.n_users)
+        return max((neutralization_residual(inputs.blocks[k][kp], self.grams[kp])
+                    for k in users for kp in users if kp != k), default=0.0)
 
     def full_sampling_rate(self, k: int, noise_powers):
         """User k's rate under complete-grid probing.  The P x P Gram matrix
         F^H F has the nonzero spectrum of Lambda = F F^H."""
-        f = self.factors[k]
-        return full_sampling_rate(psd_eigh(f.conj().T @ f)[0], noise_powers)
+        return full_sampling_rate(psd_eigh(self.grams[k])[0], noise_powers)
 
 
 def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
@@ -367,11 +368,10 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         rates = np.zeros((len(sigmas), len(me_values) + 1, config.users))
         residuals = np.zeros(len(me_values))
         for j, m_e in enumerate(me_values):
-            alloc = scenario.allocate(m_e, config.ut_beams)
-            inputs = RateInputs(scenario.factors, alloc)
+            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
             for k in range(config.users):
                 rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
-            residuals[j] = scenario.max_residual(alloc)
+            residuals[j] = scenario.max_residual(inputs)
         for k in range(config.users):
             rates[:, -1, k] = scenario.full_sampling_rate(k, sigmas)
         return rates, residuals
@@ -861,7 +861,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
         paths_list.append(paths)
     scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
     alloc = scenario.allocate(n_p, min(n_p, n_ut))
-    worst_resid = scenario.max_residual(alloc)
+    worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc))
     pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut] * n_users, n_users)
     channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
     z_multi = downlink_probe(channels, alloc, pilots, 0.0)

@@ -8,10 +8,12 @@ column-stacked beam-domain channel (the rank-P path factor, or psd_sqrt of a
 dense Lambda_k), reshaped to F3_k of shape (M, N_k, P), and b_k, u_k user k's
 transmit and receive beam indices,
 
-    V_k   = ((sum_k' F3_k[b_k'])[:, u_k, :].reshape(-1, P))^H
-    V_kk' = (F3_k'[b_k][:, u_k', :].reshape(-1, P))^H
+    blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P)
+    V_kk' = blocks[k][k']^H,    V_k = (sum_k'' blocks[k''][k])^H
 
 whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
+`RateInputs.blocks` cuts the table once per allocation; the rates and the
+neutralization residuals both read it.
 Grid beamformers are columns of unitary sampling matrices, so the noise in
 both observations is white with covariance sigma^2 * I.  With g and g_k'
 the users' white P-dim path gains (F carries the powers),
@@ -62,6 +64,7 @@ engine is checked against, not a runner path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -133,6 +136,11 @@ class RateInputs:
                      and `ut_beams` (n_e each) and the array sizes
                      `bs_antennas` (M) and `ut_counts` (N_k); the
                      post-correlation pilot dimensions are m_e and n_e
+
+    The allocation checks its own indices; here each factor must fit its
+    user's arrays and every user must have as many beams as user 0.
+    `blocks` is the per-allocation table of factor rows that every V matrix
+    and every neutralization residual is read from.
     """
 
     lambda_factors: list[np.ndarray]
@@ -145,7 +153,7 @@ class RateInputs:
         m = alloc.bs_antennas
         m_e, n_e = len(alloc.bs_beams[0]), len(alloc.ut_beams[0])
         for k, factor in enumerate(self.lambda_factors):
-            b_k, u_k = np.asarray(alloc.bs_beams[k]), np.asarray(alloc.ut_beams[k])
+            b_k, u_k = alloc.bs_beams[k], alloc.ut_beams[k]
             n_k = alloc.ut_counts[k]
             if factor.ndim != 2 or factor.shape[0] != m * n_k:
                 raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
@@ -154,13 +162,24 @@ class RateInputs:
                     f"user {k} has {len(b_k)} transmit and {len(u_k)} receive beams; "
                     f"every user needs {m_e} and {n_e}, as user 0 has"
                 )
-            if (np.any(b_k < 0) or np.any(b_k >= m)
-                    or np.any(u_k < 0) or np.any(u_k >= n_k)):
-                raise ValueError(f"beam index out of range for user {k}")
 
     @property
     def n_users(self) -> int:
         return len(self.lambda_factors)
+
+    @functools.cached_property
+    def blocks(self) -> list[list[np.ndarray]]:
+        """blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P_k'), cut once.
+
+        The rows of user k''s factor at user k's transmit beams and user
+        k''s receive beams, in vec order j*n_e + i: the rows through which
+        user k's pilots reach user k''s channel.
+        """
+        alloc = self.allocation
+        f3s = [f.reshape(alloc.bs_antennas, -1, f.shape[1]) for f in self.lambda_factors]
+        return [[f3[b_k][:, u_kp].reshape(-1, f3.shape[2])
+                 for f3, u_kp in zip(f3s, alloc.ut_beams)]
+                for b_k in alloc.bs_beams]
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,21 +233,13 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
     user's transmit beams carry pilots at once, and user k listens on u_k.
     V_kk' maps user k's pilots through user k''s channel into the uplink
     observation: the base station listens on b_k while user k' sends on u_k'.
-    Both are slices of the reshaped factors (module docstring).
+    Both are read from `inputs.blocks` (module docstring); V_k sums its
+    blocks in user order.
     """
     _check_user(inputs, k)
-    alloc = inputs.allocation
-    b, u = alloc.bs_beams, alloc.ut_beams
-    m = alloc.bs_antennas
-    f3s = [f.reshape(m, -1, f.shape[1]) for f in inputs.lambda_factors]
-    v_k = sum(_beam_rows_h(f3s[k], b_kp, u[k]) for b_kp in b)
-    v_kks = [_beam_rows_h(f3, b[k], u_kp) for f3, u_kp in zip(f3s, u)]
-    return v_k, v_kks
-
-
-def _beam_rows_h(f3: np.ndarray, bs_beams: np.ndarray, ut_beams: np.ndarray) -> np.ndarray:
-    """(F3[bs_beams][:, ut_beams, :].reshape(-1, P))^H, columns in vec order j*n_e + i."""
-    return f3[bs_beams][:, ut_beams].reshape(-1, f3.shape[2]).conj().T
+    blocks = inputs.blocks
+    v_k = sum(row[k].conj() for row in blocks).T
+    return v_k, [block.conj().T for block in blocks[k]]
 
 
 @dataclass(frozen=True)

@@ -191,10 +191,10 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
         / max(float(np.linalg.norm(vec(z_dl[k]))), 1e-300)
         for k in range(n_users)
     )
+    factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
+    blocks = RateInputs(factors, alloc).blocks
     worst_resid = max(
-        neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
-                                beam_covariance_factor(paths_list[kp], bs_geom, ut_geom)[0],
-                                n_ut)
+        neutralization_residual(blocks[k][kp], factors[kp].conj().T @ factors[kp])
         for k in range(n_users) for kp in range(n_users) if kp != k
     )
     ok = worst_recip <= 1e-10 and worst_resid <= 1e-10

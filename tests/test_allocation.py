@@ -21,7 +21,7 @@ from beamkey.channel import (
     grid_sines,
     sample_paths,
 )
-from beamkey.keyrate import psd_sqrt
+from beamkey.keyrate import RateInputs, psd_sqrt
 
 
 def on_grid_paths(bs_idx, ut_idx, m, n, power=None):
@@ -139,9 +139,25 @@ class TestBuildMatrices:
         with pytest.raises(ValueError, match="invalid receive beam indices for user 1"):
             build_matrices([[0], [1]], [[0], ut_beams], 128, [4] * 2)
 
+    @pytest.mark.parametrize("bs_beams, message", [
+        ([0, 8], "transmit beam index out of range for user 0"),
+        ([-1], "transmit beam index out of range for user 0"),
+        ([2, 2], "repeated transmit beam for user 0"),
+    ], ids=["past_end", "negative", "repeated"])
+    def test_invalid_transmit_beams_rejected(self, bs_beams, message):
+        # 8 transmit beams; a negative index would otherwise wrap around silently.
+        with pytest.raises(ValueError, match=message):
+            build_matrices([bs_beams], [[0]], 8, [4])
+
     def test_ut_counts_length_must_match_users(self):
         with pytest.raises(ValueError, match="one entry per user"):
             build_matrices([[0], [1]], [[0], [1]], 128, [4])
+
+
+def residual(factors, alloc, k, kp):
+    """User k's probing leak into user k', from the rate inputs' block table."""
+    block = RateInputs(factors, alloc).blocks[k][kp]
+    return neutralization_residual(block, factors[kp].conj().T @ factors[kp])
 
 
 class TestNeutralizationResidual:
@@ -150,7 +166,7 @@ class TestNeutralizationResidual:
         self.ut = ArrayGeometry(4)
 
     def test_zero_covariance_gives_zero(self):
-        assert neutralization_residual([0, 1], [0, 1], np.zeros((32, 3)), 4) == 0.0
+        assert neutralization_residual(np.zeros((4, 3)), np.zeros((3, 3))) == 0.0
 
     def test_disjoint_on_grid_users_neutralize(self):
         cov0 = beam_covariances(on_grid_paths([0, 1], [0, 1], 8, 4), self.bs, self.ut)
@@ -162,11 +178,9 @@ class TestNeutralizationResidual:
             allocate_ut_beams(np.real(np.diag(c.r_ut)), 2) for c in (cov0, cov1)
         ]
         alloc = build_matrices(sets, ut_sets, 8, [4] * 2)
+        factors = [psd_sqrt(c.lambda_full) for c in (cov0, cov1)]
         for k, kp in ((0, 1), (1, 0)):
-            factor = psd_sqrt((cov0, cov1)[kp].lambda_full)
-            assert neutralization_residual(
-                alloc.bs_beams[k], alloc.ut_beams[kp], factor, 4
-            ) < 1e-10
+            assert residual(factors, alloc, k, kp) < 1e-10
 
     def test_shared_beam_breaks_neutralization(self):
         # Both users sit on beam 3; probing one through that beam leaks the
@@ -175,35 +189,24 @@ class TestNeutralizationResidual:
         # (its square, 0.25).
         paths = on_grid_paths([3], [2], 8, 4, power=np.array([0.5]))
         factor, _, _ = beam_covariance_factor(paths, self.bs, self.ut)
-        assert neutralization_residual([3], [2], factor, 4) == pytest.approx(0.5, abs=1e-12)
+        alloc = build_matrices([[3]], [[2]], 8, [4])
+        assert residual([factor], alloc, 0, 0) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("m, n_ut, n_p", [(8, 4, 3), (16, 2, 2), (128, 4, 6)])
     def test_factor_residual_matches_dense(self, m, n_ut, n_p):
         rng = np.random.default_rng(m + n_p)
         bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
         paths = sample_paths(n_p, rng)
-        factor, r_bs, _ = beam_covariance_factor(paths, bs, ut)
+        factor, bs_gains, _ = beam_covariance_factor(paths, bs, ut)
         lam = beam_covariances(paths, bs, ut).lambda_full
-        strongest = allocate_bs_beams([np.real(np.diag(r_bs))], 2)[0]
+        strongest = allocate_bs_beams([bs_gains], 2)[0]
         for beams in (strongest, rng.choice(m, size=2, replace=False)):
             ut_beams = rng.choice(n_ut, size=2, replace=False)
             sel_p = np.eye(m, dtype=complex)[:, beams]
             sel_c = np.eye(n_ut, dtype=complex)[:, ut_beams]
             dense = np.linalg.norm(np.kron(sel_p.T, sel_c.conj().T) @ lam)
-            assert neutralization_residual(beams, ut_beams, factor, n_ut) == pytest.approx(
-                dense, rel=1e-10, abs=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            neutralization_residual([0, 1], [0, 1], np.zeros((6, 2)), 4)
-
-    @pytest.mark.parametrize("bs_beams, ut_beams", [([0, 8], [0]), ([-1], [0]),
-                                                    ([0], [4]), ([0], [-1])])
-    def test_out_of_range_beam_rejected(self, bs_beams, ut_beams):
-        # 32 rows over 4 receive antennas: 8 transmit beams.  Negative
-        # indices would otherwise wrap around silently.
-        with pytest.raises(ValueError, match="out of range"):
-            neutralization_residual(bs_beams, ut_beams, np.zeros((32, 2)), 4)
+            alloc = build_matrices([beams], [ut_beams], m, [n_ut])
+            assert residual([factor], alloc, 0, 0) == pytest.approx(dense, rel=1e-10, abs=1e-15)
 
 
 class TestAllocationJson:

@@ -116,12 +116,6 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(5, np.random.default_rng(0), grid=(8, 4))
 
-    def test_custom_profile_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            sample_paths(2, np.random.default_rng(0), power_profile=[0.9, 0.3])
-        paths = sample_paths(2, np.random.default_rng(0), power_profile=[0.25, 0.75])
-        np.testing.assert_allclose(paths.powers, [0.25, 0.75])
-
     def test_same_seed_is_bit_identical(self):
         a = sample_paths(5, np.random.default_rng(77))
         b = sample_paths(5, np.random.default_rng(77))
@@ -274,7 +268,7 @@ class TestBeamCovariances:
         paths = sample_paths(3, np.random.default_rng(4))
         u, w = beam_path_factors(paths, self.bs, self.ut)
         expected = np.zeros((32, 32), dtype=complex)
-        factor, r_bs, r_ut = beam_covariance_factor(paths, self.bs, self.ut)
+        factor = beam_covariance_factor(paths, self.bs, self.ut)[0]
         assert factor.shape == (32, 3)
         for p in range(3):
             v = np.kron(w[:, p].conj(), u[:, p])
@@ -282,8 +276,25 @@ class TestBeamCovariances:
             np.testing.assert_allclose(factor[:, p], np.sqrt(paths.powers[p]) * v, atol=1e-15)
         cov = beam_covariances(paths, self.bs, self.ut)
         np.testing.assert_allclose(cov.lambda_full, expected, atol=1e-12)
-        np.testing.assert_array_equal(r_bs, cov.r_bs)
-        np.testing.assert_array_equal(r_ut, cov.r_ut)
+
+    @pytest.mark.parametrize("m, n_ut, on_grid", [(16, 4, False), (128, 4, False),
+                                                  (16, 4, True)])
+    def test_factor_gains_are_the_covariance_diagonals(self, m, n_ut, on_grid):
+        # bs_gains = |w|^2 powers and ut_gains = |u|^2 powers are the
+        # diagonals of the dense r_bs and r_ut, without forming them; the
+        # powers are unequal, so each gain must weight its own path.
+        rng = np.random.default_rng(m + on_grid)
+        bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
+        for n_p in (1, 3, 4):
+            drawn = sample_paths(n_p, rng, grid=(m, n_ut) if on_grid else None)
+            paths = PathSet(gains=drawn.gains, aoa=drawn.aoa, aod=drawn.aod,
+                            powers=rng.dirichlet(np.ones(n_p)))
+            _, bs_gains, ut_gains = beam_covariance_factor(paths, bs, ut)
+            cov = beam_covariances(paths, bs, ut)
+            for gains, dense in ((bs_gains, cov.r_bs), (ut_gains, cov.r_ut)):
+                diag = np.real(np.diag(dense))
+                assert gains.shape == diag.shape and gains.dtype == float
+                np.testing.assert_allclose(gains, diag, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("m", [16, 128])
     def test_bs_profile_matches_fejer_kernel(self, m):
@@ -305,7 +316,11 @@ class TestBeamCovariances:
         rng = np.random.default_rng(30)
         a_ut, a_bs = sampling_matrix(self.ut), sampling_matrix(self.bs)
         for n_p in (1, 3, 6):
-            paths = sample_paths(n_p, rng, power_profile=rng.dirichlet(np.ones(n_p)))
+            # Unequal path powers: a sine-uniform draw with Dirichlet powers.
+            drawn = sample_paths(n_p, rng)
+            powers = rng.dirichlet(np.ones(n_p))
+            paths = PathSet(gains=drawn.gains * np.sqrt(n_p * powers), aoa=drawn.aoa,
+                            aod=drawn.aod, powers=powers)
             hb = to_beam_domain(synthesize_channel(paths, self.bs, self.ut), a_ut, a_bs)
             factor = beam_covariance_factor(paths, self.bs, self.ut)[0]
             np.testing.assert_allclose(vec(hb), factor @ (paths.gains / np.sqrt(paths.powers)),

@@ -75,6 +75,21 @@ def test_snr_outside_float64_noise_powers_exits_one(tmp_path, capsys, snr_db):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["single-user-rate", "validate"])
+def test_nul_byte_in_out_dir_exits_one(tmp_path, monkeypatch, capsys, command):
+    # No path can hold a NUL byte; the config is rejected before anything runs.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"out_dir": "a\u0000b"}))
+    flags = ["--noise-power", "0"] if command == "validate" else SMALL
+    code = main([command, "--config", str(cfg_path), *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "out_dir" in captured.err
+    assert not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_wrong_user_count_exits_one(tmp_path, capsys):
     code = main(["single-user-rate", "--users", "2", "--bs-antennas", "16",
                  "--trials", "1", "--out", str(tmp_path)])

@@ -215,28 +215,46 @@ class TestScenario:
             ref = sample_paths(n_p, ref_rng, grid=(m, n) if on_grid else None)
             for name in ("gains", "aoa", "aod", "powers"):
                 assert np.array_equal(getattr(scenario.paths[k], name), getattr(ref, name))
-            factor, r_bs, r_ut = beam_covariance_factor(ref, ArrayGeometry(m), ArrayGeometry(n))
+            factor, bs_gains, ut_gains = beam_covariance_factor(
+                ref, ArrayGeometry(m), ArrayGeometry(n))
             assert np.array_equal(scenario.factors[k], factor)
-            diags_bs.append(np.real(np.diag(r_bs)))
-            diags_ut.append(np.real(np.diag(r_ut)))
+            assert np.array_equal(scenario.grams[k], factor.conj().T @ factor)
+            diags_bs.append(bs_gains)
+            diags_ut.append(ut_gains)
         assert rng.random() == ref_rng.random()  # the stream is left where it was
         alloc = scenario.allocate(2, 2)
         for k, bs_set in enumerate(allocate_bs_beams(diags_bs, 2)):
             assert np.array_equal(alloc.bs_beams[k], bs_set)
             assert np.array_equal(alloc.ut_beams[k], allocate_ut_beams(diags_ut[k], 2))
 
+    def test_gains_allocate_as_the_dense_diagonals(self):
+        # The beam gains replace the diagonals of the dense r_bs and r_ut
+        # without moving a beam: off-grid reference-size draws allocate alike.
+        rng = np.random.default_rng(2025)
+        bs, ut = ArrayGeometry(128), ArrayGeometry(4)
+        for _ in range(50):
+            scenario = Scenario.draw(rng, 6, 128, [4] * 6)
+            covs = [beam_covariances(p, bs, ut) for p in scenario.paths]
+            diags_bs = [np.real(np.diag(c.r_bs)) for c in covs]
+            diags_ut = [np.real(np.diag(c.r_ut)) for c in covs]
+            for m_e in (6, 4):
+                alloc = scenario.allocate(m_e, 4)
+                for k, bs_set in enumerate(allocate_bs_beams(diags_bs, m_e)):
+                    assert np.array_equal(alloc.bs_beams[k], bs_set)
+                    assert np.array_equal(alloc.ut_beams[k], allocate_ut_beams(diags_ut[k], 4))
+
     # The largest residual has k < k' at seed 23 and k > k' at seed 28.
     @pytest.mark.parametrize("seed", [23, 28])
     def test_max_residual_over_ordered_pairs(self, seed):
         scenario = Scenario.draw(np.random.default_rng(seed), 2, 16, [4, 2, 3])
-        alloc = scenario.allocate(2, 2)
+        inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
         expected = max(
-            neutralization_residual(alloc.bs_beams[k], alloc.ut_beams[kp],
-                                    scenario.factors[kp], [4, 2, 3][kp])
+            neutralization_residual(inputs.blocks[k][kp],
+                                    scenario.factors[kp].conj().T @ scenario.factors[kp])
             for k in range(3) for kp in range(3) if kp != k)
-        assert scenario.max_residual(alloc) == expected > 0
+        assert scenario.max_residual(inputs) == expected > 0
         alone = Scenario.from_paths(scenario.paths[:1], 16, [4])
-        assert alone.max_residual(alone.allocate(2, 2)) == 0.0
+        assert alone.max_residual(RateInputs(alone.factors, alone.allocate(2, 2))) == 0.0
 
     def test_one_grid_per_array_size(self):
         _grid_matrix.cache_clear()

@@ -247,10 +247,33 @@ class TestIndexRoute:
     ])
     def test_out_of_range_index_rejected(self, field, beams):
         # User 1 has 16 transmit and 2 receive beams; a negative index would
-        # otherwise wrap around silently.
-        alloc = replace(self.alloc, **{field: [getattr(self.alloc, field)[0], np.array(beams)]})
-        with pytest.raises(ValueError, match="out of range for user 1"):
-            RateInputs(self.inputs.lambda_factors, alloc)
+        # otherwise wrap around silently.  The allocation rejects it as it
+        # is built, so no rate input can hold it.
+        message = {"bs_beams": "transmit beam index out of range",
+                   "ut_beams": "invalid receive beam indices"}[field]
+        with pytest.raises(ValueError, match=f"{message} for user 1"):
+            replace(self.alloc, **{field: [getattr(self.alloc, field)[0], np.array(beams)]})
+
+    @pytest.mark.parametrize("m, ut_counts, n_p, m_e, n_e", [
+        (16, [4, 2, 3], 3, 2, 2),
+        (128, [4] * 6, 6, 6, 4),  # the reference scenario
+    ])
+    def test_v_matrices_are_the_blocks(self, m, ut_counts, n_p, m_e, n_e):
+        # V_kk' = blocks[k][k']^H and V_k = (sum_k'' blocks[k''][k])^H, bit
+        # for bit, with the table cut once per rate inputs.
+        inputs = scenario_inputs(np.random.default_rng(m + n_p), m, ut_counts, n_p, m_e, n_e)
+        blocks = inputs.blocks
+        assert inputs.blocks is blocks
+        assert [len(row) for row in blocks] == [inputs.n_users] * inputs.n_users
+        for k in range(inputs.n_users):
+            v_k, v_kks = build_v_matrices(inputs, k)
+            total = blocks[0][k]
+            for row in blocks[1:]:
+                total = total + row[k]
+            assert np.array_equal(v_k, total.conj().T)
+            for v, block in zip(v_kks, blocks[k]):
+                assert block.shape == (m_e * n_e, n_p)
+                assert np.array_equal(v, block.conj().T)
 
 
 class TestSecretKeyRate:
