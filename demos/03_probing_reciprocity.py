@@ -16,7 +16,6 @@ from beamkey import (
     Scenario,
     dimension_reduction_factor,
     downlink_probe,
-    make_pilots,
     pilot_overhead,
     synthesize_channel,
     uplink_probe,
@@ -28,7 +27,6 @@ rng = np.random.default_rng(11)
 
 scenario = Scenario.draw(rng, N_PATHS, M, [N])
 alloc = scenario.allocate(M_E, N_E)
-pilots = make_pilots("reused", M_E, N_E, M, [N], 1)
 channel = [synthesize_channel(scenario.paths[0], ArrayGeometry(M), ArrayGeometry(N))]
 
 print(f"full channel: {N}x{M} = {N * M} coefficients; probed effective channel: "
@@ -37,8 +35,8 @@ print(f"dimension reduction factor: {dimension_reduction_factor(M, N, M_E, N_E):
 print(f"pilot overhead: reused = {pilot_overhead('reused', M, [N], M_E, N_E)} slots, "
       f"traditional = {pilot_overhead('traditional', M, [N], M_E, N_E)} slots")
 
-z_dl = downlink_probe(channel, alloc, pilots, 0.0)[0]
-z_ul = uplink_probe(channel, alloc, pilots, 0.0)[0]
+z_dl = downlink_probe(channel, alloc, 0.0)[0]
+z_ul = uplink_probe(channel, alloc, 0.0)[0]
 v_dl, v_ul = vectorize_observations(z_dl, z_ul)
 print(f"\nnoiseless: max |z_dl - z_ul| = {np.max(np.abs(v_dl - v_ul)):.2e}")
 
@@ -47,8 +45,8 @@ for snr_db in (0, 10, 20):
     noise_rng = np.random.default_rng(snr_db)
     num = den_d = den_u = 0.0
     for _ in range(2000):
-        zd = downlink_probe(channel, alloc, pilots, noise, noise_rng)[0]
-        zu = uplink_probe(channel, alloc, pilots, noise, noise_rng)[0]
+        zd = downlink_probe(channel, alloc, noise, noise_rng)[0]
+        zu = uplink_probe(channel, alloc, noise, noise_rng)[0]
         v_dl, v_ul = vectorize_observations(zd, zu)
         num += np.vdot(v_dl, v_ul).real
         den_d += np.linalg.norm(v_dl) ** 2

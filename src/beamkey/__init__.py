@@ -63,10 +63,8 @@ from .keyrate import (
     unit_skr,
 )
 from .probing import (
-    PilotSet,
     dimension_reduction_factor,
     downlink_probe,
-    make_pilots,
     uplink_probe,
     vectorize_observations,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "NumericalConsistencyError",
     "ObservationCovariances",
     "PathSet",
-    "PilotSet",
     "RateInputs",
     "Scenario",
     "ScenarioConfig",
@@ -100,7 +97,6 @@ __all__ = [
     "full_sampling_rate",
     "gaussian_mi_oracle",
     "grid_sines",
-    "make_pilots",
     "neutralization_residual",
     "pilot_overhead",
     "psd_sqrt",

@@ -9,7 +9,8 @@ the rate layer, in whose beam domain a beamformer just picks beams, reads
 the indices alone.
 Disjoint transmit beams are what make simultaneous (pilot-reusing) probing of
 several users interference free when each user's channel power is confined to
-its own beams.
+its own beams; equal beam counts are what let every user send in the same
+short burst.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ class BeamAllocation:
     bs_antennas : M, the size of the base-station array and of its beam grid
     ut_counts   : per-user N_k, the size of each terminal's array and beam grid
 
-    Construction checks the allocation once: one entry per user in each
-    list, every index in range for its grid, no beam repeated within a set
-    and no transmit beam shared between users.  The index sets are stored as
-    read-only integer arrays, so an allocation is valid for its lifetime.
+    Construction checks the allocation once: at least one user, one entry
+    per user in each list, every index in range for its grid, no beam
+    repeated within a set, no transmit beam shared between users, and as
+    many transmit beams (m_e) and receive beams (n_e) for every user as for
+    user 0, since all users share one probing burst of m_e + n_e slots.  The
+    index sets are stored as read-only integer arrays, so an allocation is
+    valid for its lifetime.
     """
 
     bs_beams: list[np.ndarray]
@@ -50,6 +54,9 @@ class BeamAllocation:
         ut_sets = [np.asarray(u, dtype=int) for u in self.ut_beams]
         if len(bs_sets) != len(ut_sets) or len(bs_sets) != len(ut_counts):
             raise ValueError("bs_sets, ut_sets and ut_counts must have one entry per user")
+        if not bs_sets:
+            raise ValueError("an allocation needs at least one user")
+        m_e, n_e = bs_sets[0].size, ut_sets[0].size
         seen: set[int] = set()
         for k, (b_k, u_k, n_k) in enumerate(zip(bs_sets, ut_sets, ut_counts)):
             if np.any(b_k < 0) or np.any(b_k >= n_bs):
@@ -62,6 +69,11 @@ class BeamAllocation:
             seen |= as_set
             if np.any(u_k < 0) or np.any(u_k >= n_k) or len(set(u_k.tolist())) != u_k.size:
                 raise ValueError(f"invalid receive beam indices for user {k}")
+            if b_k.size != m_e or u_k.size != n_e:
+                raise ValueError(
+                    f"user {k} has {b_k.size} transmit and {u_k.size} receive beams; "
+                    f"every user needs {m_e} and {n_e}, as user 0 has"
+                )
         object.__setattr__(self, "bs_beams", [readonly(b) for b in bs_sets])
         object.__setattr__(self, "ut_beams", [readonly(u) for u in ut_sets])
         object.__setattr__(self, "bs_antennas", n_bs)
@@ -73,7 +85,13 @@ class BeamAllocation:
 
 
 def rank_beams(diagonal: np.ndarray) -> np.ndarray:
-    """Indices of `diagonal` sorted by descending value, ties by ascending index."""
+    """Indices of `diagonal` sorted by descending value, ties by ascending index.
+
+    A tie is two gains equal bit for bit.  Gains that are equal only in
+    exact arithmetic, such as those of on-grid paths of equal power, come
+    out of `beam_covariance_factor` differing in the last bits, so round-off
+    sets their order.
+    """
     d = np.asarray(diagonal, dtype=float)
     if d.ndim != 1:
         raise ValueError("expected a one-dimensional gain vector")

@@ -55,7 +55,6 @@ from .keyrate import (
 from .probing import (
     downlink_maps,
     downlink_probe,
-    make_pilots,
     uplink_probe,
     vectorize_observations,
 )
@@ -144,6 +143,14 @@ class ScenarioConfig:
             fail("bs_antennas must be positive")
         if self.users < 1:
             fail("users must be positive")
+        if self.bs_beams < 1 or self.ut_beams < 1:
+            fail("bs_beams and ut_beams must be positive")
+        if any(int(m) < 1 for m in self.bs_beams_compare):
+            fail("bs_beams_compare entries must be positive")
+        # Bounds `users` before `ut_antenna_list` builds a list of that length.
+        largest_me = max([self.bs_beams] + [int(m) for m in self.bs_beams_compare])
+        if self.users * largest_me > self.bs_antennas:
+            fail("users * bs_beams must not exceed bs_antennas (disjoint beams infeasible)")
         counts = self.ut_antenna_list()
         if len(counts) != self.users:
             fail("ut_antennas must give one count per user")
@@ -151,15 +158,8 @@ class ScenarioConfig:
             fail("ut_antennas must be positive")
         if self.n_paths < 1:
             fail("n_paths must be positive")
-        if self.bs_beams < 1 or self.ut_beams < 1:
-            fail("bs_beams and ut_beams must be positive")
-        largest_me = max([self.bs_beams] + [int(m) for m in self.bs_beams_compare])
-        if self.users * largest_me > self.bs_antennas:
-            fail("users * bs_beams must not exceed bs_antennas (disjoint beams infeasible)")
         if self.ut_beams > min(counts):
             fail("ut_beams must not exceed the smallest ut_antennas")
-        if any(int(m) < 1 for m in self.bs_beams_compare):
-            fail("bs_beams_compare entries must be positive")
         try:
             sigmas = self.noise_powers()
         except OverflowError:  # an integer SNR beyond float64
@@ -618,7 +618,6 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
 def empirical_downlink_covariance(
     stats_paths: Sequence[PathSet],
     allocation: BeamAllocation,
-    pilots,
     noise_power: float,
     rounds: int,
     rng: np.random.Generator,
@@ -630,11 +629,12 @@ def empirical_downlink_covariance(
     The rounds run in chunks of `PROBE_CHUNK` from the same random stream as
     one round at a time: each round draws every user's path gains, user by
     user (`complex_normal` with the path powers), then, if `noise_power` > 0,
-    every user's downlink noise in `downlink_probe`'s order.  The other
-    users' draws do not enter the estimate but are part of the stream.  The
-    estimate is linear in these draws, so `downlink_maps` is applied once to
-    each path's unit-gain channel and to each unit noise entry, and a chunk's
-    estimates are one product with that map.  The result differs from a
+    every user's N_k x m_e downlink noise in `downlink_probe`'s order, with
+    N_k and m_e read from the allocation.  The other users' draws do not
+    enter the estimate but are part of the stream.  The estimate is linear
+    in these draws, so `downlink_maps` is applied once to each path's
+    unit-gain channel and to each unit noise entry, and a chunk's estimates
+    are one product with that map.  The result differs from a
     round-at-a-time loop only by summation order.
     """
     n_users = allocation.n_users
@@ -648,14 +648,15 @@ def empirical_downlink_covariance(
     noise_power = float(noise_power)
     if not np.isfinite(noise_power) or noise_power < 0:
         raise ValueError(f"noise_power must be finite and nonnegative, got {noise_power!r}")
-    dl = downlink_maps(allocation, pilots)[user]
+    dl = downlink_maps(allocation)[user]
     n_ut = allocation.ut_counts
+    m_e = len(allocation.bs_beams[0])
 
     # One round's normal draws, in stream order: each user's gains (real
-    # block, then imaginary), then each user's N_k x t_d noise, likewise.
+    # block, then imaginary), then each user's N_k x m_e noise, likewise.
     blocks = [p.n_paths for p in stats_paths]
     if noise_power > 0:
-        blocks += [n * pilots.t_d for n in n_ut]
+        blocks += [n * m_e for n in n_ut]
     offsets = np.cumsum([0] + [2 * b for b in blocks])
 
     # Rows of `mapping` take one round's draws to vec(Z) of this user.
@@ -665,11 +666,11 @@ def empirical_downlink_covariance(
     unit_channels = u.T[:, :, None] * w.conj().T[:, None, :]
     terms = [(offsets[user], np.sqrt(paths.powers / 2.0), dl.signal(unit_channels))]
     if noise_power > 0:
-        size = n_ut[user] * pilots.t_d
-        unit_noise = np.eye(size).reshape(size, n_ut[user], pilots.t_d)
+        size = n_ut[user] * m_e
+        unit_noise = np.eye(size).reshape(size, n_ut[user], m_e)
         terms.append((offsets[n_users + user], np.full(size, np.sqrt(noise_power / 2.0)),
                       dl.noise(unit_noise)))
-    dim = dl.combiner_h.shape[0] * dl.correlator.shape[1]
+    dim = dl.combiner_h.shape[0] * m_e
     mapping = np.zeros((offsets[-1], dim), dtype=complex)
     for start, scale, images in terms:
         # vec() of each unit draw's estimate, scaled to its real and imaginary part.
@@ -769,10 +770,9 @@ def run_validation_suite(
     for _ in range(10):
         scenario = Scenario.draw(rng, 3, 16, [4])
         alloc = scenario.allocate(3, 2)
-        pilots = make_pilots("reused", 3, 2, 16, [4], 1)
         h = [synthesize_channel(scenario.paths[0], bs_geom, ut_geom)]
-        z_dl, z_ul = vectorize_observations(downlink_probe(h, alloc, pilots, 0.0)[0],
-                                            uplink_probe(h, alloc, pilots, 0.0)[0])
+        z_dl, z_ul = vectorize_observations(downlink_probe(h, alloc, 0.0)[0],
+                                            uplink_probe(h, alloc, 0.0)[0])
         worst_recip = max(
             worst_recip, float(np.linalg.norm(z_dl - z_ul) / max(np.linalg.norm(z_dl), 1e-300))
         )
@@ -862,15 +862,13 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
     scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
     alloc = scenario.allocate(n_p, min(n_p, n_ut))
     worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc))
-    pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut] * n_users, n_users)
     channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
-    z_multi = downlink_probe(channels, alloc, pilots, 0.0)
+    z_multi = downlink_probe(channels, alloc, 0.0)
     worst_e2e = 0.0
     for k in range(n_users):
         single_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]],
                                       alloc.bs_antennas, [alloc.ut_counts[k]])
-        single_pilots = make_pilots("reused", n_p, min(n_p, n_ut), m, [n_ut], 1)
-        z_single = downlink_probe([channels[k]], single_alloc, single_pilots, 0.0)[0]
+        z_single = downlink_probe([channels[k]], single_alloc, 0.0)[0]
         denom = max(float(np.linalg.norm(z_single)), 1e-300)
         worst_e2e = max(worst_e2e, float(np.linalg.norm(z_multi[k] - z_single)) / denom)
     return float(worst_resid), worst_e2e
@@ -882,11 +880,10 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
     n_users = 2
     scenario = Scenario.draw(rng, n_p, m, [n_ut] * n_users)
     alloc = scenario.allocate(m_e, n_e)
-    pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
     inputs = RateInputs(scenario.factors, alloc)
     expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
     empirical = empirical_downlink_covariance(
-        scenario.paths, alloc, pilots, noise, rounds, rng, user=0
+        scenario.paths, alloc, noise, rounds, rng, user=0
     )
     return float(np.max(np.abs(empirical - expected)))
 
@@ -896,10 +893,9 @@ def _reproducibility_check(seed: int) -> bool:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(8,)))
         paths = sample_paths(3, rng)
         alloc = Scenario.from_paths([paths], 8, [2]).allocate(2, 2)
-        pilots = make_pilots("reused", 2, 2, 8, [2], 1)
-        cov = empirical_downlink_covariance([paths], alloc, pilots, 0.25, 500, rng)
+        cov = empirical_downlink_covariance([paths], alloc, 0.25, 500, rng)
         h = [synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(2))]
-        z = downlink_probe(h, alloc, pilots, 0.25, rng)[0]
+        z = downlink_probe(h, alloc, 0.25, rng)[0]
         return paths, cov, z
 
     p1, lam1, z1 = draws()

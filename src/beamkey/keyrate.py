@@ -91,39 +91,36 @@ class SingularNoiseFreeRateError(NumericalConsistencyError):
 
 @dataclass(frozen=True)
 class ObservationCovariances:
-    """Downlink/uplink observation covariances and their joint block matrix."""
+    """Downlink and uplink observation covariances and their cross-covariance.
+
+    r_zdl and r_zul must be square and Hermitian (within 1e-9 of the largest
+    entry) and r_cross must have one row per downlink and one column per
+    uplink observation entry; `joint` stacks the four blocks.
+    """
 
     r_zdl: np.ndarray
     r_zul: np.ndarray
     r_cross: np.ndarray
-    joint: np.ndarray
 
     def __post_init__(self) -> None:
         r_dl = np.asarray(self.r_zdl, dtype=complex)
         r_ul = np.asarray(self.r_zul, dtype=complex)
         cross = np.asarray(self.r_cross, dtype=complex)
-        joint = np.asarray(self.joint, dtype=complex)
         n, m = r_dl.shape[0], r_ul.shape[0]
         if r_dl.shape != (n, n) or r_ul.shape != (m, m) or cross.shape != (n, m):
             raise ValueError("covariance block shapes are inconsistent")
-        if joint.shape != (n + m, n + m):
-            raise ValueError("joint matrix must stack the four blocks")
-        scale = max(np.max(np.abs(joint)), 1.0)
-        if np.max(np.abs(joint - joint.conj().T)) > 1e-9 * scale:
-            raise ValueError("joint covariance must be Hermitian")
-        if (np.max(np.abs(joint[:n, :n] - r_dl)) > 1e-12 * scale
-                or np.max(np.abs(joint[n:, n:] - r_ul)) > 1e-12 * scale):
-            raise ValueError("joint diagonal blocks must match r_zdl and r_zul")
+        scale = max(np.max(np.abs(r_dl)), np.max(np.abs(r_ul)), np.max(np.abs(cross)), 1.0)
+        if (np.max(np.abs(r_dl - r_dl.conj().T)) > 1e-9 * scale
+                or np.max(np.abs(r_ul - r_ul.conj().T)) > 1e-9 * scale):
+            raise ValueError("r_zdl and r_zul must be Hermitian")
         object.__setattr__(self, "r_zdl", r_dl)
         object.__setattr__(self, "r_zul", r_ul)
         object.__setattr__(self, "r_cross", cross)
-        object.__setattr__(self, "joint", joint)
 
-    @classmethod
-    def from_blocks(cls, r_zdl: np.ndarray, r_zul: np.ndarray,
-                    r_cross: np.ndarray) -> "ObservationCovariances":
-        joint = np.block([[r_zdl, r_cross], [r_cross.conj().T, r_zul]])
-        return cls(r_zdl=r_zdl, r_zul=r_zul, r_cross=r_cross, joint=joint)
+    @property
+    def joint(self) -> np.ndarray:
+        """[[r_zdl, r_cross], [r_cross^H, r_zul]], the covariance of (z_dl, z_ul)."""
+        return np.block([[self.r_zdl, self.r_cross], [self.r_cross.conj().T, self.r_zul]])
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ class RateInputs:
                      `bs_antennas` (M) and `ut_counts` (N_k); the
                      post-correlation pilot dimensions are m_e and n_e
 
-    The allocation checks its own indices; here each factor must fit its
-    user's arrays and every user must have as many beams as user 0.
+    The allocation checks its own indices and beam counts; here there must
+    be one factor per user, fitting that user's arrays.
     `blocks` is the per-allocation table of factor rows that every V matrix
     and every neutralization residual is read from.
     """
@@ -148,20 +145,12 @@ class RateInputs:
 
     def __post_init__(self) -> None:
         alloc = self.allocation
-        if len(self.lambda_factors) != alloc.n_users or alloc.n_users == 0:
-            raise ValueError("need one covariance factor per allocated user, at least one")
+        if len(self.lambda_factors) != alloc.n_users:
+            raise ValueError("need one covariance factor per allocated user")
         m = alloc.bs_antennas
-        m_e, n_e = len(alloc.bs_beams[0]), len(alloc.ut_beams[0])
-        for k, factor in enumerate(self.lambda_factors):
-            b_k, u_k = alloc.bs_beams[k], alloc.ut_beams[k]
-            n_k = alloc.ut_counts[k]
+        for k, (factor, n_k) in enumerate(zip(self.lambda_factors, alloc.ut_counts)):
             if factor.ndim != 2 or factor.shape[0] != m * n_k:
                 raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
-            if len(b_k) != m_e or len(u_k) != n_e:
-                raise ValueError(
-                    f"user {k} has {len(b_k)} transmit and {len(u_k)} receive beams; "
-                    f"every user needs {m_e} and {n_e}, as user 0 has"
-                )
 
     @property
     def n_users(self) -> int:
@@ -420,7 +409,7 @@ def assemble_observation_covariances(inputs: RateInputs, k: int,
     """
     noise_power = float(_noise_powers(noise_power))
     v_k, v_kks = build_v_matrices(inputs, k)
-    return ObservationCovariances.from_blocks(
+    return ObservationCovariances(
         _plus_noise(hermitize(v_k.conj().T @ v_k), noise_power),
         _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), noise_power),
         v_k.conj().T @ v_kks[k],
@@ -508,20 +497,18 @@ def _finalize_rate(value):
 def pilot_overhead(mode: str, M: int, n_k: Sequence[int], m_e: int, n_e: int) -> int:
     """Total pilot slots consumed by one probing round.
 
-    traditional/orthogonal : M + sum(n_k)
-    reused                 : m_e + n_e
-    orthogonal_reduced     : K * (m_e + n_e)
+    traditional : M + sum(n_k), full-dimension probing with per-user
+                  orthogonal uplink pilots
+    reused      : m_e + n_e, the one short burst every user sends at once
     """
     M, m_e, n_e = int(M), int(m_e), int(n_e)
     n_k = [int(n) for n in n_k]
     if M < 1 or m_e < 1 or n_e < 1 or any(n < 1 for n in n_k):
         raise ValueError("dimensions must be positive")
-    if mode in ("traditional", "orthogonal"):
+    if mode == "traditional":
         return M + sum(n_k)
     if mode == "reused":
         return m_e + n_e
-    if mode == "orthogonal_reduced":
-        return len(n_k) * (m_e + n_e)
     raise ValueError(f"unknown pilot mode {mode!r}")
 
 

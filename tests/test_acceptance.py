@@ -39,7 +39,7 @@ from beamkey.keyrate import (
     assemble_observation_covariances,
     pilot_overhead,
 )
-from beamkey.probing import downlink_probe, make_pilots, uplink_probe
+from beamkey.probing import downlink_probe, uplink_probe
 
 SEED = 2025
 
@@ -181,11 +181,10 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], n_p)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), 3) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    pilots = make_pilots("reused", n_p, 3, m, [n_ut] * n_users, n_users)
     channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
 
-    z_dl = downlink_probe(channels, alloc, pilots, 0.0)
-    z_ul = uplink_probe(channels, alloc, pilots, 0.0)
+    z_dl = downlink_probe(channels, alloc, 0.0)
+    z_ul = uplink_probe(channels, alloc, 0.0)
     worst_recip = max(
         float(np.linalg.norm(vec(z_dl[k]) - vec(z_ul[k].T)))
         / max(float(np.linalg.norm(vec(z_dl[k]))), 1e-300)
@@ -215,12 +214,11 @@ def test_criterion_7_covariance_consistency():
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    pilots = make_pilots("reused", m_e, n_e, m, [n_ut] * n_users, n_users)
     factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
     inputs = RateInputs(factors, alloc)
     expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
     empirical = empirical_downlink_covariance(
-        paths_list, alloc, pilots, noise, rounds=100_000, rng=rng, user=0
+        paths_list, alloc, noise, rounds=100_000, rng=rng, user=0
     )
     worst = float(np.max(np.abs(empirical - expected)))
     ok = worst <= 5e-2

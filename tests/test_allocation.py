@@ -122,7 +122,7 @@ class TestAllocateUtBeams:
 
 class TestBuildMatrices:
     def test_indices_and_sizes_only(self):
-        alloc = build_matrices([[3, 1], [0]], [[2, 0], [1]], 128, [4, 2])
+        alloc = build_matrices([[3, 1], [0, 5]], [[2, 0], [1, 0]], 128, [4, 2])
         assert [f.name for f in dataclasses.fields(alloc)] == [
             "bs_beams", "ut_beams", "bs_antennas", "ut_counts"]
         assert (alloc.bs_antennas, alloc.ut_counts, alloc.n_users) == (128, [4, 2], 2)
@@ -149,9 +149,22 @@ class TestBuildMatrices:
         with pytest.raises(ValueError, match=message):
             build_matrices([bs_beams], [[0]], 8, [4])
 
+    def test_mismatched_bs_beam_counts_rejected(self):
+        # All users share one probing burst, so they need equal beam counts.
+        with pytest.raises(ValueError, match="user 1 has 1 transmit"):
+            build_matrices([[0, 1], [2]], [[0, 1], [0, 1]], 16, [4, 2])
+
+    def test_mismatched_ut_beam_counts_rejected(self):
+        with pytest.raises(ValueError, match="user 1 has 2 transmit and 1 receive"):
+            build_matrices([[0, 1], [2, 3]], [[0, 1], [0]], 16, [4, 2])
+
     def test_ut_counts_length_must_match_users(self):
         with pytest.raises(ValueError, match="one entry per user"):
             build_matrices([[0], [1]], [[0], [1]], 128, [4])
+
+    def test_no_users_rejected(self):
+        with pytest.raises(ValueError, match="at least one user"):
+            build_matrices([], [], 128, [])
 
 
 def residual(factors, alloc, k, kp):

@@ -63,6 +63,18 @@ def test_mistyped_config_field_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_user_count_beyond_the_array_exits_one(tmp_path, capsys):
+    # The disjoint-beam bound rejects it before a per-user list is built.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"users": 2 ** 70}))
+    out = tmp_path / "out"
+    code = main(["overhead", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and "users * bs_beams" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("snr_db", ["-4000", "3200", "4000"])
 def test_snr_outside_float64_noise_powers_exits_one(tmp_path, capsys, snr_db):
     # 10^(-SNR/10) overflows, is subnormal or is zero at these SNRs.

@@ -40,7 +40,7 @@ from beamkey.keyrate import (
     gaussian_mi_oracle,
     psd_eigh,
 )
-from beamkey.probing import PILOT_MODES, downlink_probe, make_pilots
+from beamkey.probing import downlink_probe
 
 
 def small_single_user(**overrides):
@@ -416,17 +416,15 @@ class TestValidationSuite:
         assert doc["passed"] == report.passed
 
 
-def probing_scenario(mode):
-    """Two users with different path and antenna counts, probed in `mode`."""
+def probing_scenario():
+    """Two users with different path and antenna counts."""
     rng = np.random.default_rng(41)
     m, n_ut, n_p, m_e, n_e = 16, [2, 3], [2, 3], 2, 2
     paths = [sample_paths(p, rng) for p in n_p]
-    alloc = Scenario.from_paths(paths, m, n_ut).allocate(m_e, n_e)
-    return paths, alloc, make_pilots(mode, m_e, n_e, m, n_ut, len(n_ut))
+    return paths, Scenario.from_paths(paths, m, n_ut).allocate(m_e, n_e)
 
 
-def _loop_downlink_covariance(stats_paths, allocation, pilots, noise_power,
-                              rounds, rng, user):
+def _loop_downlink_covariance(stats_paths, allocation, noise_power, rounds, rng, user):
     """Round-at-a-time reference: a validated PathSet, every user's channel
     and one `downlink_probe` call per round.  Returns the sample covariance
     after each round count in `rounds`."""
@@ -440,7 +438,7 @@ def _loop_downlink_covariance(stats_paths, allocation, pilots, noise_power,
             gains = complex_normal(rng, base.n_paths, base.powers)
             fresh = PathSet(gains=gains, aoa=base.aoa, aod=base.aod, powers=base.powers)
             channels.append(synthesize_channel(fresh, bs_geom, geoms[k]))
-        z = vec(downlink_probe(channels, allocation, pilots, noise_power, rng)[user])
+        z = vec(downlink_probe(channels, allocation, noise_power, rng)[user])
         outer = np.outer(z, z.conj())
         acc = outer if acc is None else acc + outer
         if done in rounds:
@@ -453,14 +451,13 @@ class TestEmpiricalDownlinkCovariance:
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     @pytest.mark.parametrize("user", [0, 1])
-    @pytest.mark.parametrize("mode", PILOT_MODES)
-    def test_chunks_match_round_at_a_time_loop(self, mode, user, noise):
-        paths, alloc, pilots = probing_scenario(mode)
+    def test_chunks_match_round_at_a_time_loop(self, user, noise):
+        paths, alloc = probing_scenario()
         expected = _loop_downlink_covariance(
-            paths, alloc, pilots, noise, self.ROUNDS, np.random.default_rng(7), user)
+            paths, alloc, noise, self.ROUNDS, np.random.default_rng(7), user)
         for rounds in self.ROUNDS:
             got = empirical_downlink_covariance(
-                paths, alloc, pilots, noise, rounds, np.random.default_rng(7), user)
+                paths, alloc, noise, rounds, np.random.default_rng(7), user)
             ref = expected[rounds]
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), rounds
@@ -474,15 +471,15 @@ class TestEmpiricalDownlinkCovariance:
         ({"noise_power": -0.1}, "noise_power"),
     ])
     def test_bad_arguments_rejected(self, kwargs, match):
-        paths, alloc, pilots = probing_scenario("reused")
-        args = dict(stats_paths=paths, allocation=alloc, pilots=pilots,
-                    noise_power=0.1, rounds=10, rng=np.random.default_rng(0), user=0)
+        paths, alloc = probing_scenario()
+        args = dict(stats_paths=paths, allocation=alloc, noise_power=0.1, rounds=10,
+                    rng=np.random.default_rng(0), user=0)
         args.update(kwargs)
         with pytest.raises(ValueError, match=match):
             empirical_downlink_covariance(**args)
 
     def test_one_pathset_per_user_required(self):
-        paths, alloc, pilots = probing_scenario("reused")
+        paths, alloc = probing_scenario()
         with pytest.raises(ValueError, match="stats_paths"):
-            empirical_downlink_covariance(paths[:1], alloc, pilots, 0.1, 10,
+            empirical_downlink_covariance(paths[:1], alloc, 0.1, 10,
                                           np.random.default_rng(0))

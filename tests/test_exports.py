@@ -14,7 +14,10 @@ MODULES = [beamkey] + [
 ]
 REMOVED = (
     "BeamDomainChannel",
+    "PILOT_MODES",
+    "PilotSet",
     "ProbingObservation",
+    "make_pilots",
     "observations_to_csv",
     "pathset_from_json",
     "pathset_to_json",
