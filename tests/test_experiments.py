@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from beamkey import experiments
 from beamkey._util import complex_normal, vec
 from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, neutralization_residual
 from beamkey.channel import (
@@ -39,6 +40,7 @@ from beamkey.keyrate import (
     full_sampling_rate,
     gaussian_mi_oracle,
     psd_eigh,
+    rate_factors,
 )
 from beamkey.probing import downlink_probe
 
@@ -293,9 +295,12 @@ def test_complete_grid_rates_match_dense_spectrum(run, cfg, scheme, column):
      "reduced_me", "rate_bits"),
     (run_multiuser_unit_rate, small_multi_user(snr_db_grid=list(DEFAULT_SNR_GRID)),
      "reused_me", "rate_user_{k}"),
-], ids=["single_user_rate", "multiuser_unit_rate"])
+    (run_multiuser_unit_rate, small_multi_user(ut_antennas=[4, 2, 8], trials=2,
+                                               snr_db_grid=list(DEFAULT_SNR_GRID)),
+     "reused_me", "rate_user_{k}"),
+], ids=["single_user_rate", "multiuser_unit_rate", "multiuser_mixed_ut_antennas"])
 def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
-    # The runners evaluate each user's whole SNR grid in one engine call; the
+    # The runners evaluate every user's whole SNR grid in one engine call; the
     # Gaussian MI of the dense covariances assembled at each point, for the
     # same draws, is the reference.
     noise = 10.0 ** (-np.asarray(cfg.snr_db_grid) / 10.0)
@@ -324,6 +329,19 @@ def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
 
 
 class TestMultiuserUnitRate:
+    def test_one_engine_call_per_beam_count(self, monkeypatch):
+        # Every user of an allocation is factored by one call, never one per user.
+        calls = []
+
+        def counting(inputs):
+            calls.append(inputs.n_users)
+            return rate_factors(inputs)
+
+        monkeypatch.setattr(experiments, "rate_factors", counting)
+        cfg = small_multi_user(trials=1)
+        run_multiuser_unit_rate(cfg)
+        assert calls == [cfg.users] * len(cfg.bs_beams_compare)
+
     def test_requires_multiple_users(self):
         with pytest.raises(ConfigError, match="users >= 2"):
             run_multiuser_unit_rate(small_single_user())

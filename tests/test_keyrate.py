@@ -333,8 +333,8 @@ class TestFactorMatchesDense:
             assert secret_key_rate(factored, k, noise) == pytest.approx(
                 secret_key_rate(dense, k, noise), rel=1e-10)
             for s2 in (0.01, 1.0, 10.0):
-                assert rate_factors(factored, k).rate(s2) == pytest.approx(
-                    rate_factors(dense, k).rate(s2), rel=1e-10)
+                assert rate_factors(factored).rate(s2)[k] == pytest.approx(
+                    rate_factors(dense).rate(s2)[k], rel=1e-10)
             f = factored.lambda_factors[k]
             lam = covs[k].lambda_full
             gram_eigs = psd_eigh(f.conj().T @ f)[0]
@@ -430,13 +430,13 @@ class TestRateEngine:
         # oracle with diagonal jitter used to report 77.5.
         inputs = runner_draw(config, np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
+        fast = rate_factors(inputs).rate(noise)
         for k in users:
-            fast = rate_factors(inputs, k).rate(noise)
             v_k, v_kks = build_v_matrices(inputs, k)
             exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
-            np.testing.assert_allclose(fast, exact, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(fast[:, k], exact, rtol=1e-12, atol=0)
         if inputs.n_users == 6:
-            assert rate_factors(inputs, 0).rate(1e-20) == pytest.approx(98.5279, abs=1e-4)
+            assert rate_factors(inputs).rate(1e-20)[0] == pytest.approx(98.5279, abs=1e-4)
 
     @pytest.mark.parametrize("m_e, n_e", [(4, 1), (1, 4), (1, 1)])
     def test_rank_deficient_single_user_matches_80_digit_gaussian_mi(self, m_e, n_e):
@@ -445,24 +445,23 @@ class TestRateEngine:
         inputs = scenario_inputs(np.random.default_rng(0), 128, [4], 6, m_e, n_e)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
         v_k, v_kks = build_v_matrices(inputs, 0)
-        np.testing.assert_allclose(rate_factors(inputs, 0).rate(noise),
+        np.testing.assert_allclose(rate_factors(inputs).rate(noise)[:, 0],
                                    mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
 
     def test_batched_grid_equals_single_points(self):
         inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-np.linspace(-10.0, 200.0, 43) / 10.0)
-        for k in (0, 5):
-            factors = rate_factors(inputs, k)
-            batched = factors.rate(noise)
-            singles = np.array([factors.rate(s2) for s2 in noise])
-            assert isinstance(factors.rate(noise[0]), float)
-            np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
+        factors = rate_factors(inputs)
+        batched = factors.rate(noise)
+        singles = np.array([factors.rate(s2) for s2 in noise])
+        assert batched.shape == singles.shape == (noise.size, 6)
+        np.testing.assert_allclose(batched, singles, rtol=1e-14, atol=0)
 
     def test_secret_key_rate_is_the_engine_at_one_point(self):
         rng = np.random.default_rng(16)
         inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2)
         for k in range(3):
-            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs, k).rate(0.05)
+            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs).rate(0.05)[k]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
@@ -475,18 +474,18 @@ class TestRateEngine:
         rng = np.random.default_rng(seed)
         inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e)
         noise = np.sort(10.0 ** np.array(exponents))[::-1]
-        for k in range(n_users):
-            rates = rate_factors(inputs, k).rate(noise)
-            assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
-            assert np.all(rates[1:] >= rates[:-1] - 1e-9 * rates[1:])
+        rates = rate_factors(inputs).rate(noise)
+        assert rates.shape == (noise.size, n_users)
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+        assert np.all(rates[1:] >= rates[:-1] - 1e-9 * rates[1:])
         if n_users == 1:
             f = inputs.lambda_factors[0]
             perfect = full_sampling_rate(psd_eigh(f.conj().T @ f)[0], noise)
-            assert np.all(rates <= perfect * (1 + 1e-9))
+            assert np.all(rates[:, 0] <= perfect * (1 + 1e-9))
 
     def test_noise_free_multiuser_rejected(self):
         inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2)
-        factors = rate_factors(inputs, 0)
+        factors = rate_factors(inputs)
         with pytest.raises(SingularNoiseFreeRateError):
             factors.rate(0.0)
         with pytest.raises(SingularNoiseFreeRateError):
@@ -495,9 +494,70 @@ class TestRateEngine:
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
                              ids=["negative", "nan", "inf", "negative_in_array", "2d"])
     def test_bad_noise_powers_rejected(self, noise):
-        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2), 0)
+        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2))
         with pytest.raises(ValueError):
             factors.rate(noise)
+
+
+def mixed_term_count_inputs():
+    """Three users with 4, 2 and 8 UT antennas, P = 2, m_e = 3, n_e = 2.
+
+    User 0 sits on grid beams, and users 1 and 2 carry no power on its
+    transmit beams, as users on disjoint grid beams do: every floor of user
+    0 is 0, and its terms take the diagonal form.  Users 1 and 2 are off
+    grid; each sees an interference stack of 4 rows against d = 6
+    measurements, so two of its floors are 0 and merge.  The term counts
+    thus differ between users.
+    """
+    rng = np.random.default_rng(21)
+    m, ut_counts = 16, [4, 2, 8]
+    paths = [sample_paths(2, rng, grid=(m, ut_counts[0]))]
+    paths += [sample_paths(2, rng) for _ in ut_counts[1:]]
+    scenario = Scenario.from_paths(paths, m, ut_counts)
+    alloc = scenario.allocate(3, 2)
+    factors = [f.copy() for f in scenario.factors]
+    for f in factors[1:]:
+        f.reshape(m, -1, 2)[alloc.bs_beams[0]] = 0.0
+    return RateInputs(factors, alloc)
+
+
+class TestBatchedUsers:
+    """One `rate_factors` call factors every user of an allocation."""
+
+    @pytest.mark.parametrize("make_inputs", [
+        mixed_term_count_inputs,
+        # Fewer measurements than paths: m_e * n_e = 4 < P = 6.
+        lambda: scenario_inputs(np.random.default_rng(0), 128, [4], 6, 1, 4),
+    ], ids=["mixed_term_counts", "rank_deficient_single_user"])
+    def test_every_user_matches_the_dense_oracle(self, make_inputs):
+        inputs = make_inputs()
+        noise = np.array([0.01, 0.1, 1.0, 10.0])
+        rates = rate_factors(inputs).rate(noise)
+        assert rates.shape == (noise.size, inputs.n_users)
+        for k in range(inputs.n_users):
+            for i, s2 in enumerate(noise):
+                oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
+                assert rates[i, k] == pytest.approx(oracle, rel=1e-10)
+
+    def test_term_counts_differ_and_are_padded(self):
+        factors = rate_factors(mixed_term_count_inputs())
+        for info in (factors.uplink, factors.joint):
+            assert np.all(info.floors[0] == 0)
+            # User 0's single diagonal term, then zero padding.
+            first = info.terms[0, :, :, 0]
+            assert np.count_nonzero(first - np.diag(np.diag(first))) == 0
+            assert np.all(info.terms[0, :, :, 1:] == 0)
+            for k in (1, 2):
+                assert info.floors[k, 0] == 0 and np.all(info.floors[k, 1:] > 0)
+        # Users 1 and 2 merge two of six uplink columns into one term.
+        assert factors.uplink.terms.shape[-1] == 5
+
+    def test_unequal_column_counts_rejected(self):
+        inputs = scenario_inputs(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
+        wider = [inputs.lambda_factors[0], np.hstack([inputs.lambda_factors[1]] * 2)]
+        with pytest.raises(ValueError, match=r"lambda_factors\[1\] has 4 columns; every user "
+                                             r"needs 2, as user 0 has"):
+            RateInputs(wider, inputs.allocation)
 
 
 class TestFullSamplingRate:
@@ -594,7 +654,7 @@ class TestAssembledCovariances:
         rng = np.random.default_rng(12)
         inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
         direct = assemble_observation_covariances(inputs, 1, 0.25)
-        assert rate_factors(inputs, 1).rate(0.25) == pytest.approx(
+        assert rate_factors(inputs).rate(0.25)[1] == pytest.approx(
             gaussian_mi_oracle(direct), rel=1e-10)
 
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
