@@ -8,10 +8,12 @@ Subcommands map one-to-one onto the experiment runners:
     beamkey multiuser-unit-rate per-pilot-slot sum rate, reuse vs orthogonal
     beamkey validate            run the cross-module property suite
 
-Every ScenarioConfig field can be set in a JSON config file (--config) and
-overridden by the flag of the same name.  Exit codes: 0 success, 1 invalid
-configuration or unwritable output directory, 2 validation failure, 3
-numerical failure.
+Every subcommand takes the same flags: --config, a JSON file holding any
+ScenarioConfig fields, and one flag per field, which overrides the file.
+`validate` reads only `seed` and `out_dir`.  Results are CSV tables plus a
+`<name>_meta.json`; `validate` writes `validation_report.json`.  Exit codes:
+0 success, 1 usage error, invalid configuration or unwritable output
+directory, 2 validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .experiments import (
     ConfigError,
     ScenarioConfig,
+    ValidationReport,
     run_beam_gain_profile,
     run_multiuser_unit_rate,
     run_overhead_comparison,
@@ -45,6 +47,7 @@ _RUNNERS = {
     "beam-gains": run_beam_gain_profile,
     "overhead": run_overhead_comparison,
     "multiuser-unit-rate": run_multiuser_unit_rate,
+    "validate": run_validation_suite,
 }
 
 
@@ -69,8 +72,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", dest="snr_db_grid", type=_parse_snr_list,
                         metavar="LIST", help="SNR grid in dB, e.g. '-10,0,10,20,30'")
     parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--format", dest="out_format", choices=("csv", "json"),
-                        help="output file format")
     parser.add_argument("--bs-antennas", dest="bs_antennas", type=int)
     parser.add_argument("--users", type=int)
     parser.add_argument("--ut-antennas", dest="ut_antennas", type=int)
@@ -91,16 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _RUNNERS:
-        cmd = sub.add_parser(command)
-        _add_common_flags(cmd)
-    validate = sub.add_parser("validate")
-    _add_common_flags(validate)
-    validate.add_argument("--noise-power", dest="noise_power", type=float,
-                          help="noise variance of the covariance_consistency check "
-                               "(default 0.1; 0 skips the four rate checks)")
-    validate.add_argument("--corrupt-sampling", action="store_true",
-                          help="fault injection: perturb a sampling matrix so the "
-                               "unitarity check fails")
+        _add_common_flags(sub.add_parser(command))
     return parser
 
 
@@ -112,14 +104,17 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError("invalid config: the config file must hold a JSON object")
     field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     for name in field_names:
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             doc[name] = value
     return ScenarioConfig.from_dict(doc)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID_CONFIG
     try:
         config = _config_from_args(args)
         config.validate()
@@ -127,28 +122,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 
-    if args.command == "validate":
-        runner = partial(run_validation_suite, corrupt_sampling=args.corrupt_sampling,
-                         noise_power=args.noise_power)
-    else:
-        runner = _RUNNERS[args.command]
     try:
-        result = runner(config)
+        result = _RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except NumericalConsistencyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    if args.command == "validate":
-        print(result.to_text(), end="")
     try:
-        if args.command == "validate":
+        if isinstance(result, ValidationReport):
+            print(result.to_text(), end="")
             out_dir = Path(config.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "validation_report.json").write_text(result.to_json())
             return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
-        paths = write_result(result, config.out_dir, config.out_format)
+        paths = write_result(result, config.out_dir)
     except OSError as exc:
         print(f"error: cannot write results to {config.out_dir}: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -60,7 +60,6 @@ from .probing import (
 )
 
 ANGLE_MODES = ("on_grid", "off_grid")
-OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
@@ -96,7 +95,6 @@ _FIELD_TYPES = {
     "bs_beams_compare": ("a list of integers", lambda v: _is_list(v, _is_int)),
     "angle_mode": ("a string", lambda v: isinstance(v, str)),
     "out_dir": ("a string", lambda v: isinstance(v, str)),
-    "out_format": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -124,7 +122,6 @@ class ScenarioConfig:
     bs_beams_compare: list[int] = field(default_factory=lambda: [6, 4])
     workers: int = 1
     out_dir: str = "results"
-    out_format: str = "csv"
 
     def ut_antenna_list(self) -> list[int]:
         if isinstance(self.ut_antennas, (list, tuple)):
@@ -193,17 +190,15 @@ class ScenarioConfig:
             fail("workers must be at least 1")
         if "\0" in self.out_dir:
             fail("out_dir must not contain a NUL byte")
-        if self.out_format not in OUTPUT_FORMATS:
-            fail(f"out_format must be one of {OUTPUT_FORMATS}")
 
     def resolved(self) -> dict:
         """The fields that determine the results, in canonical form.
 
-        Where and how results are written (`out_dir`, `out_format`) and the
-        thread count (`workers`) do not change them, so they are left out.
+        Where results are written (`out_dir`) and the thread count
+        (`workers`) do not change them, so they are left out.
         """
         doc = dataclasses.asdict(self)
-        for name in ("out_dir", "out_format", "workers"):
+        for name in ("out_dir", "workers"):
             del doc[name]
         doc["ut_antennas"] = self.ut_antenna_list()
         doc["snr_db_grid"] = [float(s) for s in self.snr_db_grid]
@@ -243,14 +238,6 @@ class ExperimentResult:
     def tables(self) -> dict[str, list[dict]]:
         return {self.name: self.records, **self.extra_tables}
 
-    def to_json(self) -> str:
-        doc = {
-            "metadata": self.metadata,
-            "records": self.records,
-            "extra_tables": self.extra_tables,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
 
 def _cell(value) -> str:
     if value is None:
@@ -275,19 +262,11 @@ def records_to_csv(records: list[dict], columns: list[str] | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def write_result(result: ExperimentResult, out_dir: str | Path,
-                 out_format: str = "csv") -> list[Path]:
-    """Write an ExperimentResult to disk; returns the created paths."""
+def write_result(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
+    """Write one CSV per table and a `<name>_meta.json`; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if out_format == "json":
-        path = out / f"{result.name}.json"
-        path.write_text(result.to_json())
-        written.append(path)
-        return written
-    if out_format != "csv":
-        raise ConfigError(f"invalid config: out_format must be one of {OUTPUT_FORMATS}")
     for table, records in result.tables().items():
         path = out / f"{table}.csv"
         path.write_text(records_to_csv(records, result.table_columns.get(table)))
@@ -568,7 +547,7 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
 @dataclass
 class PropertyCheck:
     name: str
-    status: str  # "pass", "fail" or "skip"
+    status: str  # "pass" or "fail"
     measured: float | None
     tolerance: float | None
     detail: str = ""
@@ -589,7 +568,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c.status == "pass" for c in self.checks)
 
     def to_text(self) -> str:
         lines = [c.line() for c in self.checks]
@@ -701,26 +680,15 @@ def empirical_downlink_covariance(
     return acc / rounds
 
 
-def run_validation_suite(
-    config: ScenarioConfig,
-    corrupt_sampling: bool = False,
-    noise_power: float | None = None,
-) -> ValidationReport:
+def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     """Cross-module invariant checks at small scale.
 
-    The config supplies the seed.  `noise_power` (default 0.1) is read only by
-    `covariance_consistency`; the closed-form/oracle sweep draws its noise
-    powers from {0.01, 0.1, 1} and the nonnegativity and monotonicity checks
-    sweep logspace(-2, 2).  Passing 0 skips all four rate checks and reports
-    them as skipped; a negative or non-finite value raises ConfigError.
-    `corrupt_sampling` deliberately perturbs a sampling matrix so the
-    unitarity check must fail; it exists to test the reporting path.
+    The config supplies only the seed.  `covariance_consistency` probes at a
+    noise power of 0.1; the closed-form/oracle sweep draws its noise powers
+    from {0.01, 0.1, 1} and the nonnegativity and monotonicity checks sweep
+    logspace(-2, 2).
     """
     config.validate()
-    noise = 0.1 if noise_power is None else float(noise_power)
-    if not np.isfinite(noise) or noise < 0:
-        raise ConfigError(f"invalid config: noise_power must be finite and nonnegative, "
-                          f"got {noise_power!r}")
     seed = int(config.seed)
     checks: list[PropertyCheck] = []
 
@@ -728,9 +696,6 @@ def run_validation_suite(
     worst_unit = 0.0
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         a = sampling_matrix(ArrayGeometry(n))
-        if corrupt_sampling and n == 16:
-            a = a.copy()
-            a[0, 0] += 1e-3
         worst_unit = max(worst_unit, float(np.max(np.abs(a.conj().T @ a - np.eye(n)))))
     checks.append(_check("sampling_unitarity", worst_unit, 1e-12))
 
@@ -771,11 +736,8 @@ def run_validation_suite(
                          "eigenvalue count above 1e-10*trace never exceeds the path count"))
 
     # Closed-form rate against the Gaussian MI reference.
-    if noise > 0:
-        worst = closed_form_agreement_sweep(seed, 40)
-        checks.append(_check("rate_oracle_equivalence", worst, 1e-8))
-    else:
-        checks.append(_skip("rate_oracle_equivalence", "requires noise_power > 0"))
+    worst = closed_form_agreement_sweep(seed, 40)
+    checks.append(_check("rate_oracle_equivalence", worst, 1e-8))
 
     # Noiseless reciprocity, single user.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
@@ -798,30 +760,23 @@ def run_validation_suite(
     checks.append(_check("multiuser_probing_matches_single_user", worst_e2e, 1e-10))
 
     # Assembled downlink covariance against simulated probing rounds.
-    if noise > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
-        measured = _covariance_consistency(rng, noise, rounds=100_000)
-        checks.append(_check("covariance_consistency", measured, 5e-2))
-    else:
-        checks.append(_skip("covariance_consistency", "requires noise_power > 0"))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
+    measured = _covariance_consistency(rng, 0.1, rounds=100_000)
+    checks.append(_check("covariance_consistency", measured, 5e-2))
 
     # Rate nonnegativity and monotonicity in the noise level.
-    if noise > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
-        min_rate = np.inf
-        worst_increase = -np.inf
-        sigma_sweep = np.logspace(-2, 2, 10)
-        for _ in range(5):
-            scenario = Scenario.draw(rng, 2, 16, [2, 2])
-            inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
-            rates = rate_factors(inputs).rate(sigma_sweep)
-            min_rate = min(min_rate, float(rates.min()))
-            worst_increase = max(worst_increase, float(np.diff(rates, axis=0).max()))
-        checks.append(_check("rate_nonnegativity", -min_rate, 1e-9))
-        checks.append(_check("rate_monotonic_in_noise", worst_increase, 1e-9))
-    else:
-        checks.append(_skip("rate_nonnegativity", "requires noise_power > 0"))
-        checks.append(_skip("rate_monotonic_in_noise", "requires noise_power > 0"))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
+    min_rate = np.inf
+    worst_increase = -np.inf
+    sigma_sweep = np.logspace(-2, 2, 10)
+    for _ in range(5):
+        scenario = Scenario.draw(rng, 2, 16, [2, 2])
+        inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
+        rates = rate_factors(inputs).rate(sigma_sweep)
+        min_rate = min(min_rate, float(rates.min()))
+        worst_increase = max(worst_increase, float(np.diff(rates, axis=0).max()))
+    checks.append(_check("rate_nonnegativity", -min_rate, 1e-9))
+    checks.append(_check("rate_monotonic_in_noise", worst_increase, 1e-9))
 
     # Beam ranking is invariant to positive rescaling.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
@@ -852,11 +807,6 @@ def _check(name: str, measured: float, tolerance: float) -> PropertyCheck:
 def _holds(name: str, ok: bool, detail: str) -> PropertyCheck:
     return PropertyCheck(name=name, status="pass" if ok else "fail", measured=None,
                          tolerance=None, detail=detail)
-
-
-def _skip(name: str, reason: str) -> PropertyCheck:
-    return PropertyCheck(name=name, status="skip", measured=None, tolerance=None,
-                         detail=reason)
 
 
 def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, config handling, output files."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from beamkey.cli import main
-from beamkey.experiments import MAX_ANTENNAS
+from beamkey.cli import build_parser, main
+from beamkey.experiments import MAX_ANTENNAS, ScenarioConfig
 
 SMALL = [
     "--bs-antennas", "16", "--users", "1", "--ut-antennas", "4",
@@ -15,13 +17,46 @@ SMALL = [
 ]
 
 
-def test_overhead_json(tmp_path, capsys):
-    code = main(["overhead", "--users", "6", "--out", str(tmp_path), "--format", "json"])
-    assert code == 0
-    doc = json.loads((tmp_path / "overhead.json").read_text())
-    assert doc["metadata"]["config"]["users"] == 6
-    assert doc["metadata"]["tool_version"]
-    assert "wrote" in capsys.readouterr().out
+def test_every_flag_is_a_config_field():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert set(subcommands) == {"single-user-rate", "beam-gains", "overhead",
+                                "multiuser-unit-rate", "validate"}
+    for name, sub in subcommands.items():
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests == {"config"} | fields, name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["overhead", "--format", "json"], "unrecognized arguments: --format json"),
+    (["overhead", "--users", "abc"], "--users: invalid int value: 'abc'"),
+    ([], "required: command"),
+], ids=["removed_format_flag", "bad_integer", "no_subcommand"])
+def test_usage_error_exits_one(tmp_path, monkeypatch, capsys, argv, message):
+    # Exit code 2 means a failed validation, never a mistyped command line.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "usage: beamkey" in captured.err
+    assert not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_zero(capsys):
+    assert main(["validate", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_removed_config_field_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"out_format": "json"}))
+    out = tmp_path / "out"
+    code = main(["overhead", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and "out_format" in err
+    assert not out.exists()
 
 
 def test_meta_file_independent_of_output_settings(tmp_path):
@@ -37,7 +72,7 @@ def test_meta_file_independent_of_output_settings(tmp_path):
     metas = {name: (tmp_path / name / "overhead_meta.json").read_bytes() for name in runs}
     assert metas["a"] == metas["b"] == metas["workers"]
     config = json.loads(metas["a"])["config"]
-    assert not {"out_dir", "out_format", "workers"} & set(config)
+    assert not {"out_dir", "workers"} & set(config)
 
 
 def test_single_user_rate_runs(tmp_path):
@@ -111,7 +146,7 @@ def test_nul_byte_in_out_dir_exits_one(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"out_dir": "a\u0000b"}))
-    flags = ["--noise-power", "0"] if command == "validate" else SMALL
+    flags = [] if command == "validate" else SMALL
     code = main([command, "--config", str(cfg_path), *flags])
     assert code == 1
     captured = capsys.readouterr()
@@ -158,23 +193,11 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_validate_passes(tmp_path, capsys):
-    code = main(["validate", "--seed", "3", "--out", str(tmp_path),
-                 "--noise-power", "0"])
+    code = main(["validate", "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "sampling_unitarity" in out
-    assert (tmp_path / "validation_report.json").exists()
-
-
-@pytest.mark.parametrize("noise", ["-1", "nan", "inf", "-inf"])
-def test_validate_bad_noise_power_exits_one(tmp_path, capsys, noise):
-    out = tmp_path / "out"
-    code = main(["validate", "--seed", "3", "--out", str(out), f"--noise-power={noise}"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "noise_power" in captured.err
-    assert "passed" not in captured.out
-    assert not out.exists()
+    assert "sampling_unitarity" in out and "[FAIL]" not in out
+    assert json.loads((tmp_path / "validation_report.json").read_text())["passed"] is True
 
 
 @pytest.mark.parametrize("command", ["overhead", "validate"])
@@ -182,19 +205,22 @@ def test_unwritable_out_dir_exits_one(tmp_path, capsys, command):
     # --out names an existing file, so the output directory cannot be made.
     out = tmp_path / "taken"
     out.write_text("")
-    fast = ["--noise-power", "0"] if command == "validate" else []
-    code = main([command, "--seed", "3", *fast, "--out", str(out)])
+    code = main([command, "--seed", "3", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write results to {out}: ")
     assert "Traceback" not in err
 
 
+@pytest.mark.usefixtures("perturbed_grid_256")
 def test_validate_corrupt_sampling_exits_two(tmp_path, capsys):
-    code = main(["validate", "--seed", "3", "--out", str(tmp_path),
-                 "--noise-power", "0", "--corrupt-sampling"])
+    # A failed check is reported on stdout and in the report file, and exits 2.
+    code = main(["validate", "--seed", "3", "--out", str(tmp_path)])
     assert code == 2
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] sampling_unitarity" in out and "PROPERTY FAILURES PRESENT" in out
+    doc = json.loads((tmp_path / "validation_report.json").read_text())
+    assert doc["passed"] is False
 
 
 def test_beam_gains_and_multiuser(tmp_path):

@@ -14,6 +14,7 @@ MODULES = [beamkey] + [
 ]
 REMOVED = (
     "BeamDomainChannel",
+    "OUTPUT_FORMATS",
     "PILOT_MODES",
     "PilotSet",
     "ProbingObservation",
