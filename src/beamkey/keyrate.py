@@ -46,12 +46,19 @@ measurements r r^H / (c + sigma^2), where c >= 0 is the measurement's
 interference floor: the columns of Y with c = s^2 and, for G, the columns of
 V_k with c = 0.  Sorted by c, the order of the weights is the same at every
 noise power, so one QR factorization per set (`GradedInformation`) keeps the
-heavy measurements in the leading coordinates and the matrices graded, which
-keeps a plain Cholesky factorization accurate from -10 to 200 dB; a set
-whose floors are all 0 has one weight and is taken diagonal, in the
-eigenbasis of sum r r^H.  Singular values of J below
-max(J.shape) * eps * (its largest) are round-off and are cut to zero, so a
-direction the interference does not reach has floor exactly 0.
+heavy measurements in the leading coordinates and the matrices graded, so
+that a plain Cholesky factorization stays accurate; a set whose floors are
+all 0 has one weight and is taken diagonal, in the eigenbasis of
+sum r r^H.  Singular values of J below max(J.shape) * eps * (its largest)
+are round-off and are cut to zero, so a direction the interference does not
+reach has floor exactly 0.
+Accuracy: the 80-digit tests cover off-grid draws, where the rate agrees
+with the dense Gaussian MI to 1e-12 relative from 30 to 200 dB.  Two cases
+are known to miss.  Below about -10 dB the three log-determinants, each
+O(1/sigma^2), cancel to a rate of O(1/sigma^4).  On grid, a user who loses
+a path to another user's beam can keep round-off floors that survive the
+cut; its rate can then be silently off (1.2e-2 relative at 180 dB in one
+such draw) or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
 user at once: the SVDs of the V_k and of the interference stacks and the
 QR factorizations are each one call over a leading user axis.  Every rate
@@ -517,33 +524,38 @@ def gaussian_mi_oracle(cov: ObservationCovariances) -> float:
 
 
 def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power):
-    """Single-user rate in bits when both ends probe through complete unitary grids.
+    """Rate in bits of one user, or of each user in a stack, when both ends
+    probe through complete unitary grids.
 
     In that case the downlink and uplink covariances are Lambda + noise*I with
     cross-covariance Lambda, so the mutual information diagonalizes over the
-    eigenvalues of Lambda (zeros contribute nothing, so the eigenvalues of the
-    small Gram matrix F^H F of a factor Lambda = F F^H suffice):
+    eigenvalues w of Lambda (zeros contribute nothing, so the eigenvalues of
+    the small Gram matrix F^H F of a factor Lambda = F F^H suffice):
 
-        I = sum_i log( (w_i + noise)^2 / (noise * (2 w_i + noise)) ).
+        I = sum_i log( (w_i + noise)^2 / (noise * (2 w_i + noise)) )
+          = sum_i log1p( w_i^2 / (noise * (2 w_i + noise)) ),
 
-    `noise_power` is a scalar or a 1-D array; the result is a float or an
-    array of the same length.  Zero eigenvalues give a rate of 0 at any
-    noise power; otherwise a noise power of 0 raises
+    evaluated in the second form, which does not cancel at any noise power
+    (an 80-digit test holds it to 1e-12 relative from -60 to 200 dB).
+    `lambda_eigenvalues` holds nonnegative eigenvalues shaped (..., P), one
+    row per user; `noise_power` is a scalar or a 1-D array of n values.  The
+    result has shape (...) for a scalar noise power (a float for one user)
+    and (n, ...) for an array.  A zero eigenvalue gives exactly 0 at any
+    noise power; a noise power of 0 with any positive eigenvalue raises
     `SingularNoiseFreeRateError`, since the rate diverges.  Agrees with
     `gaussian_mi_oracle` on the equivalent assembled covariances; this form
     just avoids building the large matrices.
     """
     sigma2 = _noise_powers(noise_power)
     w = np.asarray(lambda_eigenvalues, dtype=float)
-    w = w[w > 0]
-    if w.size == 0:
-        return 0.0 if sigma2.ndim == 0 else np.zeros(sigma2.shape)
-    if np.any(sigma2 == 0):
+    if (sigma2 == 0).any() and (w > 0).any():
         raise SingularNoiseFreeRateError(
             "singular noise-free rate: full-observation MI diverges without noise"
         )
-    s2 = sigma2[..., None]
-    per_mode = 2.0 * np.log(w + s2) - np.log(s2) - np.log(2.0 * w + s2)
+    s2 = sigma2.reshape(sigma2.shape + (1,) * w.ndim)
+    with np.errstate(invalid="ignore"):  # 0/0: a zero eigenvalue at zero noise
+        ratio = (w / s2) * (w / (2.0 * w + s2))
+    per_mode = np.log1p(np.where(w == 0, 0.0, ratio))
     return _finalize_rate(np.sum(per_mode, axis=-1) / math.log(2.0))
 
 

@@ -9,9 +9,8 @@ from beamkey.channel import sampling_matrix
 @pytest.fixture
 def perturbed_grid_256(monkeypatch):
     """Make the validation suite's `sampling_matrix` return a non-unitary
-    256-antenna grid, so `sampling_unitarity` fails.  No other check forms a
-    grid of that size: the 16- and 4-antenna grids reach `to_beam_domain`,
-    which rejects a grid that is not unitary."""
+    256-antenna grid, so `sampling_unitarity` fails.  No other check reads
+    `sampling_matrix` through `experiments` or forms a grid of that size."""
     def perturbed(geometry):
         a = sampling_matrix(geometry)
         if geometry.antenna_count == 256:

@@ -405,6 +405,20 @@ class TestValidationSuite:
         assert failed == ["sampling_unitarity"]
         assert not report.passed
 
+    def test_report_lists_the_nine_checks_in_order(self):
+        report = run_validation_suite(small_multi_user())
+        assert [c.name for c in report.checks] == [
+            "sampling_unitarity",
+            "rate_oracle_equivalence",
+            "noiseless_reciprocity",
+            "neutralization_residual_on_grid",
+            "multiuser_probing_matches_single_user",
+            "covariance_consistency",
+            "rate_monotonic_in_noise",
+            "selection_scale_invariance",
+            "deterministic_reproducibility",
+        ]
+
     def test_report_serialization(self):
         report = run_validation_suite(small_multi_user())
         text = report.to_text()

@@ -592,6 +592,24 @@ class TestFullSamplingRate:
     def test_zero_covariance_batched(self):
         assert np.array_equal(full_sampling_rate(np.zeros(8), np.array([0.1, 0.0])), [0.0, 0.0])
 
+    def test_matches_80_digit_sum_from_minus_60_to_200_db(self):
+        # Each user's Gram spectrum of a reference-scenario draw, all users in
+        # one call.  The form 2 log(w + s2) - log s2 - log(2 w + s2) cancels
+        # at low SNR: it missed by 1.4e-12 at -10 dB and by 5e-2 at -60 dB.
+        import mpmath
+
+        inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
+        spectra = psd_eigh(np.stack([f.conj().T @ f for f in inputs.lambda_factors]))[0]
+        noise = 10.0 ** (-np.arange(-60.0, 201.0, 10.0) / 10.0)
+        fast = full_sampling_rate(spectra, noise)
+        assert fast.shape == (noise.size, 6)
+        assert np.array_equal(fast[:, 3], full_sampling_rate(spectra[3], noise))
+        with mpmath.workdps(80):
+            exact = [[float(mpmath.fsum(mpmath.log((w + s2) ** 2 / (s2 * (2 * w + s2)))
+                                        for w in map(mpmath.mpf, user)) / mpmath.log(2))
+                      for user in spectra] for s2 in map(mpmath.mpf, noise)]
+        np.testing.assert_allclose(fast, exact, rtol=1e-12, atol=0)
+
 
 class TestDominanceAndInterference:
     def test_full_grid_probing_dominates_reduced(self):
