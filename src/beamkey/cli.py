@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -85,7 +86,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="beamkey",
         description="Beam-domain probing and key-rate experiments for multi-user massive MIMO",
@@ -130,17 +133,16 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    validation = isinstance(result, ValidationReport)
+    if validation:
+        print(result.to_text(), end="")
     try:
-        if isinstance(result, ValidationReport):
-            print(result.to_text(), end="")
-            out_dir = Path(config.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "validation_report.json").write_text(result.to_json())
-            return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
         paths = write_result(result, config.out_dir)
     except OSError as exc:
         print(f"error: cannot write results to {config.out_dir}: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
+    if validation:
+        return EXIT_OK if result.passed else EXIT_VALIDATION_FAILURE
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -64,6 +63,12 @@ DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 # Probing rounds per chunk in `empirical_downlink_covariance`.
 PROBE_CHUNK = 256
+
+# Trials per rate-engine call in the rate runners, chosen by measurement:
+# 5 gives nearly all of the batching gain on a 10-trial single-user run, and
+# each trial in a block adds about 0.7 MiB to the peak memory of the
+# reference scenario.
+TRIAL_BLOCK = 5
 
 # Largest array a config may name: the runners form the M x M sampling matrix
 # of each array, 64 GiB of complex128 at this size.
@@ -193,8 +198,9 @@ class ScenarioConfig:
     def resolved(self) -> dict:
         """The fields that determine the results, in canonical form.
 
-        Where results are written (`out_dir`) and the thread count
-        (`workers`) do not change them, so they are left out.
+        Where results are written (`out_dir`) does not change them, and
+        `workers` has no effect (the runners are single-threaded), so both
+        are left out.
         """
         doc = dataclasses.asdict(self)
         for name in ("out_dir", "workers"):
@@ -234,8 +240,13 @@ class ExperimentResult:
     # still carries a header row.
     table_columns: dict[str, list[str]] = field(default_factory=dict)
 
-    def tables(self) -> dict[str, list[dict]]:
-        return {self.name: self.records, **self.extra_tables}
+    def files(self) -> dict[str, str]:
+        """File name -> contents: one CSV per table, then `<name>_meta.json`."""
+        tables = {self.name: self.records, **self.extra_tables}
+        files = {f"{table}.csv": records_to_csv(records, self.table_columns.get(table))
+                 for table, records in tables.items()}
+        files[f"{self.name}_meta.json"] = json.dumps(self.metadata, indent=2, sort_keys=True)
+        return files
 
 
 def _cell(value) -> str:
@@ -261,18 +272,16 @@ def records_to_csv(records: list[dict], columns: list[str] | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def write_result(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
-    """Write one CSV per table and a `<name>_meta.json`; returns the created paths."""
+def write_result(result: ExperimentResult | ValidationReport,
+                 out_dir: str | Path) -> list[Path]:
+    """Write each of `result.files()` into `out_dir`; returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for table, records in result.tables().items():
-        path = out / f"{table}.csv"
-        path.write_text(records_to_csv(records, result.table_columns.get(table)))
+    for name, text in result.files().items():
+        path = out / name
+        path.write_text(text)
         written.append(path)
-    meta = out / f"{result.name}_meta.json"
-    meta.write_text(json.dumps(result.metadata, indent=2, sort_keys=True))
-    written.append(meta)
     return written
 
 
@@ -350,31 +359,31 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the trial means of the (SNR, scheme, user) rates, with one scheme
     per `bs_beams_compare` entry and complete-grid probing last, and of the
-    largest neutralization residual per beam count.
+    largest neutralization residual per beam count.  The trials are drawn in
+    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`; each
+    block is rated with one `rate_factors` call per beam count over all its
+    allocations, and one eigendecomposition of all its Gram matrices.
     """
     counts = config.ut_antenna_list()
     sigmas = config.noise_powers()
     me_values = [int(m) for m in config.bs_beams_compare]
-
-    def one_trial(seed: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
-        scenario = Scenario.draw(np.random.default_rng(seed), config.n_paths,
-                                 config.bs_antennas, counts, config.angle_mode == "on_grid")
-        rates = np.zeros((len(sigmas), len(me_values) + 1, config.users))
-        residuals = np.zeros(len(me_values))
+    seeds = _trial_seeds(config)
+    rates = np.zeros((config.trials, len(sigmas), len(me_values) + 1, config.users))
+    residuals = np.zeros((config.trials, len(me_values)))
+    for start in range(0, config.trials, TRIAL_BLOCK):
+        scenarios = [Scenario.draw(np.random.default_rng(seed), config.n_paths,
+                                   config.bs_antennas, counts, config.angle_mode == "on_grid")
+                     for seed in seeds[start:start + TRIAL_BLOCK]]
+        block = slice(start, start + len(scenarios))
+        shape = (len(sigmas), len(scenarios), config.users)  # (n, T, U)
         for j, m_e in enumerate(me_values):
-            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
-            rates[:, j] = rate_factors(inputs).rate(sigmas)
-            residuals[j] = scenario.max_residual(inputs)
-        rates[:, -1] = scenario.full_sampling_rate(sigmas)
-        return rates, residuals
-
-    if config.workers <= 1:
-        outputs = [one_trial(seed) for seed in _trial_seeds(config)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outputs = list(pool.map(one_trial, _trial_seeds(config)))
-    rates, residuals = (np.stack(x).mean(axis=0) for x in zip(*outputs))
-    return rates, residuals
+            inputs = [RateInputs(s.factors, s.allocate(m_e, config.ut_beams)) for s in scenarios]
+            rates[block, :, j] = rate_factors(*inputs).rate(sigmas).reshape(shape).swapaxes(0, 1)
+            residuals[block, j] = [s.max_residual(x) for s, x in zip(scenarios, inputs)]
+        grams = np.stack([g for s in scenarios for g in s.grams])
+        rates[block, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
+                               .reshape(shape).swapaxes(0, 1))
+    return rates.mean(axis=0), residuals.mean(axis=0)
 
 
 def _metadata(config: ScenarioConfig, name: str) -> dict:
@@ -580,6 +589,10 @@ class ValidationReport:
             indent=2,
             sort_keys=True,
         )
+
+    def files(self) -> dict[str, str]:
+        """File name -> contents: `validation_report.json`."""
+        return {"validation_report.json": self.to_json()}
 
 
 def closed_form_agreement_sweep(seed: int, instances: int) -> float:

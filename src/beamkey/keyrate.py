@@ -60,13 +60,17 @@ a path to another user's beam can keep round-off floors that survive the
 cut; its rate can then be silently off (1.2e-2 relative at 180 dB in one
 such draw) or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
-user at once: the SVDs of the V_k and of the interference stacks and the
-QR factorizations are each one call over a leading user axis.  Every rate
-of every user for a whole array of noise powers is then one batched Cholesky
-factorization of (2, U, n, P, P) matrices.  Users whose term counts differ
-(some zero floors merged, or every floor 0) are padded with zero terms to
-the largest count.  `secret_key_rate` is the same engine at one noise power,
-read off for one user.
+user at once, and the runners make one call per block of trials and beam
+count, over the block's allocations (one per trial, all of one shape): the
+SVDs of the V_k and of the interference stacks and the QR factorizations
+are each one call over a leading axis of T * U users, trial-major.  Every
+rate of every user for a whole array of noise powers is then one batched
+Cholesky factorization of (2, T * U, n, P, P) matrices.  Users whose term
+counts differ (some zero floors merged, or every floor 0) are padded with
+zero terms to the largest count; each allocation is summed over its own
+count, so that it gets the same bits in a batch as alone.
+`secret_key_rate` is the same engine at one noise power, read off for one
+user.
 
 `gaussian_mi_oracle` evaluates I = log det(R_dl) + log det(R_ul) - log det(R_joint)
 directly from the dense assembled observation covariances
@@ -260,16 +264,18 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
 class GradedInformation:
     """Fisher information sum_j r_j r_j^H / (c_j + sigma^2) about each user's
     path gains, from a graded factor, for evaluation at any noise power
-    sigma^2 > 0.
+    sigma^2 > 0.  The rows are the users of T allocations, trial-major.
 
-    terms  : (U, P, P, n) per user the rank-one terms r_j r_j^H, term j
+    terms  : (T*U, P, P, n) per user the rank-one terms r_j r_j^H, term j
              being terms[u, :, :, j], except that the terms with floor 0,
              which share the weight 1/sigma^2, are summed into the first;
              when every floor of a user is 0, its single term is diag(s^2),
              s the singular values of its measurements.  A user with fewer
              terms than the largest count is padded with zero terms.
-    floors : (U, n) per user nondecreasing c_j >= 0, the interference power
-             that measurement j sees on top of the noise
+    floors : (T*U, n) per user nondecreasing c_j >= 0, the interference
+             power that measurement j sees on top of the noise
+    counts : per allocation, a tuple of T ints, its term count: the
+             largest count among its users (1 when all their floors are 0)
 
     The r_j are the columns of the upper trapezoidal R of a QR factorization
     of the measurements sorted by c, so by decreasing weight at every noise
@@ -283,22 +289,30 @@ class GradedInformation:
 
     terms: np.ndarray
     floors: np.ndarray
+    counts: tuple[int, ...]
 
     @classmethod
-    def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
+    def from_sorted(cls, columns: np.ndarray, floors: np.ndarray,
+                    n_allocs: int = 1) -> "GradedInformation":
         """Factor each user's (P, n) measurement columns, already sorted by
-        nondecreasing floor, from (U, P, n) columns and (U, n) floors."""
-        n_users, n_paths, n_cols = columns.shape
+        nondecreasing floor, from (T*U, P, n) columns and (T*U, n) floors,
+        the users of `n_allocs` = T allocations, trial-major."""
+        n_rows, n_paths, n_cols = columns.shape
         n_zero = np.count_nonzero(floors == 0, axis=1)
         flat = n_zero == n_cols
+        # An allocation's term count is set by its user with the fewest zero
+        # floors, who has all n_cols zero only when every user is flat.
+        counts = tuple(1 if z == n_cols else n_cols - max(z - 1, 0)
+                       for z in n_zero.reshape(n_allocs, -1).min(axis=1).tolist())
         if flat.all():
-            return cls(terms=_diagonal_terms(columns)[..., None], floors=np.zeros((n_users, 1)))
+            return cls(terms=_diagonal_terms(columns)[..., None], floors=np.zeros((n_rows, 1)),
+                       counts=counts)
         # A user's terms are its columns from max(n_zero - 1, 0) on, the
         # first of them standing for all its zero-floor columns; a user with
         # fewer terms is padded with zero terms at its last floor.
         graded = np.flatnonzero(~flat)
-        n_terms = n_cols - max(int(n_zero[graded].min()) - 1, 0)
-        terms = np.zeros((n_users, n_paths, n_paths, n_terms), dtype=columns.dtype)
+        n_terms = max(counts)
+        terms = np.zeros((n_rows, n_paths, n_paths, n_terms), dtype=columns.dtype)
         padded_floors = np.repeat(floors[:, -1:], n_terms, axis=1)
         if flat.any():
             terms[flat, :, :, 0] = _diagonal_terms(columns[flat])
@@ -315,19 +329,29 @@ class GradedInformation:
             if n_sum > 1:
                 terms[users, :, :, 0] = _rank_one(r_same[..., :n_sum]).sum(axis=-1)
             padded_floors[users, : n_cols - first] = floors[users, first:]
-        return cls(terms=terms, floors=padded_floors)
+        return cls(terms=terms, floors=padded_floors, counts=counts)
 
     def plus_identity(self, noise_powers: np.ndarray) -> np.ndarray:
         """I + sum_j r_j r_j^H / (c_j + sigma^2) for each user and each noise
-        power in the (n, 1) column `noise_powers`, as a (U, n, P, P) array."""
-        n_users, n_paths, _, n_terms = self.terms.shape
-        weights = 1.0 / (self.floors[:, None, :] + noise_powers)
-        # One 1 x n_terms product per user and noise power, not one matrix
-        # product for all noise powers: BLAS rounds a single-row product
-        # differently, and this way a noise power gives the same bits alone
-        # as within a grid.
-        terms = self.terms.reshape(n_users, 1, -1, n_terms).swapaxes(-1, -2)
-        gram = (weights[..., None, :] @ terms).reshape(n_users, -1, n_paths, n_paths)
+        power in the (n, 1) column `noise_powers`, as a (T*U, n, P, P) array."""
+        n_rows, n_paths = self.terms.shape[:2]
+        gram = np.empty((n_rows, len(noise_powers), n_paths, n_paths),
+                        dtype=np.result_type(self.terms, noise_powers))
+        # One pass per allocation term count: BLAS rounds a sum differently
+        # when zero terms are appended, and this way each allocation is
+        # summed over its own count, as it is alone.
+        distinct = set(self.counts)
+        for count in distinct:
+            rows = (slice(None) if len(distinct) == 1 else
+                    np.repeat(np.equal(self.counts, count), n_rows // len(self.counts)))
+            terms = np.ascontiguousarray(self.terms[rows, :, :, :count])
+            weights = 1.0 / (self.floors[rows, None, :count] + noise_powers)
+            # One 1 x count product per user and noise power, not one matrix
+            # product for all noise powers: BLAS rounds a single-row product
+            # differently, and this way a noise power gives the same bits
+            # alone as within a grid.
+            terms = terms.reshape(len(terms), 1, -1, count).swapaxes(-1, -2)
+            gram[rows] = (weights[..., None, :] @ terms).reshape(len(terms), -1, n_paths, n_paths)
         diag = np.arange(n_paths)
         gram[..., diag, diag] += 1.0
         return gram
@@ -358,9 +382,9 @@ def _diagonal_terms(columns: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class UserRateFactors:
     """Noise-independent factorization of every user's observation model,
-    with a leading user axis.
+    with a leading axis of the T * U users of T allocations, trial-major.
 
-    gains    : (U, P) per user the eigenvalues g of G = V_k V_k^H, the
+    gains    : (T*U, P) per user the eigenvalues g of G = V_k V_k^H, the
                squared singular values of V_k
     uplink   : the uplink's information T about g: the columns of
                Y = V_kk Z with floors s^2
@@ -379,10 +403,10 @@ class UserRateFactors:
     def rate(self, noise_powers):
         """Every user's key rate in bits at each noise power.
 
-        Returns a (U,) array for a scalar noise power and an (n, U) array
-        for a 1-D array of n.  All users and noise powers are evaluated at
-        once, with one batched Cholesky factorization of the
-        (2, U, n, P, P) matrices I + T and I + T + G/sigma^2.
+        Returns a (T*U,) array for a scalar noise power and an (n, T*U)
+        array for a 1-D array of n.  All users and noise powers are
+        evaluated at once, with one batched Cholesky factorization of the
+        (2, T*U, n, P, P) matrices I + T and I + T + G/sigma^2.
 
         The rate needs noise_power > 0: a noise power of 0 raises
         `SingularNoiseFreeRateError` (without noise the observation
@@ -433,28 +457,62 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def rate_factors(inputs: RateInputs) -> UserRateFactors:
+def rate_factors(*inputs: RateInputs) -> UserRateFactors:
     """Factor every user's observation model once for `UserRateFactors.rate`.
+
+    One or more rate inputs of one shape (U users, m_e, n_e, P), such as one
+    allocation per trial, are factored together: their T * U users become
+    the leading axis, trial-major (row t * U + k is user k of `inputs[t]`).
+    V_k and the interference stacks are built within each input, so a user
+    gets the same bits alone as within a batch.  Inputs of different shapes
+    raise ValueError.
 
     g comes from the singular values of V_k, and s^2 and Z from the full SVD
     of the interference stack J = vstack(V_kk', k' != k), each one batched
     SVD over the users.  Singular values of J below
     max(J.shape) * eps * (its largest) are round-off and are cut to zero.
     """
-    blocks = inputs.blocks
-    n_users, _, dim, _ = blocks.shape
-    v_h = blocks[0]
-    for row in blocks[1:]:
-        v_h = v_h + row  # V_k^H, summed in user order
-    v_kk = _adjoint(blocks.reshape(n_users * n_users, dim, -1)[:: n_users + 1])
+    if not inputs:
+        raise ValueError("rate_factors needs at least one RateInputs")
+    shape = inputs[0].blocks.shape
+    for t, x in enumerate(inputs):
+        if x.blocks.shape != shape:
+            raise ValueError(f"inputs[{t}] has (U, U, m_e*n_e, P) = {x.blocks.shape}; "
+                             f"every input needs {shape}, as inputs[0] has")
+    u_k, sv_k, y, floors = _measurements(np.stack([x.blocks for x in inputs]))
+    return UserRateFactors(
+        gains=sv_k * sv_k,
+        uplink=GradedInformation.from_sorted(y, floors, len(inputs)),
+        joint=GradedInformation.from_sorted(
+            np.concatenate([u_k * sv_k[:, None, :], y], axis=-1),
+            np.concatenate([np.zeros(sv_k.shape), floors], axis=-1), len(inputs)),
+    )
+
+
+def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u_k, sv_k, Y, floors) of every user of (T, U, U, d, P) blocks, rows
+    trial-major: the SVD V_k = u_k diag(sv_k) (...)^H, and the columns of Y
+    with their floors s^2, sorted by nondecreasing floor.
+
+    A function of its own, so that the stacked blocks and the SVD factors
+    are freed before the terms are formed, which would otherwise set the
+    batch's peak memory.
+    """
+    n_allocs, n_users, _, dim, n_paths = blocks.shape
+    n_rows = n_allocs * n_users
+    v_h = blocks[:, 0]
+    for u in range(1, n_users):
+        v_h = v_h + blocks[:, u]  # V_k^H, summed in user order
+    v_h = v_h.reshape(n_rows, dim, n_paths)
+    users = np.arange(n_users)
+    v_kk = _adjoint(blocks[:, users, users].reshape(n_rows, dim, n_paths))
     # G = U diag(sv_k^2) U^H: the P columns U sv_k carry the same downlink
     # information as the d columns of V_k.
     u_k, sv_k, _ = np.linalg.svd(_adjoint(v_h), full_matrices=False)
-    floors = np.zeros((n_users, dim))
+    floors = np.zeros((n_rows, dim))
     if n_users > 1:
-        users = np.arange(n_users)
         others = np.array([np.delete(users, k) for k in users])
-        stack = _adjoint(blocks[users[:, None], others]).reshape(n_users, -1, dim)
+        stack = _adjoint(blocks[:, users[:, None], others]).reshape(n_rows, -1, dim)
         _, sv, zh = np.linalg.svd(stack, full_matrices=True)
         cut = max(stack.shape[1:]) * np.finfo(float).eps * sv[:, :1]
         floors[:, : sv.shape[1]] = np.where(sv > cut, sv * sv, 0.0)
@@ -462,14 +520,7 @@ def rate_factors(inputs: RateInputs) -> UserRateFactors:
     else:
         y = v_kk
     # The SVD orders s^2 downwards, so reversed the floors are nondecreasing.
-    y, floors = y[..., ::-1], floors[:, ::-1]
-    return UserRateFactors(
-        gains=sv_k * sv_k,
-        uplink=GradedInformation.from_sorted(y, floors),
-        joint=GradedInformation.from_sorted(
-            np.concatenate([u_k * sv_k[:, None, :], y], axis=-1),
-            np.concatenate([np.zeros(sv_k.shape), floors], axis=-1)),
-    )
+    return u_k, sv_k, y[..., ::-1], floors[:, ::-1]
 
 
 def assemble_observation_covariances(inputs: RateInputs, k: int,

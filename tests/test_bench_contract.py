@@ -43,7 +43,10 @@ def test_tracer_resolves_every_hook():
                        "allocation.neutralization_residual", "allocation.build_matrices")),
     ("single_user_sweep", ("keyrate.rate_factors", "keyrate.rate",
                            "keyrate.full_sampling_rate", "allocation.build_matrices")),
-], ids=["multiuser_ref", "single_user_sweep"])
+    ("validate_suite", ("keyrate.rate_factors", "keyrate.gaussian_mi_oracle",
+                        "probing.downlink_probe", "probing.uplink_probe",
+                        "channel.synthesize_channel")),
+], ids=["multiuser_ref", "single_user_sweep", "validate_suite"])
 def test_traced_op_reaches_the_hooked_layers(tmp_path, name, layers):
     # The runners must call the hooked names where the tracer patches them;
     # a call that bypasses them would leave these layers at zero calls.
@@ -59,3 +62,4 @@ def test_traced_op_reaches_the_hooked_layers(tmp_path, name, layers):
     counts = tracer.op_counts(0)
     for layer in layers + ("experiments.write_result",):
         assert counts[f"{layer}.calls"] > 0, layer
+    assert counts["experiments.output_bytes"] > 0

@@ -60,8 +60,8 @@ def test_removed_config_field_exits_one(tmp_path, capsys):
 
 
 def test_meta_file_independent_of_output_settings(tmp_path):
-    # Where results go and how many threads compute them do not change the
-    # results, so they stay out of the resolved config and its hash.
+    # Where results go does not change the results, and `workers` has no
+    # effect, so both stay out of the resolved config and its hash.
     runs = {
         "a": ["--out", str(tmp_path / "a")],
         "b": ["--out", str(tmp_path / "b")],
@@ -282,3 +282,36 @@ def test_high_snr_rates_exit_zero_and_never_fall(tmp_path, command, scheme_rate)
         assert all(later >= earlier for earlier, later in zip(rates, rates[1:])), scheme
     meta = json.loads((tmp_path / f"{table}_meta.json").read_text())
     assert meta["logdet_jitter_events"] == 0
+
+
+def test_cached_parser_gives_the_files_of_fresh_parsers(tmp_path, capsys):
+    # One parser serves every call in a process; parsing must leave nothing
+    # behind that a later call with another subcommand or flags would see.
+    multi = ["--bs-antennas", "16", "--users", "3", "--ut-antennas", "4", "--n-paths", "2",
+             "--bs-beams", "2", "--ut-beams", "2", "--bs-beams-compare", "2,1"]
+    calls = [
+        ["single-user-rate", *SMALL],
+        ["multiuser-unit-rate", *multi, "--trials", "2"],
+        ["overhead", "--users", "abc"],  # a usage error in between
+        ["validate", "--seed", "4"],
+        ["beam-gains", *multi, "--angle-mode", "on_grid", "--seed", "9"],
+        ["single-user-rate", "--bs-antennas", "16", "--users", "1", "--trials", "1"],
+        ["overhead"],
+    ]
+
+    def run_all(root, fresh):
+        codes = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            codes.append(main([*argv, "--out", str(root / str(i))]))
+        files = {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                 if p.is_file()}
+        return codes, files, capsys.readouterr().out.replace(str(root), "<out>")
+
+    assert build_parser() is build_parser()
+    cached = run_all(tmp_path / "cached", fresh=False)
+    fresh = run_all(tmp_path / "fresh", fresh=True)
+    assert cached[0] == [0, 0, 1, 0, 0, 0, 0]
+    assert cached == fresh
+    assert len(cached[1]) == 12

@@ -21,9 +21,11 @@ from beamkey.channel import (
 from beamkey.experiments import (
     DEFAULT_SNR_GRID,
     PROBE_CHUNK,
+    TRIAL_BLOCK,
     ConfigError,
     Scenario,
     ScenarioConfig,
+    _mean_trial_rates,
     _trial_seeds,
     empirical_downlink_covariance,
     records_to_csv,
@@ -361,6 +363,55 @@ class TestMultiuserUnitRate:
                 assert rec["max_neutralization_residual"] >= 0
         again = run_multiuser_unit_rate(cfg)
         assert res.records == again.records
+
+
+def one_trial_at_a_time(cfg):
+    """`_mean_trial_rates` as a loop over trials, one engine call per trial
+    and beam count."""
+    sigmas = cfg.noise_powers()
+    rates, residuals = [], []
+    for seed in _trial_seeds(cfg):
+        scenario = Scenario.draw(np.random.default_rng(seed), cfg.n_paths, cfg.bs_antennas,
+                                 cfg.ut_antenna_list(), cfg.angle_mode == "on_grid")
+        trial, worst = [], []
+        for m_e in cfg.bs_beams_compare:
+            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, cfg.ut_beams))
+            trial.append(rate_factors(inputs).rate(sigmas))
+            worst.append(scenario.max_residual(inputs))
+        trial.append(scenario.full_sampling_rate(sigmas))
+        rates.append(np.stack(trial, axis=1))
+        residuals.append(worst)
+    return np.stack(rates).mean(axis=0), np.array(residuals).mean(axis=0)
+
+
+class TestTrialBlocks:
+    """The rate runners rate a block of up to TRIAL_BLOCK trials per engine call."""
+
+    TRIALS = 2 * TRIAL_BLOCK + 1  # two full blocks and a block of one
+
+    @pytest.mark.parametrize("cfg", [
+        small_single_user(trials=TRIALS),
+        small_multi_user(trials=TRIALS, angle_mode="on_grid", snr_db_grid=[0.0, 50.0, 100.0]),
+        small_multi_user(trials=TRIALS, ut_antennas=[4, 2, 8]),
+    ], ids=["single_user", "multi_user_on_grid", "multi_user_mixed_ut_antennas"])
+    def test_blocks_equal_one_trial_at_a_time(self, cfg):
+        rates, residuals = _mean_trial_rates(cfg)
+        expected_rates, expected_residuals = one_trial_at_a_time(cfg)
+        assert np.array_equal(rates, expected_rates)
+        assert np.array_equal(residuals, expected_residuals)
+
+    def test_one_engine_call_per_block_and_beam_count(self, monkeypatch):
+        calls = []
+
+        def counting(*inputs):
+            calls.append(len(inputs))
+            return rate_factors(*inputs)
+
+        monkeypatch.setattr(experiments, "rate_factors", counting)
+        cfg = small_multi_user(trials=self.TRIALS)
+        run_multiuser_unit_rate(cfg)
+        blocks = [TRIAL_BLOCK, TRIAL_BLOCK, 1]  # ceil(TRIALS / TRIAL_BLOCK) blocks
+        assert calls == [n for n in blocks for _ in cfg.bs_beams_compare]
 
 
 class TestWriteResult:

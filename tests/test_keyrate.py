@@ -560,6 +560,75 @@ class TestBatchedUsers:
             RateInputs(wider, inputs.allocation)
 
 
+def zeroed(inputs, pairs):
+    """`inputs` with user kp's factor rows at user k's transmit beams set to
+    0, for each (k, kp) in `pairs`, as for users on disjoint grid beams:
+    user k's uplink then sees no interference from user kp."""
+    alloc = inputs.allocation
+    factors = [f.copy() for f in inputs.lambda_factors]
+    for k, kp in pairs:
+        factors[kp].reshape(alloc.bs_antennas, -1, factors[kp].shape[1])[alloc.bs_beams[k]] = 0
+    return RateInputs(factors, alloc)
+
+
+def term_count_mix():
+    """Allocations of one shape (16 BS antennas, users with 4, 2 and 8 UT
+    antennas, P = 2, m_e = 3, n_e = 2) whose uplink term counts differ, so
+    that a batch of them pads some allocations with zero terms: off grid
+    (count 5), on grid (4), every user free of one interferer (3), user 0
+    free of both (`mixed_term_count_inputs`, 5) and every user free of both
+    (1)."""
+    rng = np.random.default_rng(22)
+    draw = lambda on_grid: Scenario.draw(rng, 2, 16, [4, 2, 8], on_grid)  # noqa: E731
+    return [RateInputs(s.factors, s.allocate(3, 2)) for s in (draw(False), draw(True))] + [
+        zeroed(scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2), [(0, 1), (1, 2), (2, 0)]),
+        mixed_term_count_inputs(),
+        zeroed(scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2),
+               [(k, kp) for k in range(3) for kp in range(3) if kp != k]),
+    ]
+
+
+class TestBatchedAllocations:
+    """`rate_factors(*inputs)` factors several allocations as one batch."""
+
+    NOISE = 10.0 ** (-np.arange(-10.0, 151.0, 10.0) / 10.0)
+
+    @pytest.mark.parametrize("make_inputs", [
+        term_count_mix,
+        lambda: [scenario_inputs(np.random.default_rng(s), 32, [4], 6, 6, 4) for s in range(4)],
+        # Fewer measurements than paths: m_e * n_e = 4 < P = 6.
+        lambda: [scenario_inputs(np.random.default_rng(s), 128, [4], 6, 1, 4) for s in range(3)],
+    ], ids=["multi_user_term_counts_differ", "single_user", "rank_deficient_single_user"])
+    def test_batch_is_bit_identical_to_one_call_per_allocation(self, make_inputs):
+        inputs = make_inputs()
+        batch = rate_factors(*inputs)
+        for noise in (self.NOISE, 0.05):
+            alone = np.concatenate([rate_factors(x).rate(noise) for x in inputs], axis=-1)
+            assert np.array_equal(batch.rate(noise), alone)
+
+    def test_term_counts_differ_across_the_mix(self):
+        # So the bit-identity above covers padding across allocations; summed
+        # over the batch's largest count instead, these allocations would
+        # round differently.
+        assert rate_factors(*term_count_mix()).uplink.counts == (5, 4, 3, 5, 1)
+
+    @pytest.mark.parametrize("other", [
+        lambda rng: scenario_inputs(rng, 16, [4, 2], 2, 3, 2),
+        lambda rng: scenario_inputs(rng, 16, [4, 2, 8], 2, 2, 2),
+        lambda rng: scenario_inputs(rng, 16, [4, 2, 8], 3, 3, 2),
+    ], ids=["users", "beams", "paths"])
+    def test_shape_mismatch_rejected(self, other):
+        rng = np.random.default_rng(32)
+        first = scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2)
+        with pytest.raises(ValueError, match=r"inputs\[1\] has \(U, U, m_e\*n_e, P\) = "
+                                             r".*; every input needs \(3, 3, 6, 2\)"):
+            rate_factors(first, other(rng))
+
+    def test_no_inputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one RateInputs"):
+            rate_factors()
+
+
 class TestFullSamplingRate:
     def test_matches_oracle_through_full_grids(self):
         rng = np.random.default_rng(8)
