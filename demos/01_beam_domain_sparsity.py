@@ -12,7 +12,7 @@ import numpy as np
 
 from beamkey import (
     ArrayGeometry,
-    beam_covariances,
+    beam_covariance_factor,
     sample_paths,
     sampling_matrix,
     synthesize_channel,
@@ -44,9 +44,9 @@ for rank in range(8):
     print(f"  #{rank + 1}: ({n_idx:2d}, {m_idx:3d})  {100 * share:5.1f}%   "
           f"cumulative {100 * cumulative:5.1f}%")
 
-diag = np.real(np.diag(beam_covariances(paths, bs, ut).r_bs))
-top = np.sort(diag)[::-1]
+_, bs_gains, _ = beam_covariance_factor(paths, bs, ut)
+top = np.sort(bs_gains)[::-1]
 print(f"\ntransmit-beam gain profile: top-4 beams hold "
-      f"{100 * top[:4].sum() / diag.sum():.1f}% of the mean channel power,")
-print(f"top-8 hold {100 * top[:8].sum() / diag.sum():.1f}% "
+      f"{100 * top[:4].sum() / bs_gains.sum():.1f}% of the mean channel power,")
+print(f"top-8 hold {100 * top[:8].sum() / bs_gains.sum():.1f}% "
       f"(dense channel spread across {M} antennas otherwise)")

@@ -106,7 +106,9 @@ def allocate_bs_beams(diagonals: Sequence[np.ndarray], m_e: int) -> list[np.ndar
     Greedy round robin: users take turns in fixed order, one beam per turn,
     each claiming its highest-ranked beam not yet taken.  A user's own picks
     therefore come out in its descending gain order, and the result degrades
-    gracefully when the users' strongest beams collide.
+    gracefully when the users' strongest beams collide.  Round r depends only
+    on the rounds before it, so the allocation is prefix-closed: the first m
+    picks of every user at `m_e` are the allocation at m, for any m <= m_e.
     """
     m_e = int(m_e)
     if m_e < 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +95,8 @@ def _validate_angles(angles: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} angles must lie in [-pi/2, pi/2)")
 
 
-@dataclass(frozen=True)
-class BeamCovariances:
-    """Second-order beam-domain statistics of one link.
+class BeamCovariances(NamedTuple):
+    """Second-order beam-domain statistics of one link, from `beam_covariances`.
 
     r_bs        : transmit-side covariance, Hermitian PSD (M x M)
     r_ut        : receive-side covariance, Hermitian PSD (N x N)
@@ -106,17 +106,6 @@ class BeamCovariances:
     r_bs: np.ndarray
     r_ut: np.ndarray
     lambda_full: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("r_bs", "r_ut", "lambda_full"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, readonly(mat))
-        if self.lambda_full.shape[0] != self.r_bs.shape[0] * self.r_ut.shape[0]:
-            raise ValueError("lambda_full dimension must equal r_bs dim times r_ut dim")
 
 
 def grid_sines(antenna_count: int) -> np.ndarray:

@@ -120,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INVALID_CONFIG
     try:
         config = _config_from_args(args)
-        config.validate()
     except (ConfigError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -102,16 +102,14 @@ _FIELD_TYPES = {
 }
 
 
-def _check_field_types(fields: dict) -> None:
-    for name, value in fields.items():
-        expected, accepts = _FIELD_TYPES.get(name, ("an integer", _is_int))
-        if not accepts(value):
-            raise ConfigError(f"invalid config: {name} must be {expected}, got {value!r}")
+def _config_hash(resolved: dict) -> str:
+    return hashlib.sha1(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """All simulation knobs for one experiment run."""
+    """All simulation knobs for one experiment run.  Frozen, and checked once
+    when built (`validate`), so a config is valid for its lifetime."""
 
     bs_antennas: int = 128
     users: int = 6
@@ -127,12 +125,13 @@ class ScenarioConfig:
     workers: int = 1
     out_dir: str = "results"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def ut_antenna_list(self) -> list[int]:
         if isinstance(self.ut_antennas, (list, tuple)):
-            counts = [int(n) for n in self.ut_antennas]
-        else:
-            counts = [int(self.ut_antennas)] * self.users
-        return counts
+            return [int(n) for n in self.ut_antennas]
+        return [int(self.ut_antennas)] * self.users
 
     def noise_powers(self) -> np.ndarray:
         """The noise power 10^(-SNR/10) of each `snr_db_grid` entry (unit signal power)."""
@@ -143,7 +142,10 @@ class ScenarioConfig:
         def fail(invariant: str) -> None:
             raise ConfigError(f"invalid config: {invariant}")
 
-        _check_field_types({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+        for name, value in vars(self).items():
+            expected, accepts = _FIELD_TYPES.get(name, ("an integer", _is_int))
+            if not accepts(value):
+                fail(f"{name} must be {expected}, got {value!r}")
         if self.bs_antennas < 1:
             fail("bs_antennas must be positive")
         if self.bs_antennas > MAX_ANTENNAS:
@@ -158,13 +160,9 @@ class ScenarioConfig:
         largest_me = max([self.bs_beams] + [int(m) for m in self.bs_beams_compare])
         if self.users * largest_me > self.bs_antennas:
             fail("users * bs_beams must not exceed bs_antennas (disjoint beams infeasible)")
-        # The distinct counts, read off the field: no list of `users` entries.
-        if isinstance(self.ut_antennas, (list, tuple)):
-            counts = [int(n) for n in self.ut_antennas]
-            if len(counts) != self.users:
-                fail("ut_antennas must give one count per user")
-        else:
-            counts = [int(self.ut_antennas)]
+        counts = self.ut_antenna_list()
+        if len(counts) != self.users:
+            fail("ut_antennas must give one count per user")
         if any(n < 1 for n in counts):
             fail("ut_antennas must be positive")
         if max(counts) > MAX_ANTENNAS:
@@ -211,8 +209,7 @@ class ScenarioConfig:
         return doc
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True)
-        return hashlib.sha1(canonical.encode()).hexdigest()
+        return _config_hash(self.resolved())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -220,7 +217,6 @@ class ScenarioConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"invalid config: unknown fields {sorted(unknown)}")
-        _check_field_types(doc)
         return cls(**doc)
 
     @classmethod
@@ -360,9 +356,11 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns the trial means of the (SNR, scheme, user) rates, with one scheme
     per `bs_beams_compare` entry and complete-grid probing last, and of the
     largest neutralization residual per beam count.  The trials are drawn in
-    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`; each
-    block is rated with one `rate_factors` call per beam count over all its
-    allocations, and one eigendecomposition of all its Gram matrices.
+    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`.  Each
+    trial is allocated once, at the largest beam count, and each beam count
+    keeps every user's leading beams (`allocate_bs_beams` is prefix-closed).
+    Each block is rated with one `rate_factors` call per beam count over all
+    its allocations, and one eigendecomposition of all its Gram matrices.
     """
     counts = config.ut_antenna_list()
     sigmas = config.noise_powers()
@@ -376,8 +374,11 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
                      for seed in seeds[start:start + TRIAL_BLOCK]]
         block = slice(start, start + len(scenarios))
         shape = (len(sigmas), len(scenarios), config.users)  # (n, T, U)
+        widest = [s.allocate(max(me_values), config.ut_beams)
+                  for s in scenarios] if me_values else []
         for j, m_e in enumerate(me_values):
-            inputs = [RateInputs(s.factors, s.allocate(m_e, config.ut_beams)) for s in scenarios]
+            inputs = [RateInputs(s.factors, _leading_beams(a, m_e))
+                      for s, a in zip(scenarios, widest)]
             rates[block, :, j] = rate_factors(*inputs).rate(sigmas).reshape(shape).swapaxes(0, 1)
             residuals[block, j] = [s.max_residual(x) for s, x in zip(scenarios, inputs)]
         grams = np.stack([g for s in scenarios for g in s.grams])
@@ -386,14 +387,23 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return rates.mean(axis=0), residuals.mean(axis=0)
 
 
+def _leading_beams(allocation: BeamAllocation, m_e: int) -> BeamAllocation:
+    """The allocation that keeps each user's first `m_e` transmit beams."""
+    if len(allocation.bs_beams[0]) == m_e:
+        return allocation
+    return build_matrices([b[:m_e] for b in allocation.bs_beams], allocation.ut_beams,
+                          allocation.bs_antennas, allocation.ut_counts)
+
+
 def _metadata(config: ScenarioConfig, name: str) -> dict:
+    resolved = config.resolved()
     return {
         "experiment": name,
         "tool_version": __version__,
         "seed": int(config.seed),
         "trials": int(config.trials),
-        "config": config.resolved(),
-        "config_hash": config.config_hash(),
+        "config": resolved,
+        "config_hash": _config_hash(resolved),
         "rate_units": "bits per probing round",
         # Rates are never regularized, so no event is ever counted; the key stays
         # because the benchmark's output check (bench/worker.py) reads it.
@@ -408,9 +418,9 @@ def _metadata(config: ScenarioConfig, name: str) -> dict:
 def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
     """Single-user key rate versus SNR: complete-grid probing against reduced
     probing with each beam count in `bs_beams_compare`, averaged over trials."""
-    config.validate()
     if config.users != 1:
-        raise ConfigError("invalid config: single-user rate experiment requires users = 1")
+        raise ConfigError("invalid config: single-user rate experiment requires users = 1 "
+                          "(pass --users 1)")
     ut_count = config.ut_antenna_list()[0]
     me_values = [int(m) for m in config.bs_beams_compare]
     schemes = ["perfect"] + [f"reduced_me{m}" for m in me_values]
@@ -437,7 +447,6 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
 def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
     """One seeded multi-user draw: per-user beam-domain gain profiles plus the
     attenuation each user sees at its beam-axis neighbor's peak beam."""
-    config.validate()
     scenario = Scenario.draw(np.random.default_rng(np.random.SeedSequence(int(config.seed))),
                              config.n_paths, config.bs_antennas, config.ut_antenna_list(),
                              config.angle_mode == "on_grid")
@@ -488,7 +497,6 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
 def run_overhead_comparison(config: ScenarioConfig) -> ExperimentResult:
     """Pilot-slot budgets of full-dimension orthogonal probing versus pilot
     reuse, as a function of the number of users.  Pure arithmetic."""
-    config.validate()
     counts = config.ut_antenna_list()
     records = []
     for k in range(1, config.users + 1):
@@ -511,7 +519,6 @@ def run_overhead_comparison(config: ScenarioConfig) -> ExperimentResult:
 def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
     """Per-pilot-slot sum key rate of pilot reuse (each beam count in
     `bs_beams_compare`) against the full-dimension orthogonal baseline."""
-    config.validate()
     if config.users < 2:
         raise ConfigError("invalid config: multiuser unit-rate experiment requires users >= 2")
     counts = config.ut_antenna_list()
@@ -696,7 +703,6 @@ def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     noise power of 0.1; the closed-form/oracle sweep draws its noise powers
     from {0.01, 0.1, 1} and the monotonicity check sweeps logspace(-2, 2).
     """
-    config.validate()
     seed = int(config.seed)
     checks: list[PropertyCheck] = []
 

@@ -101,6 +101,22 @@ class TestAllocateBsBeams:
         sets = allocate_bs_beams([d], 3)
         np.testing.assert_array_equal(sets[0], [1, 3, 2])
 
+    def test_prefix_closed(self):
+        # The runners allocate once at the largest beam count and keep each
+        # user's leading picks.  Gains from a few levels force collisions
+        # and ties; continuous gains do neither.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n_beams, n_users = int(rng.integers(1, 33)), int(rng.integers(1, 7))
+            if n_users > n_beams:
+                continue
+            levels = int(rng.choice([2, 4, 1000]))
+            diags = [rng.integers(0, levels, n_beams) / levels for _ in range(n_users)]
+            widest = allocate_bs_beams(diags, n_beams // n_users)
+            for m in range(1, n_beams // n_users + 1):
+                for k, picks in enumerate(allocate_bs_beams(diags, m)):
+                    np.testing.assert_array_equal(picks, widest[k][:m])
+
 
 class TestAllocateUtBeams:
     def test_all_beams(self):

@@ -3,6 +3,9 @@
 import argparse
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +318,17 @@ def test_cached_parser_gives_the_files_of_fresh_parsers(tmp_path, capsys):
     assert cached[0] == [0, 0, 1, 0, 0, 0, 0]
     assert cached == fresh
     assert len(cached[1]) == 12
+
+
+def test_readme_cli_commands_exit_zero(tmp_path, capsys):
+    # Every `beamkey` line of the README's CLI section (its command list and
+    # its example) runs as documented, at one trial.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```sh\n(.*?)^```", section, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("beamkey ")]
+    assert len(commands) == 7
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--trials", "1", "--out", str(tmp_path / str(i))]) == 0, argv
+    assert not capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Experiment runners: config validation, determinism, output schema."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from beamkey.channel import (
     _grid_matrix,
     beam_covariance_factor,
     beam_covariances,
+    beam_path_factors,
     sample_paths,
     sampling_matrix,
     synthesize_channel,
@@ -142,6 +144,18 @@ class TestConfigValidation:
         assert ScenarioConfig(seed=1).config_hash() != a.config_hash()
 
 
+class TestConfigCheckedWhenBuilt:
+    def test_invalid_config_raises_without_validate(self):
+        with pytest.raises(ConfigError, match="trials must be at least 1"):
+            ScenarioConfig(trials=0)
+
+    def test_fields_cannot_be_reassigned(self):
+        cfg = ScenarioConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.trials = 0
+        assert cfg.trials == 100
+
+
 class TestSingleUserRate:
     def test_requires_single_user(self):
         with pytest.raises(ConfigError, match="users = 1"):
@@ -234,13 +248,21 @@ class TestScenario:
     def test_gains_allocate_as_the_dense_diagonals(self):
         # The beam gains replace the diagonals of the dense r_bs and r_ut
         # without moving a beam: off-grid reference-size draws allocate alike.
+        # The dense r_bs = W diag(powers) W^H and r_ut = U diag(powers) U^H
+        # are formed as `beam_covariances` forms them, without its 512 x 512
+        # lambda; hermitizing leaves the real diagonal unchanged.
+        def dense_diagonal(signatures, powers):
+            return np.real(np.diag((signatures * powers) @ signatures.conj().T))
+
         rng = np.random.default_rng(2025)
         bs, ut = ArrayGeometry(128), ArrayGeometry(4)
         for _ in range(50):
             scenario = Scenario.draw(rng, 6, 128, [4] * 6)
-            covs = [beam_covariances(p, bs, ut) for p in scenario.paths]
-            diags_bs = [np.real(np.diag(c.r_bs)) for c in covs]
-            diags_ut = [np.real(np.diag(c.r_ut)) for c in covs]
+            diags_bs, diags_ut = [], []
+            for p in scenario.paths:
+                u, w = beam_path_factors(p, bs, ut)
+                diags_bs.append(dense_diagonal(w, p.powers))
+                diags_ut.append(dense_diagonal(u, p.powers))
             for m_e in (6, 4):
                 alloc = scenario.allocate(m_e, 4)
                 for k, bs_set in enumerate(allocate_bs_beams(diags_bs, m_e)):
@@ -412,6 +434,47 @@ class TestTrialBlocks:
         run_multiuser_unit_rate(cfg)
         blocks = [TRIAL_BLOCK, TRIAL_BLOCK, 1]  # ceil(TRIALS / TRIAL_BLOCK) blocks
         assert calls == [n for n in blocks for _ in cfg.bs_beams_compare]
+
+
+class TestOneAllocationPerTrial:
+    """The rate runners allocate each trial once, at the largest beam count."""
+
+    @pytest.mark.parametrize("run, cfg", [
+        (run_single_user_rate, small_single_user(trials=7, bs_beams_compare=[2, 3])),
+        (run_multiuser_unit_rate, small_multi_user(trials=7)),
+    ], ids=["single_user", "multi_user"])
+    def test_one_allocate_call_per_trial(self, monkeypatch, run, cfg):
+        calls = []
+        allocate = Scenario.allocate
+
+        def counting(scenario, m_e, n_e):
+            calls.append((m_e, n_e))
+            return allocate(scenario, m_e, n_e)
+
+        monkeypatch.setattr(Scenario, "allocate", counting)
+        run(cfg)
+        assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * cfg.trials
+
+    @pytest.mark.parametrize("run, cfg, complete_grid", [
+        (run_single_user_rate, small_single_user(), "perfect"),
+        (run_multiuser_unit_rate, small_multi_user(), "orthogonal"),
+    ], ids=["single_user", "multi_user"])
+    def test_no_beam_counts_leaves_the_complete_grid_rows(self, tmp_path, run, cfg,
+                                                          complete_grid):
+        # Complete-grid rates do not depend on the beam counts, so a run
+        # without any writes the rows of that scheme and nothing else.
+        empty = dataclasses.replace(cfg, bs_beams_compare=[])
+        got = write_result(run(empty), tmp_path / "empty")
+        full = write_result(run(cfg), tmp_path / "full")
+        assert [p.name for p in got] == [p.name for p in full]
+        csv, full_csv = got[0].read_text().splitlines(), full[0].read_text().splitlines()
+        assert csv == full_csv[:1] + [line for line in full_csv if f",{complete_grid}," in line]
+        meta, full_meta = (json.loads(p.read_text()) for p in (got[-1], full[-1]))
+        assert meta["config"] == empty.resolved()
+        assert meta["config_hash"] == empty.config_hash()
+        for doc in (meta, full_meta):
+            del doc["config"], doc["config_hash"]
+        assert meta == full_meta
 
 
 class TestWriteResult:
