@@ -11,7 +11,6 @@ Run:  python demos/01_beam_domain_sparsity.py
 import numpy as np
 
 from beamkey import (
-    ArrayGeometry,
     beam_covariance_factor,
     sample_paths,
     sampling_matrix,
@@ -22,10 +21,9 @@ from beamkey import (
 M, N, N_PATHS = 64, 4, 4
 rng = np.random.default_rng(7)
 
-bs, ut = ArrayGeometry(M), ArrayGeometry(N)
 paths = sample_paths(N_PATHS, rng)
-h = synthesize_channel(paths, bs, ut)
-beam = to_beam_domain(h, sampling_matrix(ut), sampling_matrix(bs))
+h = synthesize_channel(paths, M, N)
+beam = to_beam_domain(h, sampling_matrix(N), sampling_matrix(M))
 
 print(f"channel: {N}x{M}, {N_PATHS} paths at sines "
       + ", ".join(f"{s:+.3f}" for s in np.sin(paths.aod)))
@@ -44,7 +42,7 @@ for rank in range(8):
     print(f"  #{rank + 1}: ({n_idx:2d}, {m_idx:3d})  {100 * share:5.1f}%   "
           f"cumulative {100 * cumulative:5.1f}%")
 
-_, bs_gains, _ = beam_covariance_factor(paths, bs, ut)
+_, bs_gains, _ = beam_covariance_factor(paths, M, N)
 top = np.sort(bs_gains)[::-1]
 print(f"\ntransmit-beam gain profile: top-4 beams hold "
       f"{100 * top[:4].sum() / bs_gains.sum():.1f}% of the mean channel power,")

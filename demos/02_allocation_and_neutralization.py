@@ -29,20 +29,20 @@ for k in range(USERS):
         powers=np.full(N_PATHS, 1 / N_PATHS),
     ))
 # Each user's Lambda = F F^H is carried as its factor F.  The rate inputs cut,
-# once, the rows of every F that each pair of users' beams select; the
-# residual reads those rows and the user's Gram matrix F^H F.
+# once, the rows of every F that each pair of users' beams select; one
+# residual call reads those rows against every user's Gram matrix F^H F and
+# returns the table of all pairs.
 scenario = Scenario.from_paths(paths, M, [N] * USERS)
 alloc = scenario.allocate(N_PATHS, 2)
 inputs = RateInputs(scenario.factors, alloc)
 
 print("allocated transmit beams per user:", [s.tolist() for s in alloc.bs_beams])
 print("\ncross-user neutralization residuals (probing user -> listening user):")
+table = neutralization_residual(inputs.blocks, scenario.grams)
 for k in range(USERS):
     for kp in range(USERS):
-        if kp == k:
-            continue
-        r = neutralization_residual(inputs.blocks[k][kp], scenario.grams[kp])
-        print(f"  user {k} -> user {kp}: {r:.2e}")
+        if kp != k:
+            print(f"  user {k} -> user {kp}: {table[k, kp]:.2e}")
 print(f"  largest: {scenario.max_residual(inputs):.2e}")
 
 # Force an overlap: one beam per user, with user 0 probing straight through

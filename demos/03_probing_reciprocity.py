@@ -12,7 +12,6 @@ Run:  python demos/03_probing_reciprocity.py
 import numpy as np
 
 from beamkey import (
-    ArrayGeometry,
     Scenario,
     dimension_reduction_factor,
     downlink_probe,
@@ -27,7 +26,7 @@ rng = np.random.default_rng(11)
 
 scenario = Scenario.draw(rng, N_PATHS, M, [N])
 alloc = scenario.allocate(M_E, N_E)
-channel = [synthesize_channel(scenario.paths[0], ArrayGeometry(M), ArrayGeometry(N))]
+channel = [synthesize_channel(scenario.paths[0], M, N)]
 
 print(f"full channel: {N}x{M} = {N * M} coefficients; probed effective channel: "
       f"{N_E}x{M_E} = {N_E * M_E}")

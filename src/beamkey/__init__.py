@@ -22,7 +22,6 @@ from .allocation import (
     rank_beams,
 )
 from .channel import (
-    ArrayGeometry,
     BeamCovariances,
     PathSet,
     beam_covariance_factor,
@@ -70,7 +69,6 @@ from .probing import (
 )
 
 __all__ = [
-    "ArrayGeometry",
     "BeamAllocation",
     "BeamCovariances",
     "ConfigError",

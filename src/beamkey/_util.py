@@ -22,6 +22,15 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
+def check_noise_powers(noise_powers) -> np.ndarray:
+    """`noise_powers` as a float array, checked finite and >= 0 by one
+    comparison, which catches negative, infinite and NaN values."""
+    sigma2 = np.asarray(noise_powers, dtype=float)
+    if not ((sigma2 >= 0) & (sigma2 < np.inf)).all():
+        raise ValueError("noise_power must be finite and nonnegative")
+    return sigma2
+
+
 def readonly(array: np.ndarray) -> np.ndarray:
     """Return an owned, write-protected copy of `array`."""
     out = np.array(array, copy=True)

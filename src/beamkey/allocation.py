@@ -15,7 +15,6 @@ short burst.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,7 +165,7 @@ def build_matrices(
     return BeamAllocation(list(bs_sets), list(ut_sets), bs_antennas, list(ut_counts))
 
 
-def neutralization_residual(block: np.ndarray, gram: np.ndarray) -> float:
+def neutralization_residual(block: np.ndarray, gram: np.ndarray) -> np.ndarray | float:
     """Frobenius norm of the cross-user interference constraint violation.
 
     For user k probing through transmit beams b while user k' listens on
@@ -178,9 +177,18 @@ def neutralization_residual(block: np.ndarray, gram: np.ndarray) -> float:
         ||B F^H||_F = sqrt(Re <B, B F^H F>),
 
     returned without normalization; the M*N_k' columns of B F^H are never
-    formed.
+    formed.  Stacks give a table: blocks (..., d, P) against Gram matrices
+    that broadcast as (..., P, P), such as `RateInputs.blocks` (U, U, d, P)
+    against every user's (U, P, P), give the (U, U) residuals, entry [k, k']
+    as above.  A single pair gives a float.
     """
-    return math.sqrt(max(np.vdot(block, block @ gram).real, 0.0))
+    block = np.asarray(block)
+    lead = block.shape[:-2]
+    # Each pair's <B, B F^H F> as one (1 x dP) @ (dP x 1) dot product, so a
+    # stack gives every pair the bits it gets alone.
+    inner = block.conj().reshape(*lead, 1, -1) @ (block @ gram).reshape(*lead, -1, 1)
+    residual = np.sqrt(np.maximum(inner[..., 0, 0].real, 0.0))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def allocation_summary(allocation: BeamAllocation,

@@ -5,14 +5,16 @@ with N antennas is a sum of planar propagation paths,
 
     H = sum_p gain_p * a_rx(aoa_p) a_tx(aod_p)^H        (N x M),
 
-with unit-norm uniform-linear-array steering vectors on both ends.  Projecting
-H onto a grid of steering vectors uniformly spaced in the sine of the angle
-(the "beam domain") concentrates each path into a few entries; at
-half-wavelength spacing the projection matrices are unitary, so the transform
-is lossless.  This module synthesizes such channels, performs the beam-domain
-transform, and computes the second-order statistics (transmit/receive beam
-covariances and the full covariance of the vectorized beam-domain channel)
-in closed form over the path gains.
+with unit-norm steering vectors of half-wavelength uniform linear arrays on
+both ends.  Such an array is fixed by its antenna count, so every function
+here takes an array's size as that integer.  Projecting H onto a grid of
+steering vectors uniformly spaced in the sine of the angle (the "beam
+domain") concentrates each path into a few entries; at half-wavelength
+spacing the projection matrices are unitary, so the transform is lossless.
+This module synthesizes such channels, performs the beam-domain transform,
+and computes the second-order statistics (transmit/receive beam covariances
+and the full covariance of the vectorized beam-domain channel) in closed
+form over the path gains.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ HALF_PI = np.pi / 2.0
 
 # Unitarity tolerance for beam-domain projection matrices (per entry).
 UNITARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array with half-wavelength element spacing."""
-
-    antenna_count: int
-
-    def __post_init__(self) -> None:
-        if int(self.antenna_count) != self.antenna_count or self.antenna_count < 1:
-            raise ValueError(f"antenna_count must be a positive integer, got {self.antenna_count}")
-        object.__setattr__(self, "antenna_count", int(self.antenna_count))
 
 
 @dataclass(frozen=True)
@@ -108,28 +98,27 @@ class BeamCovariances(NamedTuple):
     lambda_full: np.ndarray
 
 
+def _antenna_count(n) -> int:
+    if int(n) != n or n < 1:
+        raise ValueError(f"antenna_count must be a positive integer, got {n}")
+    return int(n)
+
+
 def grid_sines(antenna_count: int) -> np.ndarray:
     """Sines of the beam grid angles: sin(angle_m) = 2m/n - 1, m = 0..n-1."""
-    n = int(antenna_count)
-    if n < 1:
-        raise ValueError("antenna_count must be positive")
+    n = _antenna_count(antenna_count)
     return 2.0 * np.arange(n) / n - 1.0
 
 
-def sampling_matrix(geometry: ArrayGeometry) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def sampling_matrix(antenna_count: int) -> np.ndarray:
     """n x n matrix whose columns are steering vectors on the uniform sine grid.
 
     At half-wavelength spacing the columns coincide with a rephased DFT basis,
     so the matrix is unitary.  It depends only on the antenna count, so each
     one is built once and returned read-only.
     """
-    return _grid_matrix(geometry.antenna_count)
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_matrix(n: int) -> np.ndarray:
-    psi = np.pi * grid_sines(n)
-    return readonly(np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n))
+    return readonly(_steering_columns(antenna_count, grid_sines(antenna_count)))
 
 
 def sample_paths(
@@ -177,24 +166,22 @@ def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.clip(x, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
 
 
-def _steering_columns(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
-    # Unit-norm responses: entry q of column p is exp(-j*q*pi*sin(angle_p))/sqrt(n).
-    n = geometry.antenna_count
-    psi = np.pi * np.sin(np.asarray(angles, dtype=float))
-    return np.exp(-1j * np.outer(np.arange(n), psi)) / np.sqrt(n)
+def _steering_columns(antenna_count: int, sines: np.ndarray) -> np.ndarray:
+    # Unit-norm responses: entry q of column p is exp(-j*q*pi*sines_p)/sqrt(n).
+    n = _antenna_count(antenna_count)
+    return np.exp(-1j * np.outer(np.arange(n), np.pi * sines)) / np.sqrt(n)
 
 
-def path_steering(paths: PathSet, bs: ArrayGeometry,
-                  ut: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+def path_steering(paths: PathSet, bs: int, ut: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path array responses.
 
     Returns (u, w) with u[:, p] = a_ut(aoa_p) and w[:, p] = a_bs(aod_p), so
     the channel is H = U diag(gains) W^H.
     """
-    return _steering_columns(ut, paths.aoa), _steering_columns(bs, paths.aod)
+    return _steering_columns(ut, np.sin(paths.aoa)), _steering_columns(bs, np.sin(paths.aod))
 
 
-def synthesize_channel(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> np.ndarray:
+def synthesize_channel(paths: PathSet, bs: int, ut: int) -> np.ndarray:
     """Channel matrix H = sum_p gain_p a_ut(aoa_p) a_bs(aod_p)^H, shape (N_ut, M_bs)."""
     u, w = path_steering(paths, bs, ut)
     return (u * paths.gains) @ w.conj().T
@@ -227,8 +214,7 @@ def to_beam_domain(h: np.ndarray, a_ut: np.ndarray, a_bs: np.ndarray) -> np.ndar
     return hb
 
 
-def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
-                      ut: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+def beam_path_factors(paths: PathSet, bs: int, ut: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path beam-domain signatures.
 
     Returns (u, w) with u[:, p] = A_ut^H a_ut(aoa_p) and w[:, p] = A_bs^H a_bs(aod_p),
@@ -238,9 +224,8 @@ def beam_path_factors(paths: PathSet, bs: ArrayGeometry,
     return sampling_matrix(ut).conj().T @ u, sampling_matrix(bs).conj().T @ w
 
 
-def beam_covariance_factor(
-    paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def beam_covariance_factor(paths: PathSet, bs: int,
+                           ut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-P factor F of the beam-domain covariance lambda = F F^H, and the
     transmit and receive beam gains.
 
@@ -255,7 +240,7 @@ def beam_covariance_factor(
     return vmat * np.sqrt(powers), np.abs(w) ** 2 @ powers, np.abs(u) ** 2 @ powers
 
 
-def beam_covariances(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> BeamCovariances:
+def beam_covariances(paths: PathSet, bs: int, ut: int) -> BeamCovariances:
     """Beam-domain covariances of one link, averaging over the path gains.
 
     The expectation treats the path angles as fixed and the gains as
@@ -280,7 +265,6 @@ def beam_covariances(paths: PathSet, bs: ArrayGeometry, ut: ArrayGeometry) -> Be
 
 
 __all__ = [
-    "ArrayGeometry",
     "BeamCovariances",
     "PathSet",
     "beam_covariance_factor",

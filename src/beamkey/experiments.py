@@ -10,6 +10,7 @@ seed twice produces byte-identical output files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import complex_normal
+from ._util import check_noise_powers, complex_normal
 from .allocation import (
     BeamAllocation,
     allocate_bs_beams,
@@ -30,7 +31,6 @@ from .allocation import (
     rank_beams,
 )
 from .channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariance_factor,
     beam_covariances,  # unused here; the benchmark's tracer hooks this name
@@ -108,25 +108,28 @@ def _config_hash(resolved: dict) -> str:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All simulation knobs for one experiment run.  Frozen, and checked once
-    when built (`validate`), so a config is valid for its lifetime."""
+    """All simulation knobs for one experiment run.  Frozen (lists are stored
+    as tuples) and checked once when built, so valid for its lifetime."""
 
     bs_antennas: int = 128
     users: int = 6
-    ut_antennas: int | list[int] = 4
+    ut_antennas: int | tuple[int, ...] = 4
     n_paths: int = 6
     bs_beams: int = 6
     ut_beams: int = 4
-    snr_db_grid: list[float] = field(default_factory=lambda: list(DEFAULT_SNR_GRID))
+    snr_db_grid: tuple[float, ...] = DEFAULT_SNR_GRID
     angle_mode: str = "off_grid"
     trials: int = 100
     seed: int = 2025
-    bs_beams_compare: list[int] = field(default_factory=lambda: [6, 4])
+    bs_beams_compare: tuple[int, ...] = (6, 4)
     workers: int = 1
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
         self.validate()
+        for name in ("ut_antennas", "snr_db_grid", "bs_beams_compare"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def ut_antenna_list(self) -> list[int]:
         if isinstance(self.ut_antennas, (list, tuple)):
@@ -291,14 +294,12 @@ class Scenario:
 
     paths    : per-user PathSet
     factors  : per-user rank-P factor F_k of Lambda_k = F_k F_k^H (M*N_k x P)
-    grams    : per-user P x P Gram matrix F_k^H F_k, formed once
     bs_gains : per-user transmit beam gains, the diagonal of r_bs (length M)
     ut_gains : per-user receive beam gains, the diagonal of r_ut (length N_k)
     """
 
     paths: list[PathSet]
     factors: list[np.ndarray]
-    grams: list[np.ndarray]
     bs_gains: list[np.ndarray]
     ut_gains: list[np.ndarray]
 
@@ -315,10 +316,15 @@ class Scenario:
     def from_paths(cls, paths: Sequence[PathSet], bs_antennas: int,
                    ut_counts: Sequence[int]) -> "Scenario":
         factors, bs_gains, ut_gains = zip(*(
-            beam_covariance_factor(p, ArrayGeometry(bs_antennas), ArrayGeometry(n))
+            beam_covariance_factor(p, bs_antennas, n)
             for p, n in zip(paths, ut_counts, strict=True)))
-        return cls(list(paths), list(factors), [f.conj().T @ f for f in factors],
-                   list(bs_gains), list(ut_gains))
+        return cls(list(paths), list(factors), list(bs_gains), list(ut_gains))
+
+    @functools.cached_property
+    def grams(self) -> np.ndarray:
+        """Every user's P x P Gram matrix F_k^H F_k, as one (U, P, P) array,
+        formed once, when first read (so every user needs the same P)."""
+        return np.stack([f.conj().T @ f for f in self.factors])
 
     def allocate(self, m_e: int, n_e: int) -> BeamAllocation:
         """Each user's `m_e` strongest transmit beams, disjoint across users,
@@ -332,10 +338,11 @@ class Scenario:
 
     def max_residual(self, inputs: RateInputs) -> float:
         """Largest neutralization residual over ordered user pairs (0 for one
-        user), for rate inputs over this scenario's factors."""
-        users = range(inputs.n_users)
-        return max((neutralization_residual(inputs.blocks[k][kp], self.grams[kp])
-                    for k in users for kp in users if kp != k), default=0.0)
+        user): the largest off-diagonal entry of one table of every pair."""
+        if inputs.n_users == 1:
+            return 0.0  # no pair, so no table to form
+        table = neutralization_residual(inputs.blocks, self.grams)
+        return float(table[~np.eye(inputs.n_users, dtype=bool)].max())
 
     def full_sampling_rate(self, noise_powers):
         """Every user's rate under complete-grid probing, shaped as
@@ -343,7 +350,7 @@ class Scenario:
         noise powers.  The P x P Gram matrix F^H F has the nonzero spectrum
         of Lambda = F F^H; one batched eigendecomposition takes them all, as
         a (U, P) array, and one `full_sampling_rate` call rates them."""
-        return full_sampling_rate(psd_eigh(np.stack(self.grams))[0], noise_powers)
+        return full_sampling_rate(psd_eigh(self.grams)[0], noise_powers)
 
 
 def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
@@ -381,7 +388,7 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
                       for s, a in zip(scenarios, widest)]
             rates[block, :, j] = rate_factors(*inputs).rate(sigmas).reshape(shape).swapaxes(0, 1)
             residuals[block, j] = [s.max_residual(x) for s, x in zip(scenarios, inputs)]
-        grams = np.stack([g for s in scenarios for g in s.grams])
+        grams = np.concatenate([s.grams for s in scenarios])
         rates[block, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
                                .reshape(shape).swapaxes(0, 1))
     return rates.mean(axis=0), residuals.mean(axis=0)
@@ -657,8 +664,7 @@ def empirical_downlink_covariance(
     if not _is_int(user) or not 0 <= user < n_users:
         raise ValueError(f"user must be an integer in [0, {n_users}), got {user!r}")
     noise_power = float(noise_power)
-    if not np.isfinite(noise_power) or noise_power < 0:
-        raise ValueError(f"noise_power must be finite and nonnegative, got {noise_power!r}")
+    check_noise_powers(noise_power)
     dl = downlink_maps(allocation)[user]
     n_ut = allocation.ut_counts
     m_e = len(allocation.bs_beams[0])
@@ -672,8 +678,7 @@ def empirical_downlink_covariance(
 
     # Rows of `mapping` take one round's draws to vec(Z) of this user.
     paths = stats_paths[user]
-    u, w = path_steering(paths, ArrayGeometry(allocation.bs_antennas),
-                         ArrayGeometry(n_ut[user]))
+    u, w = path_steering(paths, allocation.bs_antennas, n_ut[user])
     unit_channels = u.T[:, :, None] * w.conj().T[:, None, :]
     terms = [(offsets[user], np.sqrt(paths.powers / 2.0), dl.signal(unit_channels))]
     if noise_power > 0:
@@ -709,7 +714,7 @@ def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     # Unitarity of the grid sampling matrices.
     worst_unit = 0.0
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        a = sampling_matrix(ArrayGeometry(n))
+        a = sampling_matrix(n)
         worst_unit = max(worst_unit, float(np.max(np.abs(a.conj().T @ a - np.eye(n)))))
     checks.append(_check("sampling_unitarity", worst_unit, 1e-12))
 
@@ -723,7 +728,7 @@ def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     for _ in range(10):
         scenario = Scenario.draw(rng, 3, 16, [4])
         alloc = scenario.allocate(3, 2)
-        h = [synthesize_channel(scenario.paths[0], ArrayGeometry(16), ArrayGeometry(4))]
+        h = [synthesize_channel(scenario.paths[0], 16, 4)]
         z_dl, z_ul = vectorize_observations(downlink_probe(h, alloc, 0.0)[0],
                                             uplink_probe(h, alloc, 0.0)[0])
         worst_recip = max(
@@ -786,7 +791,6 @@ def _holds(name: str, ok: bool, detail: str) -> PropertyCheck:
 
 def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
                             n_ut: int, n_p: int) -> tuple[float, float]:
-    bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
     # Disjoint on-grid departure beams across users, drawn without replacement.
     all_bs = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
     paths_list = []
@@ -800,7 +804,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
     scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
     alloc = scenario.allocate(n_p, min(n_p, n_ut))
     worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc))
-    channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
+    channels = [synthesize_channel(p, m, n_ut) for p in paths_list]
     z_multi = downlink_probe(channels, alloc, 0.0)
     worst_e2e = 0.0
     for k in range(n_users):
@@ -832,7 +836,7 @@ def _reproducibility_check(seed: int) -> bool:
         paths = sample_paths(3, rng)
         alloc = Scenario.from_paths([paths], 8, [2]).allocate(2, 2)
         cov = empirical_downlink_covariance([paths], alloc, 0.25, 500, rng)
-        h = [synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(2))]
+        h = [synthesize_channel(paths, 8, 2)]
         z = downlink_probe(h, alloc, 0.25, rng)[0]
         return paths, cov, z
 

@@ -87,7 +87,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import hermitize
+from ._util import check_noise_powers, hermitize
 
 if TYPE_CHECKING:
     from .allocation import BeamAllocation
@@ -439,10 +439,7 @@ def _noise_powers(noise_powers) -> np.ndarray:
     sigma2 = np.asarray(noise_powers, dtype=float)
     if sigma2.ndim > 1:
         raise ValueError("noise powers must be a scalar or a 1-D array")
-    # One comparison catches negative, infinite and NaN values.
-    if not ((sigma2 >= 0) & (sigma2 < np.inf)).all():
-        raise ValueError("noise_power must be finite and nonnegative")
-    return sigma2
+    return check_noise_powers(sigma2)
 
 
 def _plus_noise(signal: np.ndarray, noise_power: float) -> np.ndarray:

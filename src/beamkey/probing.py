@@ -25,17 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import complex_normal, vec
+from ._util import check_noise_powers, complex_normal, vec
 from .allocation import BeamAllocation
-from .channel import ArrayGeometry, sampling_matrix
+from .channel import sampling_matrix
 
 
 def _probe_matrices(allocation: BeamAllocation):
     """Every user's (precoders, combiners): the columns of the unitary grid
     sampling matrices at the allocated beams, so orthonormal."""
-    a_bs = sampling_matrix(ArrayGeometry(allocation.bs_antennas))
+    a_bs = sampling_matrix(allocation.bs_antennas)
     return ([a_bs[:, b] for b in allocation.bs_beams],
-            [sampling_matrix(ArrayGeometry(n))[:, u]
+            [sampling_matrix(n)[:, u]
              for n, u in zip(allocation.ut_counts, allocation.ut_beams)])
 
 
@@ -124,8 +124,7 @@ def uplink_probe(
 
 def _check_noise(noise_power: float, rng) -> float:
     noise_power = float(noise_power)
-    if not np.isfinite(noise_power) or noise_power < 0:
-        raise ValueError("noise_power must be finite and nonnegative")
+    check_noise_powers(noise_power)
     if noise_power > 0 and rng is None:
         raise ValueError("an rng is required when noise_power > 0")
     return noise_power

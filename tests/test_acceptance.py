@@ -17,7 +17,6 @@ from beamkey.allocation import (
     neutralization_residual,
 )
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariance_factor,
     beam_covariances,
@@ -165,7 +164,6 @@ def test_criterion_5_beam_concentration():
 def test_criterion_6_reciprocity_and_neutralization_on_grid():
     rng = np.random.default_rng(SEED)
     n_users, m, n_ut, n_p = 3, 32, 4, 3
-    bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
     bs_idx = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
     paths_list, covs = [], []
     for k in range(n_users):
@@ -177,11 +175,11 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
             powers=np.full(n_p, 1 / n_p),
         )
         paths_list.append(paths)
-        covs.append(beam_covariances(paths, bs_geom, ut_geom))
+        covs.append(beam_covariances(paths, m, n_ut))
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], n_p)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), 3) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    channels = [synthesize_channel(p, bs_geom, ut_geom) for p in paths_list]
+    channels = [synthesize_channel(p, m, n_ut) for p in paths_list]
 
     z_dl = downlink_probe(channels, alloc, 0.0)
     z_ul = uplink_probe(channels, alloc, 0.0)
@@ -190,7 +188,7 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
         / max(float(np.linalg.norm(vec(z_dl[k]))), 1e-300)
         for k in range(n_users)
     )
-    factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
+    factors = [beam_covariance_factor(p, m, n_ut)[0] for p in paths_list]
     blocks = RateInputs(factors, alloc).blocks
     worst_resid = max(
         neutralization_residual(blocks[k][kp], factors[kp].conj().T @ factors[kp])
@@ -208,13 +206,12 @@ def test_criterion_7_covariance_consistency():
     rng = np.random.default_rng(SEED + 7)
     m, n_ut, n_p, m_e, n_e, n_users = 16, 2, 2, 2, 2, 2
     noise = 0.1
-    bs_geom, ut_geom = ArrayGeometry(m), ArrayGeometry(n_ut)
     paths_list = [sample_paths(n_p, rng) for _ in range(n_users)]
-    covs = [beam_covariances(p, bs_geom, ut_geom) for p in paths_list]
+    covs = [beam_covariances(p, m, n_ut) for p in paths_list]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    factors = [beam_covariance_factor(p, bs_geom, ut_geom)[0] for p in paths_list]
+    factors = [beam_covariance_factor(p, m, n_ut)[0] for p in paths_list]
     inputs = RateInputs(factors, alloc)
     expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
     empirical = empirical_downlink_covariance(

@@ -14,13 +14,13 @@ from beamkey.allocation import (
     rank_beams,
 )
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariance_factor,
     beam_covariances,
     grid_sines,
     sample_paths,
 )
+from beamkey.experiments import Scenario
 from beamkey.keyrate import RateInputs, psd_sqrt
 
 
@@ -43,7 +43,7 @@ class TestRankBeams:
         np.testing.assert_array_equal(rank_beams([0.5, 0.5, 0.5, 0.5]), [0, 1, 2, 3])
 
     def test_on_grid_single_path_puts_its_beam_first(self):
-        cov = beam_covariances(on_grid_paths([5], [2], 8, 4), ArrayGeometry(8), ArrayGeometry(4))
+        cov = beam_covariances(on_grid_paths([5], [2], 8, 4), 8, 4)
         assert rank_beams(np.real(np.diag(cov.r_bs)))[0] == 5
 
     def test_scale_invariance(self):
@@ -128,7 +128,7 @@ class TestAllocateUtBeams:
         assert set(allocate_ut_beams(np.array([0.0, 5, 3, 0]), 2).tolist()) == {1, 2}
 
     def test_on_grid_single_path(self):
-        cov = beam_covariances(on_grid_paths([5], [2], 8, 4), ArrayGeometry(8), ArrayGeometry(4))
+        cov = beam_covariances(on_grid_paths([5], [2], 8, 4), 8, 4)
         assert allocate_ut_beams(np.real(np.diag(cov.r_ut)), 1).tolist() == [2]
 
     def test_too_many_rejected(self):
@@ -191,11 +191,32 @@ def residual(factors, alloc, k, kp):
 
 class TestNeutralizationResidual:
     def setup_method(self):
-        self.bs = ArrayGeometry(8)
-        self.ut = ArrayGeometry(4)
+        self.bs = 8
+        self.ut = 4
 
     def test_zero_covariance_gives_zero(self):
         assert neutralization_residual(np.zeros((4, 3)), np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("m, counts, n_p, m_e, on_grid", [
+        (16, [4, 2, 3], 2, 2, False),
+        (16, [4, 4, 2], 2, 2, True),
+        (32, [4, 4, 4, 4], 6, 4, False),
+        (128, [4] * 6, 6, 6, False),
+    ])
+    def test_table_is_the_per_pair_calls(self, m, counts, n_p, m_e, on_grid):
+        # One call on every block against every Gram matrix gives, entry by
+        # entry, the bits of one call per pair.
+        rng = np.random.default_rng(m + n_p)
+        for _ in range(5):
+            scenario = Scenario.draw(rng, n_p, m, counts, on_grid)
+            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, 2))
+            table = neutralization_residual(inputs.blocks, scenario.grams)
+            assert table.shape == (len(counts), len(counts))
+            for k in range(len(counts)):
+                for kp in range(len(counts)):
+                    single = neutralization_residual(inputs.blocks[k][kp], scenario.grams[kp])
+                    assert type(single) is float
+                    assert table[k, kp] == single
 
     def test_disjoint_on_grid_users_neutralize(self):
         cov0 = beam_covariances(on_grid_paths([0, 1], [0, 1], 8, 4), self.bs, self.ut)
@@ -224,10 +245,9 @@ class TestNeutralizationResidual:
     @pytest.mark.parametrize("m, n_ut, n_p", [(8, 4, 3), (16, 2, 2), (128, 4, 6)])
     def test_factor_residual_matches_dense(self, m, n_ut, n_p):
         rng = np.random.default_rng(m + n_p)
-        bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
         paths = sample_paths(n_p, rng)
-        factor, bs_gains, _ = beam_covariance_factor(paths, bs, ut)
-        lam = beam_covariances(paths, bs, ut).lambda_full
+        factor, bs_gains, _ = beam_covariance_factor(paths, m, n_ut)
+        lam = beam_covariances(paths, m, n_ut).lambda_full
         strongest = allocate_bs_beams([bs_gains], 2)[0]
         for beams in (strongest, rng.choice(m, size=2, replace=False)):
             ut_beams = rng.choice(n_ut, size=2, replace=False)

@@ -2,7 +2,9 @@
 
 Every benchmark op is one `beamkey.cli.main` call on a workload's config, and
 the tracer patches names the runners call.  A change that broke either would
-fail every benchmark op; these tests make it fail here first.
+fail every benchmark op; these tests make it fail here first.  So would rates
+that drift from the recorded reference, or an op that does not repeat
+byte for byte; the benchmark's own output check runs here on those ops.
 """
 
 import json
@@ -13,8 +15,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import worker  # noqa: E402
 from tracer import HOOKS, Tracer  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS, op_seed  # noqa: E402
 
 from beamkey.experiments import ScenarioConfig  # noqa: E402
 
@@ -63,3 +66,22 @@ def test_traced_op_reaches_the_hooked_layers(tmp_path, name, layers):
     for layer in layers + ("experiments.write_result",):
         assert counts[f"{layer}.calls"] > 0, layer
     assert counts["experiments.output_bytes"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(n for n, w in WORKLOADS.items() if w.reference_ops))
+def test_reference_ops_match_the_recorded_rates(tmp_path, name):
+    from beamkey import cli
+
+    w = WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(w.config))
+    reference = worker.load_reference(w)["rates"]
+    assert len(reference) == w.reference_ops
+    for index, expected in enumerate(reference):
+        seed = op_seed(name, DEFAULT_SEED, index)
+        problems, rates = worker.run_op(cli, w, config, seed, tmp_path / f"op{index}")[2:4]
+        assert problems == [], index
+        assert worker.compare_reference(rates, expected) is None, index
+    repeat = tmp_path / "repeat"
+    assert worker.run_op(cli, w, config, op_seed(name, DEFAULT_SEED, 0), repeat)[2] == []
+    assert worker.same_files(tmp_path / "op0", repeat) is None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariance_factor,
     beam_covariances,
@@ -32,7 +31,7 @@ def steering(n: int, angles) -> np.ndarray:
     aod = np.atleast_1d(np.asarray(angles, dtype=float))
     ones = np.ones(aod.shape)
     paths = PathSet(gains=ones, aoa=np.zeros(aod.shape), aod=aod, powers=ones)
-    return path_steering(paths, ArrayGeometry(n), ArrayGeometry(1))[1]
+    return path_steering(paths, n, 1)[1]
 
 
 class TestSteeringVector:
@@ -48,7 +47,7 @@ class TestSteeringVector:
 
     def test_matches_sampling_matrix_column(self):
         # Grid index m = 3 of an 8-element array sits at sin = 2*3/8 - 1 = -0.25.
-        a = sampling_matrix(ArrayGeometry(8))
+        a = sampling_matrix(8)
         v = steering(8, np.arcsin(-0.25))[:, 0]
         np.testing.assert_allclose(v, a[:, 3], atol=1e-14)
 
@@ -62,17 +61,17 @@ class TestSteeringVector:
 
 class TestSamplingMatrix:
     def test_single_element(self):
-        np.testing.assert_array_equal(sampling_matrix(ArrayGeometry(1)), np.array([[1.0 + 0j]]))
+        np.testing.assert_array_equal(sampling_matrix(1), np.array([[1.0 + 0j]]))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_unitary_at_half_wavelength(self, n):
-        a = sampling_matrix(ArrayGeometry(n))
+        a = sampling_matrix(n)
         assert np.max(np.abs(a.conj().T @ a - np.eye(n))) <= 1e-12
 
     def test_column_peak_direction(self):
         # Each column's response over a fine angle sweep peaks at its own grid sine.
         n = 128
-        a = sampling_matrix(ArrayGeometry(n))
+        a = sampling_matrix(n)
         sweep = np.arcsin(np.linspace(-0.999, 0.999, 4001))
         responses = steering(n, sweep).T
         for m in (0, 5, 64, 100, 127):
@@ -81,15 +80,23 @@ class TestSamplingMatrix:
             assert abs(peak_sine - grid_sines(n)[m]) < 2e-3
 
     def test_half_wavelength_grid_is_built_once_and_read_only(self):
-        a = sampling_matrix(ArrayGeometry(8))
-        assert sampling_matrix(ArrayGeometry(8)) is a
+        a = sampling_matrix(8)
+        assert sampling_matrix(8) is a
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
 
     def test_rejects_zero_size(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(0)
+        paths = PathSet(gains=[1.0], aoa=[0.0], aod=[0.0], powers=[1.0])
+        for n in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="antenna_count must be a positive integer"):
+                sampling_matrix(n)
+            with pytest.raises(ValueError, match="antenna_count must be a positive integer"):
+                synthesize_channel(paths, 8, n)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert np.array_equal(sampling_matrix(np.int64(8)), sampling_matrix(8))
+        assert grid_sines(np.int32(4)).shape == (4,)
 
 
 class TestSamplePaths:
@@ -135,14 +142,14 @@ class TestSamplePaths:
 class TestSynthesizeChannel:
     def test_single_path_rank_one_unit_norm(self):
         paths = PathSet(gains=[1.0], aoa=[0.3], aod=[-0.7], powers=[1.0])
-        h = synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(4))
+        h = synthesize_channel(paths, 8, 4)
         assert h.shape == (4, 8)
         assert np.linalg.matrix_rank(h) == 1
         assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gains_give_zero_matrix(self):
         paths = PathSet(gains=[0.0, 0.0], aoa=[0.1, 0.2], aod=[0.3, 0.4], powers=[0.5, 0.5])
-        h = synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(4))
+        h = synthesize_channel(paths, 8, 4)
         assert np.all(h == 0)
 
     def test_two_orthogonal_on_grid_paths_add_in_energy(self):
@@ -150,14 +157,14 @@ class TestSynthesizeChannel:
         aod = np.arcsin(grid_sines(8)[[2, 5]])
         aoa = np.arcsin(grid_sines(4)[[1, 3]])
         paths = PathSet(gains=[1.0, 1.0], aoa=aoa, aod=aod, powers=[0.5, 0.5])
-        h = synthesize_channel(paths, ArrayGeometry(8), ArrayGeometry(4))
+        h = synthesize_channel(paths, 8, 4)
         assert np.linalg.norm(h) ** 2 == pytest.approx(2.0, abs=1e-10)
 
 
 class TestToBeamDomain:
     def setup_method(self):
-        self.bs = ArrayGeometry(8)
-        self.ut = ArrayGeometry(4)
+        self.bs = 8
+        self.ut = 4
         self.a_bs = sampling_matrix(self.bs)
         self.a_ut = sampling_matrix(self.ut)
 
@@ -221,8 +228,8 @@ class TestToBeamDomain:
 
 class TestBeamCovariances:
     def setup_method(self):
-        self.bs = ArrayGeometry(8)
-        self.ut = ArrayGeometry(4)
+        self.bs = 8
+        self.ut = 4
 
     def test_on_grid_single_path_exact_projectors(self):
         paths = PathSet(
@@ -284,13 +291,12 @@ class TestBeamCovariances:
         # diagonals of the dense r_bs and r_ut, without forming them; the
         # powers are unequal, so each gain must weight its own path.
         rng = np.random.default_rng(m + on_grid)
-        bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
         for n_p in (1, 3, 4):
             drawn = sample_paths(n_p, rng, grid=(m, n_ut) if on_grid else None)
             paths = PathSet(gains=drawn.gains, aoa=drawn.aoa, aod=drawn.aod,
                             powers=rng.dirichlet(np.ones(n_p)))
-            _, bs_gains, ut_gains = beam_covariance_factor(paths, bs, ut)
-            cov = beam_covariances(paths, bs, ut)
+            _, bs_gains, ut_gains = beam_covariance_factor(paths, m, n_ut)
+            cov = beam_covariances(paths, m, n_ut)
             for gains, dense in ((bs_gains, cov.r_bs), (ut_gains, cov.r_ut)):
                 diag = np.real(np.diag(dense))
                 assert gains.shape == diag.shape and gains.dtype == float
@@ -306,7 +312,7 @@ class TestBeamCovariances:
         delta = (np.sin(paths.aod)[None, :] - beam_sines[:, None]) * m / 2
         assert np.min(np.abs(delta - np.round(delta))) > 1e-3  # off-grid draw
         fejer = np.sin(np.pi * delta) ** 2 / (m**2 * np.sin(np.pi * delta / m) ** 2)
-        r_bs = beam_covariances(paths, ArrayGeometry(m), self.ut).r_bs
+        r_bs = beam_covariances(paths, m, self.ut).r_bs
         np.testing.assert_allclose(np.real(np.diag(r_bs)), fejer @ paths.powers,
                                    rtol=0, atol=1e-12)
 
@@ -336,7 +342,7 @@ class TestBeamCovariances:
         fractions = []
         for m in (16, 32, 64, 128):
             diag = np.real(np.diag(
-                beam_covariances(paths, ArrayGeometry(m), ArrayGeometry(2)).r_bs
+                beam_covariances(paths, m, 2).r_bs
             ))
             fractions.append(np.sort(diag)[::-1][:6].sum() / diag.sum())
         for earlier, later in zip(fractions, fractions[1:]):

@@ -10,9 +10,7 @@ from beamkey import experiments
 from beamkey._util import complex_normal, vec
 from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, neutralization_residual
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
-    _grid_matrix,
     beam_covariance_factor,
     beam_covariances,
     beam_path_factors,
@@ -117,7 +115,7 @@ class TestConfigValidation:
             "snr_db_grid": [0, 2.5], "bs_beams_compare": [6, 4], "angle_mode": "off_grid",
         })
         cfg.validate()
-        assert cfg.snr_db_grid == [0, 2.5]
+        assert cfg.snr_db_grid == (0, 2.5)
 
     def test_per_user_antenna_lists(self):
         cfg = ScenarioConfig(users=3, ut_antennas=[4, 3, 2], ut_beams=2)
@@ -154,6 +152,20 @@ class TestConfigCheckedWhenBuilt:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.trials = 0
         assert cfg.trials == 100
+
+    def test_list_fields_cannot_be_changed_in_place(self):
+        cfg = ScenarioConfig(users=2, bs_antennas=16, ut_antennas=[4, 2], ut_beams=2)
+        with pytest.raises(AttributeError):
+            cfg.bs_beams_compare.append(100)
+        with pytest.raises(AttributeError):
+            cfg.ut_antennas.append(4)
+        assert (cfg.bs_beams_compare, cfg.ut_antennas) == ((6, 4), (4, 2))
+        assert cfg.resolved()["bs_beams_compare"] == [6, 4]
+
+    def test_integer_ut_antennas_still_broadcasts(self):
+        cfg = dataclasses.replace(ScenarioConfig(users=2, bs_antennas=32), users=3)
+        assert cfg.ut_antennas == 4
+        assert cfg.ut_antenna_list() == [4, 4, 4]
 
 
 class TestSingleUserRate:
@@ -233,8 +245,7 @@ class TestScenario:
             ref = sample_paths(n_p, ref_rng, grid=(m, n) if on_grid else None)
             for name in ("gains", "aoa", "aod", "powers"):
                 assert np.array_equal(getattr(scenario.paths[k], name), getattr(ref, name))
-            factor, bs_gains, ut_gains = beam_covariance_factor(
-                ref, ArrayGeometry(m), ArrayGeometry(n))
+            factor, bs_gains, ut_gains = beam_covariance_factor(ref, m, n)
             assert np.array_equal(scenario.factors[k], factor)
             assert np.array_equal(scenario.grams[k], factor.conj().T @ factor)
             diags_bs.append(bs_gains)
@@ -255,12 +266,11 @@ class TestScenario:
             return np.real(np.diag((signatures * powers) @ signatures.conj().T))
 
         rng = np.random.default_rng(2025)
-        bs, ut = ArrayGeometry(128), ArrayGeometry(4)
         for _ in range(50):
             scenario = Scenario.draw(rng, 6, 128, [4] * 6)
             diags_bs, diags_ut = [], []
             for p in scenario.paths:
-                u, w = beam_path_factors(p, bs, ut)
+                u, w = beam_path_factors(p, 128, 4)
                 diags_bs.append(dense_diagonal(w, p.powers))
                 diags_ut.append(dense_diagonal(u, p.powers))
             for m_e in (6, 4):
@@ -283,16 +293,16 @@ class TestScenario:
         assert alone.max_residual(RateInputs(alone.factors, alone.allocate(2, 2))) == 0.0
 
     def test_one_grid_per_array_size(self):
-        _grid_matrix.cache_clear()
+        sampling_matrix.cache_clear()
         run_multiuser_unit_rate(small_multi_user(ut_antennas=[4, 2, 4]))
-        assert _grid_matrix.cache_info().misses == 3  # 16, 4 and 2 antennas
+        assert sampling_matrix.cache_info().misses == 3  # 16, 4 and 2 antennas
 
 
 def dense_spectra(cfg):
     """Eigenvalues of each user's dense covariance in trial 0, drawn the way
     the runners draw them."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)[0])
-    bs, ut = ArrayGeometry(cfg.bs_antennas), ArrayGeometry(cfg.ut_antennas)
+    bs, ut = cfg.bs_antennas, cfg.ut_antennas
     return [psd_eigh(beam_covariances(sample_paths(cfg.n_paths, rng), bs, ut).lambda_full)[0]
             for _ in range(cfg.users)]
 
@@ -553,8 +563,6 @@ def _loop_downlink_covariance(stats_paths, allocation, noise_power, rounds, rng,
     """Round-at-a-time reference: a validated PathSet, every user's channel
     and one `downlink_probe` call per round.  Returns the sample covariance
     after each round count in `rounds`."""
-    bs_geom = ArrayGeometry(allocation.bs_antennas)
-    geoms = [ArrayGeometry(n) for n in allocation.ut_counts]
     acc = None
     out = {}
     for done in range(1, max(rounds) + 1):
@@ -562,7 +570,8 @@ def _loop_downlink_covariance(stats_paths, allocation, noise_power, rounds, rng,
         for k, base in enumerate(stats_paths):
             gains = complex_normal(rng, base.n_paths, base.powers)
             fresh = PathSet(gains=gains, aoa=base.aoa, aod=base.aod, powers=base.powers)
-            channels.append(synthesize_channel(fresh, bs_geom, geoms[k]))
+            channels.append(synthesize_channel(fresh, allocation.bs_antennas,
+                                               allocation.ut_counts[k]))
         z = vec(downlink_probe(channels, allocation, noise_power, rng)[user])
         outer = np.outer(z, z.conj())
         acc = outer if acc is None else acc + outer

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, build_matrices
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariance_factor,
     beam_covariances,
@@ -148,7 +147,7 @@ class TestBuildVMatrices:
             aod=[np.arcsin(grid_sines(m)[5])],
             powers=[1.0],
         )
-        factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
+        factor, _, _ = beam_covariance_factor(paths, m, n_ut)
         inputs = RateInputs([factor], build_matrices([[5]], [[2]], m, [n_ut]))
         v_k, _ = build_v_matrices(inputs, 0)
         assert np.linalg.norm(v_k) == pytest.approx(1.0, abs=1e-10)
@@ -305,7 +304,7 @@ class TestSecretKeyRate:
             aod=[np.arcsin(grid_sines(m)[2])],
             powers=[1.0],
         )
-        factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(m), ArrayGeometry(n_ut))
+        factor, _, _ = beam_covariance_factor(paths, m, n_ut)
         inputs = RateInputs([factor], build_matrices([[2, 3]], [[1, 0]], m, [n_ut]))
         with pytest.raises(SingularNoiseFreeRateError):
             secret_key_rate(inputs, 0, 0.0)
@@ -314,13 +313,12 @@ class TestSecretKeyRate:
 def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e):
     """One random scenario as rate inputs twice: with each user's rank-P path
     factor, and with psd_sqrt of the dense covariance as the factor."""
-    bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
     paths = [sample_paths(n_p, rng) for _ in range(n_users)]
-    covs = [beam_covariances(p, bs, ut) for p in paths]
+    covs = [beam_covariances(p, m, n_ut) for p in paths]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    factored = RateInputs([beam_covariance_factor(p, bs, ut)[0] for p in paths], alloc)
+    factored = RateInputs([beam_covariance_factor(p, m, n_ut)[0] for p in paths], alloc)
     dense = replace(factored, lambda_factors=[psd_sqrt(c.lambda_full) for c in covs])
     return factored, dense, covs
 
@@ -634,7 +632,7 @@ class TestFullSamplingRate:
         rng = np.random.default_rng(8)
         for _ in range(5):
             paths = sample_paths(3, rng)
-            cov = beam_covariances(paths, ArrayGeometry(8), ArrayGeometry(4))
+            cov = beam_covariances(paths, 8, 4)
             noise = float(rng.choice([0.05, 0.5, 2.0]))
             inputs = full_inputs(psd_sqrt(cov.lambda_full), 8, 4)
             oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, 0, noise))
@@ -685,10 +683,10 @@ class TestDominanceAndInterference:
         rng = np.random.default_rng(9)
         for _ in range(10):
             paths = sample_paths(3, rng)
-            cov = beam_covariances(paths, ArrayGeometry(16), ArrayGeometry(4))
+            cov = beam_covariances(paths, 16, 4)
             noise = float(rng.choice([0.01, 0.1, 1.0]))
             perfect = full_sampling_rate(np.linalg.eigvalsh(cov.lambda_full), noise)
-            factor, _, _ = beam_covariance_factor(paths, ArrayGeometry(16), ArrayGeometry(4))
+            factor, _, _ = beam_covariance_factor(paths, 16, 4)
             m_e = int(rng.integers(1, 5))
             bs_set = allocate_bs_beams([np.real(np.diag(cov.r_bs))], m_e)[0]
             ut_set = allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)

@@ -10,7 +10,6 @@ from beamkey.allocation import (
     build_matrices,
 )
 from beamkey.channel import (
-    ArrayGeometry,
     PathSet,
     beam_covariances,
     grid_sines,
@@ -31,7 +30,6 @@ from beamkey.probing import (
 def build_scenario(n_users, m, n_ut, n_p, m_e, n_e, rng, on_grid=False,
                    disjoint_grid=False):
     """Channels plus an allocation for one random scenario."""
-    bs, ut = ArrayGeometry(m), ArrayGeometry(n_ut)
     paths_list = []
     if disjoint_grid:
         bs_idx = rng.permutation(m)[: n_users * n_p].reshape(n_users, n_p)
@@ -46,19 +44,19 @@ def build_scenario(n_users, m, n_ut, n_p, m_e, n_e, rng, on_grid=False,
     else:
         grid = (m, n_ut) if on_grid else None
         paths_list = [sample_paths(n_p, rng, grid=grid) for _ in range(n_users)]
-    covs = [beam_covariances(p, bs, ut) for p in paths_list]
+    covs = [beam_covariances(p, m, n_ut) for p in paths_list]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    channels = [synthesize_channel(p, bs, ut) for p in paths_list]
+    channels = [synthesize_channel(p, m, n_ut) for p in paths_list]
     return channels, alloc, paths_list
 
 
 def beamformers(alloc, k):
     """User k's precoder and combiner, written out: the sampling-matrix
     columns at its allocated beams."""
-    return (sampling_matrix(ArrayGeometry(alloc.bs_antennas))[:, alloc.bs_beams[k]],
-            sampling_matrix(ArrayGeometry(alloc.ut_counts[k]))[:, alloc.ut_beams[k]])
+    return (sampling_matrix(alloc.bs_antennas)[:, alloc.bs_beams[k]],
+            sampling_matrix(alloc.ut_counts[k])[:, alloc.ut_beams[k]])
 
 
 def effective_channel(alloc, h, k):
@@ -72,8 +70,8 @@ class TestProbeMatrices:
     allocated beams."""
 
     def setup_method(self):
-        self.a_bs = sampling_matrix(ArrayGeometry(128))
-        self.a_ut = sampling_matrix(ArrayGeometry(4))
+        self.a_bs = sampling_matrix(128)
+        self.a_ut = sampling_matrix(4)
 
     def probe_matrices(self, bs_sets, ut_sets):
         return _probe_matrices(build_matrices(bs_sets, ut_sets, 128, [4] * len(bs_sets)))
@@ -328,7 +326,6 @@ class TestVectorizeObservations:
     def test_noisy_correlation_strictly_between_zero_and_one(self):
         rng = np.random.default_rng(21)
         channels, alloc, paths = build_scenario(1, 16, 4, 2, 2, 2, rng)
-        bs, ut = ArrayGeometry(16), ArrayGeometry(4)
         noise_rng = np.random.default_rng(22)
         num = 0.0
         den_dl = 0.0
@@ -339,7 +336,7 @@ class TestVectorizeObservations:
             )
             fresh = PathSet(gains=gains, aoa=paths[0].aoa, aod=paths[0].aod,
                             powers=paths[0].powers)
-            h = [synthesize_channel(fresh, bs, ut)]
+            h = [synthesize_channel(fresh, 16, 4)]
             z_dl, z_ul = vectorize_observations(
                 downlink_probe(h, alloc, 0.5, noise_rng)[0],
                 uplink_probe(h, alloc, 0.5, noise_rng)[0])
