@@ -315,9 +315,8 @@ class Scenario:
     @classmethod
     def from_paths(cls, paths: Sequence[PathSet], bs_antennas: int,
                    ut_counts: Sequence[int]) -> "Scenario":
-        factors, bs_gains, ut_gains = zip(*(
-            beam_covariance_factor(p, bs_antennas, n)
-            for p, n in zip(paths, ut_counts, strict=True)))
+        factors, bs_gains, ut_gains = zip(*(beam_covariance_factor(p, bs_antennas, n)
+                                            for p, n in zip(paths, ut_counts, strict=True)))
         return cls(list(paths), list(factors), list(bs_gains), list(ut_gains))
 
     @functools.cached_property
