@@ -110,15 +110,25 @@ def grid_sines(antenna_count: int) -> np.ndarray:
     return 2.0 * np.arange(n) / n - 1.0
 
 
-@functools.lru_cache(maxsize=32)
 def sampling_matrix(antenna_count: int) -> np.ndarray:
     """n x n matrix whose columns are steering vectors on the uniform sine grid.
 
     At half-wavelength spacing the columns coincide with a rephased DFT basis,
     so the matrix is unitary.  It depends only on the antenna count, so each
-    one is built once and returned read-only.
+    one is built once and returned read-only.  The count is made a Python int
+    first, so a NumPy integer size finds the same cached grid.
     """
-    return readonly(_steering_columns(antenna_count, grid_sines(antenna_count)))
+    return _grid(_antenna_count(antenna_count))
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(n: int) -> np.ndarray:
+    return readonly(_steering_columns(n, grid_sines(n)))
+
+
+# The grid cache, seen through the public name.
+sampling_matrix.cache_info = _grid.cache_info
+sampling_matrix.cache_clear = _grid.cache_clear
 
 
 def sample_paths(

@@ -31,17 +31,17 @@ With G = Q diag(g) Q^H, the full SVD J = W S Z^H and Y = V_kk Z,
     T = Y diag(1 / (s^2 + sigma^2)) Y^H,    D = diag((1 + g / sigma^2)^(-1/2)),
     I = log det(I + T) - log det(I + D Q^H T Q D)
 
-where s^2 holds J's squared singular values zero-padded to d = m_e * n_e (for
-a single user J is empty, so Y = V_kk and s^2 = 0).  This is the paper's
-closed form -log det(I - V_kk B_ul^-1 V_kk^H V_k B_dl^-1 V_k^H), with
+where s^2 holds J's squared singular values zero-padded to d = m_e * n_e.
+This is the paper's closed form
+-log det(I - V_kk B_ul^-1 V_kk^H V_k B_dl^-1 V_k^H), with
 B_dl = V_k^H V_k + sigma^2 I and B_ul = sum_k' V_kk'^H V_kk' + sigma^2 I, as
 the same number.  Since I + D Q^H T Q D = D Q^H (I + G / sigma^2 + T) Q D,
 
     I = log det(I + T) + log det(I + G / sigma^2) - log det(I + T + G / sigma^2),
 
-which is what is evaluated: three log-determinants of I plus a P x P
-information matrix, so nothing cancels inside a matrix as sigma^2 -> 0 and
-no regularization is needed.  Each information matrix is a sum of rank-one
+which is what is evaluated for two or more users: three log-determinants of
+I plus a P x P information matrix, so nothing cancels inside a matrix as
+sigma^2 -> 0 and no regularization is needed.  Each information matrix is a sum of rank-one
 measurements r r^H / (c + sigma^2), where c >= 0 is the measurement's
 interference floor: the columns of Y with c = s^2 and, for G, the columns of
 V_k with c = 0.  Sorted by c, the order of the weights is the same at every
@@ -52,23 +52,35 @@ all 0 has one weight and is taken diagonal, in the eigenbasis of
 sum r r^H.  Singular values of J below max(J.shape) * eps * (its largest)
 are round-off and are cut to zero, so a direction the interference does not
 reach has floor exactly 0.
-Accuracy: the 80-digit tests cover off-grid draws, where the rate agrees
-with the dense Gaussian MI to 1e-12 relative from 30 to 200 dB.  Two cases
-are known to miss.  Below about -10 dB the three log-determinants, each
-O(1/sigma^2), cancel to a rate of O(1/sigma^4).  On grid, a user who loses
-a path to another user's beam can keep round-off floors that survive the
-cut; its rate can then be silently off (1.2e-2 relative at 180 dB in one
-such draw) or fail to factorize at 190-200 dB.
+A lone user (U = 1) has no J and V_kk = V_k, so T = G / sigma^2, and in the
+eigenbasis of G the three log-determinants come to
+
+    I = sum_i log1p(g_i^2 / (sigma^2 (2 g_i + sigma^2))),
+
+the complete-grid sum of `full_sampling_rate` over g.  A batch of single-user
+inputs is rated by it: one batched SVD of the V_k gives g, and nothing else
+is factored.
+Accuracy: single-user rates are exact at every SNR, by the closed form; the
+80-digit tests hold them to the dense Gaussian MI to 1e-12 relative from
+-60 to 200 dB, on and off grid and with fewer measurements than paths.  For
+two or more users the 80-digit tests cover off-grid draws, where the rate
+agrees to 1e-12 relative from 30 to 200 dB, and two cases are known to
+miss.  Below about -10 dB the three log-determinants, each O(1/sigma^2),
+cancel to a rate of O(1/sigma^4).  On grid, a user who loses a path to
+another user's beam can keep round-off floors that survive the cut; its
+rate can then be silently off (1.2e-2 relative at 180 dB in one such draw)
+or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
 user at once, and the runners make one call per block of trials and beam
 count, over the block's allocations (one per trial, all of one shape): the
 SVDs of the V_k and of the interference stacks and the QR factorizations
 are each one call over a leading axis of T * U users, trial-major.  Every
 rate of every user for a whole array of noise powers is then one batched
-Cholesky factorization of (2, T * U, n, P, P) matrices.  Users whose term
-counts differ (some zero floors merged, or every floor 0) are padded with
-zero terms to the largest count; each allocation is summed over its own
-count, so that it gets the same bits in a batch as alone.
+Cholesky factorization of (2, T * U, n, P, P) matrices (for one user, one
+closed-form sum over the gains).  Users whose term counts differ (some zero
+floors merged, or every floor 0) are padded with zero terms to the largest
+count; each allocation is summed over its own count, so that it gets the
+same bits in a batch as alone.
 `secret_key_rate` is the same engine at one noise power, read off for one
 user.
 
@@ -393,12 +405,15 @@ class UserRateFactors:
                U sv of V_k's SVD, whose Gram matrix is G
 
     `rate` evaluates the module docstring's three-term form for any noise
-    powers from these alone, without assembling a covariance.
+    powers from these alone, without assembling a covariance.  For a batch
+    of single-user allocations `uplink` and `joint` are None: T = G / sigma^2
+    there, and `rate` is the closed-form sum over the gains alone, exact at
+    every SNR.
     """
 
     gains: np.ndarray
-    uplink: GradedInformation
-    joint: GradedInformation
+    uplink: GradedInformation | None
+    joint: GradedInformation | None
 
     def rate(self, noise_powers):
         """Every user's key rate in bits at each noise power.
@@ -406,7 +421,8 @@ class UserRateFactors:
         Returns a (T*U,) array for a scalar noise power and an (n, T*U)
         array for a 1-D array of n.  All users and noise powers are
         evaluated at once, with one batched Cholesky factorization of the
-        (2, T*U, n, P, P) matrices I + T and I + T + G/sigma^2.
+        (2, T*U, n, P, P) matrices I + T and I + T + G/sigma^2; single-user
+        batches take `full_sampling_rate` of the gains instead.
 
         The rate needs noise_power > 0: a noise power of 0 raises
         `SingularNoiseFreeRateError` (without noise the observation
@@ -420,6 +436,8 @@ class UserRateFactors:
             raise SingularNoiseFreeRateError(
                 "singular noise-free rate: the rate engine needs noise_power > 0"
             )
+        if self.uplink is None:
+            return full_sampling_rate(self.gains, sigma2)
         column = np.atleast_1d(sigma2)[:, None]
         mats = np.stack([self.uplink.plus_identity(column), self.joint.plus_identity(column)])
         try:
@@ -468,6 +486,8 @@ def rate_factors(*inputs: RateInputs) -> UserRateFactors:
     of the interference stack J = vstack(V_kk', k' != k), each one batched
     SVD over the users.  Singular values of J below
     max(J.shape) * eps * (its largest) are round-off and are cut to zero.
+    Single-user inputs need g alone: their rate is the closed form, exact at
+    every SNR, and nothing else is factored.
     """
     if not inputs:
         raise ValueError("rate_factors needs at least one RateInputs")
@@ -476,6 +496,9 @@ def rate_factors(*inputs: RateInputs) -> UserRateFactors:
         if x.blocks.shape != shape:
             raise ValueError(f"inputs[{t}] has (U, U, m_e*n_e, P) = {x.blocks.shape}; "
                              f"every input needs {shape}, as inputs[0] has")
+    if shape[0] == 1:  # one user: no interference, and g alone sets the rate
+        sv_k = np.linalg.svd(np.stack([x.blocks[0, 0] for x in inputs]), compute_uv=False)
+        return UserRateFactors(gains=sv_k * sv_k, uplink=None, joint=None)
     u_k, sv_k, y, floors = _measurements(np.stack([x.blocks for x in inputs]))
     return UserRateFactors(
         gains=sv_k * sv_k,
@@ -487,8 +510,8 @@ def rate_factors(*inputs: RateInputs) -> UserRateFactors:
 
 
 def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(u_k, sv_k, Y, floors) of every user of (T, U, U, d, P) blocks, rows
-    trial-major: the SVD V_k = u_k diag(sv_k) (...)^H, and the columns of Y
+    """(u_k, sv_k, Y, floors) of every user of (T, U, U, d, P) blocks, U >= 2,
+    rows trial-major: the SVD V_k = u_k diag(sv_k) (...)^H, and the columns of Y
     with their floors s^2, sorted by nondecreasing floor.
 
     A function of its own, so that the stacked blocks and the SVD factors
@@ -507,15 +530,12 @@ def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     # information as the d columns of V_k.
     u_k, sv_k, _ = np.linalg.svd(_adjoint(v_h), full_matrices=False)
     floors = np.zeros((n_rows, dim))
-    if n_users > 1:
-        others = np.array([np.delete(users, k) for k in users])
-        stack = _adjoint(blocks[:, users[:, None], others]).reshape(n_rows, -1, dim)
-        _, sv, zh = np.linalg.svd(stack, full_matrices=True)
-        cut = max(stack.shape[1:]) * np.finfo(float).eps * sv[:, :1]
-        floors[:, : sv.shape[1]] = np.where(sv > cut, sv * sv, 0.0)
-        y = v_kk @ _adjoint(zh)
-    else:
-        y = v_kk
+    others = np.array([np.delete(users, k) for k in users])
+    stack = _adjoint(blocks[:, users[:, None], others]).reshape(n_rows, -1, dim)
+    _, sv, zh = np.linalg.svd(stack, full_matrices=True)
+    cut = max(stack.shape[1:]) * np.finfo(float).eps * sv[:, :1]
+    floors[:, : sv.shape[1]] = np.where(sv > cut, sv * sv, 0.0)
+    y = v_kk @ _adjoint(zh)
     # The SVD orders s^2 downwards, so reversed the floors are nondecreasing.
     return u_k, sv_k, y[..., ::-1], floors[:, ::-1]
 
@@ -584,7 +604,9 @@ def full_sampling_rate(lambda_eigenvalues: np.ndarray, noise_power):
           = sum_i log1p( w_i^2 / (noise * (2 w_i + noise)) ),
 
     evaluated in the second form, which does not cancel at any noise power
-    (an 80-digit test holds it to 1e-12 relative from -60 to 200 dB).
+    (an 80-digit test holds it to 1e-12 relative from -60 to 200 dB).  With
+    w the squared singular values of V_k it is also the exact rate of a lone
+    user probing through any beam subset, which `UserRateFactors.rate` uses.
     `lambda_eigenvalues` holds nonnegative eigenvalues shaped (..., P), one
     row per user; `noise_power` is a scalar or a 1-D array of n values.  The
     result has shape (...) for a scalar noise power (a float for one user)

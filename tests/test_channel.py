@@ -98,6 +98,15 @@ class TestSamplingMatrix:
         assert np.array_equal(sampling_matrix(np.int64(8)), sampling_matrix(8))
         assert grid_sines(np.int32(4)).shape == (4,)
 
+    def test_numpy_integer_size_finds_the_cached_grid(self):
+        sampling_matrix.cache_clear()
+        a = sampling_matrix(8)
+        assert sampling_matrix(np.int64(8)) is a and sampling_matrix(np.int32(8)) is a
+        assert sampling_matrix.cache_info().misses == 1
+        for n in (0, -1, 2.5, np.int64(0), np.float64(2.5)):
+            with pytest.raises(ValueError, match="antenna_count must be a positive integer"):
+                sampling_matrix(n)
+
 
 class TestSamplePaths:
     def test_uniform_profile_and_count(self):
