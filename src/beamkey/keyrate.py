@@ -63,13 +63,15 @@ is factored.
 Accuracy: single-user rates are exact at every SNR, by the closed form; the
 80-digit tests hold them to the dense Gaussian MI to 1e-12 relative from
 -60 to 200 dB, on and off grid and with fewer measurements than paths.  For
-two or more users the 80-digit tests cover off-grid draws, where the rate
-agrees to 1e-12 relative from 30 to 200 dB, and two cases are known to
-miss.  Below about -10 dB the three log-determinants, each O(1/sigma^2),
-cancel to a rate of O(1/sigma^4).  On grid, a user who loses a path to
-another user's beam can keep round-off floors that survive the cut; its
-rate can then be silently off (1.2e-2 relative at 180 dB in one such draw)
-or fail to factorize at 190-200 dB.
+two or more users off grid the rate agrees to 1e-12 relative, or to 1e-12
+bits where it is small, from 0 to 200 dB; a seeded 80-digit sweep over 1-4
+users, 1-3 paths and mixed array sizes holds both claims.  Two cases are
+known to miss.  At low SNR the three log-determinants, each O(1/sigma^2),
+cancel to a rate of O(1/sigma^4): the sweep's small rates miss by up to
+1e-11 relative at 0 dB and 6e-10 at -10 dB, each below 2e-15 bits.  On
+grid, a user who loses a path to another user's beam can keep round-off
+floors that survive the cut; its rate can then be silently off (1.2e-2
+relative at 180 dB in one such draw) or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
 user at once, and the runners make one call per block of trials and beam
 count, over the block's allocations (one per trial, all of one shape): the
@@ -77,10 +79,9 @@ SVDs of the V_k and of the interference stacks and the QR factorizations
 are each one call over a leading axis of T * U users, trial-major.  Every
 rate of every user for a whole array of noise powers is then one batched
 Cholesky factorization of (2, T * U, n, P, P) matrices (for one user, one
-closed-form sum over the gains).  Users whose term counts differ (some zero
-floors merged, or every floor 0) are padded with zero terms to the largest
-count; each allocation is summed over its own count, so that it gets the
-same bits in a batch as alone.
+closed-form sum over the gains).  Every user of one shape has one term per
+measurement, so no row is padded and each allocation gets the same bits in
+a batch as alone.
 `secret_key_rate` is the same engine at one noise power, read off for one
 user.
 
@@ -278,92 +279,52 @@ class GradedInformation:
     path gains, from a graded factor, for evaluation at any noise power
     sigma^2 > 0.  The rows are the users of T allocations, trial-major.
 
-    terms  : (T*U, P, P, n) per user the rank-one terms r_j r_j^H, term j
-             being terms[u, :, :, j], except that the terms with floor 0,
-             which share the weight 1/sigma^2, are summed into the first;
-             when every floor of a user is 0, its single term is diag(s^2),
-             s the singular values of its measurements.  A user with fewer
-             terms than the largest count is padded with zero terms.
+    terms  : (T*U, P, P, n) per user the rank-one term r_j r_j^H of each of
+             its n measurements, term j being terms[u, :, :, j]; when every
+             floor of a user is 0, its term 0 is diag(s^2), s the singular
+             values of its measurements, and its other terms are 0
     floors : (T*U, n) per user nondecreasing c_j >= 0, the interference
              power that measurement j sees on top of the noise
-    counts : per allocation, a tuple of T ints, its term count: the
-             largest count among its users (1 when all their floors are 0)
 
     The r_j are the columns of the upper trapezoidal R of a QR factorization
     of the measurements sorted by c, so by decreasing weight at every noise
     power: column j touches only the first j coordinates.  The heaviest
     measurements thus sit in the leading coordinates, and the information
     matrix stays graded, which keeps its Cholesky factorization accurate at
-    every noise power.  The term axis is last so that the sums over terms
-    below run along contiguous memory, which sets how NumPy and BLAS round
-    them.
+    every noise power.  Every user of one shape has the same n and no row is
+    padded, so a user's sum is the same product in a batch as alone; the
+    zero terms of a user whose floors are all 0 add exact zeros.  The term
+    axis is last so that the sums over terms below run along contiguous
+    memory, which sets how NumPy and BLAS round them.
     """
 
     terms: np.ndarray
     floors: np.ndarray
-    counts: tuple[int, ...]
 
     @classmethod
-    def from_sorted(cls, columns: np.ndarray, floors: np.ndarray,
-                    n_allocs: int = 1) -> "GradedInformation":
+    def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
         """Factor each user's (P, n) measurement columns, already sorted by
         nondecreasing floor, from (T*U, P, n) columns and (T*U, n) floors,
-        the users of `n_allocs` = T allocations, trial-major."""
+        into one term per column; the floors are kept as given."""
         n_rows, n_paths, n_cols = columns.shape
-        n_zero = np.count_nonzero(floors == 0, axis=1)
-        flat = n_zero == n_cols
-        # An allocation's term count is set by its user with the fewest zero
-        # floors, who has all n_cols zero only when every user is flat.
-        counts = tuple(1 if z == n_cols else n_cols - max(z - 1, 0)
-                       for z in n_zero.reshape(n_allocs, -1).min(axis=1).tolist())
-        if flat.all():
-            return cls(terms=_diagonal_terms(columns)[..., None], floors=np.zeros((n_rows, 1)),
-                       counts=counts)
-        # A user's terms are its columns from max(n_zero - 1, 0) on, the
-        # first of them standing for all its zero-floor columns; a user with
-        # fewer terms is padded with zero terms at its last floor.
-        graded = np.flatnonzero(~flat)
-        n_terms = max(counts)
-        terms = np.zeros((n_rows, n_paths, n_paths, n_terms), dtype=columns.dtype)
-        padded_floors = np.repeat(floors[:, -1:], n_terms, axis=1)
-        if flat.any():
-            terms[flat, :, :, 0] = _diagonal_terms(columns[flat])
-        r = np.linalg.qr(columns[graded], mode="r")
-        if r.shape[1] < n_paths:
-            r = np.concatenate([r, np.zeros((r.shape[0], n_paths - r.shape[1], n_cols))], axis=1)
-        # One pass per distinct zero-floor count, so that each user's
-        # zero-floor terms are summed over their own count only.  (A set,
-        # not np.unique, which imports numpy.ma, 1.6 MiB, on first use.)
-        for n_sum in set(n_zero[graded].tolist()):
-            same = n_zero[graded] == n_sum
-            users, r_same, first = graded[same], r[same], max(n_sum - 1, 0)
-            terms[users, :, :, : n_cols - first] = _rank_one(r_same[..., first:])
-            if n_sum > 1:
-                terms[users, :, :, 0] = _rank_one(r_same[..., :n_sum]).sum(axis=-1)
-            padded_floors[users, : n_cols - first] = floors[users, first:]
-        return cls(terms=terms, floors=padded_floors, counts=counts)
+        flat = (floors == 0).all(axis=1)
+        terms = np.zeros((n_rows, n_paths, n_paths, n_cols), dtype=columns.dtype)
+        terms[flat, :, :, 0] = _diagonal_terms(columns[flat])
+        r = _rank_one(np.linalg.qr(columns[~flat], mode="r"))
+        terms[~flat, : r.shape[1], : r.shape[1]] = r
+        return cls(terms=terms, floors=floors)
 
     def plus_identity(self, noise_powers: np.ndarray) -> np.ndarray:
         """I + sum_j r_j r_j^H / (c_j + sigma^2) for each user and each noise
         power in the (n, 1) column `noise_powers`, as a (T*U, n, P, P) array."""
-        n_rows, n_paths = self.terms.shape[:2]
-        gram = np.empty((n_rows, len(noise_powers), n_paths, n_paths),
-                        dtype=np.result_type(self.terms, noise_powers))
-        # One pass per allocation term count: BLAS rounds a sum differently
-        # when zero terms are appended, and this way each allocation is
-        # summed over its own count, as it is alone.
-        distinct = set(self.counts)
-        for count in distinct:
-            rows = (slice(None) if len(distinct) == 1 else
-                    np.repeat(np.equal(self.counts, count), n_rows // len(self.counts)))
-            terms = np.ascontiguousarray(self.terms[rows, :, :, :count])
-            weights = 1.0 / (self.floors[rows, None, :count] + noise_powers)
-            # One 1 x count product per user and noise power, not one matrix
-            # product for all noise powers: BLAS rounds a single-row product
-            # differently, and this way a noise power gives the same bits
-            # alone as within a grid.
-            terms = terms.reshape(len(terms), 1, -1, count).swapaxes(-1, -2)
-            gram[rows] = (weights[..., None, :] @ terms).reshape(len(terms), -1, n_paths, n_paths)
+        n_rows, n_paths, _, n_terms = self.terms.shape
+        weights = 1.0 / (self.floors[:, None, :] + noise_powers)
+        # One 1 x n_terms product per user and noise power, not one matrix
+        # product for all noise powers: BLAS rounds a single-row product
+        # differently, and this way a noise power gives the same bits alone
+        # as within a grid.
+        terms = self.terms.reshape(n_rows, 1, -1, n_terms).swapaxes(-1, -2)
+        gram = (weights[..., None, :] @ terms).reshape(n_rows, -1, n_paths, n_paths)
         diag = np.arange(n_paths)
         gram[..., diag, diag] += 1.0
         return gram
@@ -482,9 +443,9 @@ def rate_factors(*inputs: RateInputs) -> UserRateFactors:
     gets the same bits alone as within a batch.  Inputs of different shapes
     raise ValueError.
 
-    g comes from the singular values of V_k, and s^2 and Z from the full SVD
-    of the interference stack J = vstack(V_kk', k' != k), each one batched
-    SVD over the users.  Singular values of J below
+    g comes from the singular values of V_k, and s^2 and the complete d x d
+    Z from the SVD of the interference stack J = vstack(V_kk', k' != k),
+    each one batched SVD over the users.  Singular values of J below
     max(J.shape) * eps * (its largest) are round-off and are cut to zero.
     Single-user inputs need g alone: their rate is the closed form, exact at
     every SNR, and nothing else is factored.
@@ -502,10 +463,10 @@ def rate_factors(*inputs: RateInputs) -> UserRateFactors:
     u_k, sv_k, y, floors = _measurements(np.stack([x.blocks for x in inputs]))
     return UserRateFactors(
         gains=sv_k * sv_k,
-        uplink=GradedInformation.from_sorted(y, floors, len(inputs)),
+        uplink=GradedInformation.from_sorted(y, floors),
         joint=GradedInformation.from_sorted(
             np.concatenate([u_k * sv_k[:, None, :], y], axis=-1),
-            np.concatenate([np.zeros(sv_k.shape), floors], axis=-1), len(inputs)),
+            np.concatenate([np.zeros(sv_k.shape), floors], axis=-1)),
     )
 
 
@@ -532,7 +493,9 @@ def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     floors = np.zeros((n_rows, dim))
     others = np.array([np.delete(users, k) for k in users])
     stack = _adjoint(blocks[:, users[:, None], others]).reshape(n_rows, -1, dim)
-    _, sv, zh = np.linalg.svd(stack, full_matrices=True)
+    # Z must be complete (d x d); the left vectors of a tall stack are not
+    # needed, and in full they would take memory quadratic in (U - 1) * P.
+    _, sv, zh = np.linalg.svd(stack, full_matrices=stack.shape[1] < dim)
     cut = max(stack.shape[1:]) * np.finfo(float).eps * sv[:, :1]
     floors[:, : sv.shape[1]] = np.where(sv > cut, sv * sv, 0.0)
     y = v_kk @ _adjoint(zh)

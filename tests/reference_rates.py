@@ -1,8 +1,10 @@
-"""80-digit reference rates and the runners' draw, shared by the rate tests.
+"""80-digit reference rates and the draws they are taken on, shared by the
+rate tests.
 
 `mp_gaussian_mi_bits` evaluates the dense Gaussian mutual information of a
 user's observation covariances at 80 digits, independently of the rate
-engine; the float64 engine is held to it.
+engine; the float64 engine is held to it.  `sweep_draws` is the fixed draw
+rule of the accuracy sweep.
 """
 
 import numpy as np
@@ -63,3 +65,33 @@ def runner_draw(config, rng, m_e):
     scenario = Scenario.draw(rng, config.n_paths, config.bs_antennas,
                              config.ut_antenna_list(), config.angle_mode == "on_grid")
     return RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
+
+
+# The accuracy sweep's SNR grid, in dB.
+SWEEP_SNR_DB = np.array([-60.0, -30.0, -10.0, 0.0, 30.0, 60.0, 100.0, 150.0, 180.0, 200.0])
+
+
+def sweep_draws(n_draws=60, seed=7):
+    """The accuracy sweep's draws: `n_draws` (rate inputs, on_grid) pairs
+    from `default_rng(seed)`, each drawn by one rule, in this order:
+
+    - U uniform on 1-4, M 16 or 32, each N_k 2 or 4, on or off grid;
+    - P uniform on 1-3, capped at min N_k on grid, where paths sit on
+      distinct beams;
+    - m_e uniform on 1-3 and n_e uniform on 1 to min N_k, so that
+      m_e * n_e < P and m_e * n_e <= 3 both occur;
+    - the users and beams as the runners draw and allocate them.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n_draws):
+        n_users = int(rng.integers(1, 5))
+        m = int(rng.choice([16, 32]))
+        ut_counts = [int(n) for n in rng.choice([2, 4], size=n_users)]
+        on_grid = bool(rng.integers(2))
+        n_paths = int(rng.integers(1, 4))
+        if on_grid:
+            n_paths = min(n_paths, min(ut_counts))
+        m_e = int(rng.integers(1, 4))
+        n_e = int(rng.integers(1, min(ut_counts) + 1))
+        scenario = Scenario.draw(rng, n_paths, m, ut_counts, on_grid)
+        yield RateInputs(scenario.factors, scenario.allocate(m_e, n_e)), on_grid

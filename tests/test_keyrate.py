@@ -35,7 +35,7 @@ from beamkey.keyrate import (
     unit_skr,
 )
 from beamkey.experiments import Scenario, ScenarioConfig
-from reference_rates import mp_gaussian_mi_bits, runner_draw
+from reference_rates import SWEEP_SNR_DB, mp_gaussian_mi_bits, runner_draw, sweep_draws
 
 
 def random_psd(rng, n):
@@ -467,6 +467,50 @@ class TestRateEngine:
             factors.rate(noise)
 
 
+def claimed_snr_db(n_users, on_grid):
+    """The SNRs of the sweep grid at which the keyrate docstring claims a
+    draw's rates exact: every one for a lone user, from 0 dB up for two or
+    more users off grid, and none for two or more users on grid."""
+    if n_users == 1:
+        return SWEEP_SNR_DB
+    if on_grid:
+        return SWEEP_SNR_DB[:0]
+    return SWEEP_SNR_DB[SWEEP_SNR_DB >= 0.0]
+
+
+class TestAccuracySweep:
+    """The keyrate docstring's accuracy claim as one seeded differential
+    sweep: the engine against the 80-digit Gaussian MI over `sweep_draws`,
+    wherever the claim holds."""
+
+    def test_draws_cover_the_rule(self):
+        # (U, N_k, d = m_e * n_e, P, on_grid) of each draw.
+        draws = [(x.n_users, x.allocation.ut_counts, *x.blocks.shape[2:], on_grid)
+                 for x, on_grid in sweep_draws()]
+        assert {u for u, *_ in draws} == {1, 2, 3, 4}
+        assert {on_grid for *_, on_grid in draws} == {False, True}
+        assert any(len(set(n_k)) > 1 for _, n_k, *_ in draws)
+        assert any(d < p for _, _, d, p, _ in draws)
+        assert any(u >= 2 and d <= 3 and not on_grid for u, _, d, _, on_grid in draws)
+
+    def test_engine_matches_80_digit_gaussian_mi_where_claimed(self):
+        # Within 1e-12 relative or 1e-12 bits absolute: a user whose V_k is
+        # round-off has a true rate of about 1e-25 bits.
+        misses = []
+        for i, (inputs, on_grid) in enumerate(sweep_draws()):
+            snr_db = claimed_snr_db(inputs.n_users, on_grid)
+            if not snr_db.size:
+                continue
+            noise = 10.0 ** (-snr_db / 10.0)
+            fast = rate_factors(inputs).rate(noise)
+            for k in range(inputs.n_users):
+                v_k, v_kks = build_v_matrices(inputs, k)
+                exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
+                miss = np.abs(fast[:, k] - exact) > np.maximum(1e-12 * np.abs(exact), 1e-12)
+                misses += [(i, k, db) for db in snr_db[miss]]
+        assert not misses, misses
+
+
 def mixed_term_count_inputs():
     """Three users with 4, 2 and 8 UT antennas, P = 2, m_e = 3, n_e = 2.
 
@@ -474,8 +518,8 @@ def mixed_term_count_inputs():
     transmit beams, as users on disjoint grid beams do: every floor of user
     0 is 0, and its terms take the diagonal form.  Users 1 and 2 are off
     grid; each sees an interference stack of 4 rows against d = 6
-    measurements, so two of its floors are 0 and merge.  The term counts
-    thus differ between users.
+    measurements, so at least two of its floors are 0.  The numbers of
+    zero floors thus differ between users.
     """
     rng = np.random.default_rng(21)
     m, ut_counts = 16, [4, 2, 8]
@@ -507,18 +551,39 @@ class TestBatchedUsers:
                 oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
                 assert rates[i, k] == pytest.approx(oracle, rel=1e-10)
 
-    def test_term_counts_differ_and_are_padded(self):
+    def test_every_row_keeps_one_term_per_measurement(self):
+        # d = m_e * n_e = 6 uplink and P + d = 8 joint terms for every user,
+        # however many of its floors are 0.
         factors = rate_factors(mixed_term_count_inputs())
-        for info in (factors.uplink, factors.joint):
-            assert np.all(info.floors[0] == 0)
-            # User 0's single diagonal term, then zero padding.
+        for info, n_terms, zeros in ((factors.uplink, 6, [6, 2, 4]),
+                                     (factors.joint, 8, [8, 4, 6])):
+            assert info.terms.shape == (3, 2, 2, n_terms)
+            assert info.floors.shape == (3, n_terms)
+            assert np.count_nonzero(info.floors == 0, axis=1).tolist() == zeros
+            # User 0's single diagonal term, then zero terms.
             first = info.terms[0, :, :, 0]
             assert np.count_nonzero(first - np.diag(np.diag(first))) == 0
             assert np.all(info.terms[0, :, :, 1:] == 0)
+            # Users 1 and 2 keep each measurement, zero floors too, as a term.
             for k in (1, 2):
-                assert info.floors[k, 0] == 0 and np.all(info.floors[k, 1:] > 0)
-        # Users 1 and 2 merge two of six uplink columns into one term.
-        assert factors.uplink.terms.shape[-1] == 5
+                assert np.all(np.any(info.terms[k] != 0, axis=(0, 1)))
+
+    def test_interference_svd_memory_is_linear_in_the_stack_height(self):
+        # 32 users, P = 6, d = 2: each interference stack is 186 x 2.  Its
+        # full left singular vectors, 32 x 186 x 186 complex, would take
+        # 17 MiB; Z alone needs d x d.
+        import tracemalloc
+
+        scenario = Scenario.draw(np.random.default_rng(3), 6, 64, [2] * 32)
+        inputs = RateInputs(scenario.factors, scenario.allocate(2, 1))
+        inputs.blocks
+        tracemalloc.start()
+        try:
+            rate_factors(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_unequal_column_counts_rejected(self):
         inputs = scenario_inputs(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
@@ -541,11 +606,11 @@ def zeroed(inputs, pairs):
 
 def term_count_mix():
     """Allocations of one shape (16 BS antennas, users with 4, 2 and 8 UT
-    antennas, P = 2, m_e = 3, n_e = 2) whose uplink term counts differ, so
-    that a batch of them pads some allocations with zero terms: off grid
-    (count 5), on grid (4), every user free of one interferer (3), user 0
-    free of both (`mixed_term_count_inputs`, 5) and every user free of both
-    (1)."""
+    antennas, P = 2, m_e = 3, n_e = 2) whose users' numbers of zero uplink
+    floors differ, so that a batch of them holds flat and graded rows: off
+    grid, on grid, every user free of one interferer, user 0 free of both
+    (`mixed_term_count_inputs`) and every user free of both, whose floors
+    are all 0."""
     rng = np.random.default_rng(22)
     draw = lambda on_grid: Scenario.draw(rng, 2, 16, [4, 2, 8], on_grid)  # noqa: E731
     return [RateInputs(s.factors, s.allocate(3, 2)) for s in (draw(False), draw(True))] + [
@@ -574,11 +639,12 @@ class TestBatchedAllocations:
             alone = np.concatenate([rate_factors(x).rate(noise) for x in inputs], axis=-1)
             assert np.array_equal(batch.rate(noise), alone)
 
-    def test_term_counts_differ_across_the_mix(self):
-        # So the bit-identity above covers padding across allocations; summed
-        # over the batch's largest count instead, these allocations would
-        # round differently.
-        assert rate_factors(*term_count_mix()).uplink.counts == (5, 4, 3, 5, 1)
+    def test_zero_floor_counts_differ_across_the_mix(self):
+        # So the bit-identity above covers flat and graded rows, with
+        # different numbers of zero floors, in one batch.
+        floors = rate_factors(*term_count_mix()).uplink.floors
+        assert np.count_nonzero(floors == 0, axis=1).reshape(5, 3).tolist() == [
+            [2, 2, 2], [4, 3, 5], [4, 4, 4], [6, 2, 4], [6, 6, 6]]
 
     @pytest.mark.parametrize("other", [
         lambda rng: scenario_inputs(rng, 16, [4, 2], 2, 3, 2),
