@@ -43,7 +43,7 @@ for k in range(USERS):
     for kp in range(USERS):
         if kp != k:
             print(f"  user {k} -> user {kp}: {table[k, kp]:.2e}")
-print(f"  largest: {scenario.max_residual(inputs):.2e}")
+print(f"  largest: {scenario.max_residual(inputs.blocks):.2e}")
 
 # Force an overlap: one beam per user, with user 0 probing straight through
 # user 1's strongest beam and user 1 moved to its second one.

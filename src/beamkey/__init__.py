@@ -56,7 +56,6 @@ from .keyrate import (
     full_sampling_rate,
     gaussian_mi_oracle,
     pilot_overhead,
-    psd_sqrt,
     rate_factors,
     secret_key_rate,
     unit_skr,
@@ -97,7 +96,6 @@ __all__ = [
     "grid_sines",
     "neutralization_residual",
     "pilot_overhead",
-    "psd_sqrt",
     "rank_beams",
     "rate_factors",
     "run_beam_gain_profile",

@@ -108,6 +108,9 @@ def allocate_bs_beams(diagonals: Sequence[np.ndarray], m_e: int) -> list[np.ndar
     gracefully when the users' strongest beams collide.  Round r depends only
     on the rounds before it, so the allocation is prefix-closed: the first m
     picks of every user at `m_e` are the allocation at m, for any m <= m_e.
+    The rate table (`RateInputs.blocks`) runs in vec order j * n_e + i over
+    transmit beam j, so the table at m is then the leading m * n_e rows of
+    the table at `m_e`.
     """
     m_e = int(m_e)
     if m_e < 1:

@@ -335,13 +335,15 @@ class Scenario:
             [len(g) for g in self.ut_gains],
         )
 
-    def max_residual(self, inputs: RateInputs) -> float:
+    def max_residual(self, blocks: np.ndarray) -> float:
         """Largest neutralization residual over ordered user pairs (0 for one
-        user): the largest off-diagonal entry of one table of every pair."""
-        if inputs.n_users == 1:
+        user) of an allocation's (U, U, d, P) `RateInputs.blocks` table: the
+        largest off-diagonal entry of one table of every pair."""
+        n_users = len(blocks)
+        if n_users == 1:
             return 0.0  # no pair, so no table to form
-        table = neutralization_residual(inputs.blocks, self.grams)
-        return float(table[~np.eye(inputs.n_users, dtype=bool)].max())
+        table = neutralization_residual(blocks, self.grams)
+        return float(table[~np.eye(n_users, dtype=bool)].max())
 
     def full_sampling_rate(self, noise_powers):
         """Every user's rate under complete-grid probing, shaped as
@@ -363,10 +365,12 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     per `bs_beams_compare` entry and complete-grid probing last, and of the
     largest neutralization residual per beam count.  The trials are drawn in
     order, each from its own seed, in blocks of at most `TRIAL_BLOCK`.  Each
-    trial is allocated once, at the largest beam count, and each beam count
-    keeps every user's leading beams (`allocate_bs_beams` is prefix-closed).
-    Each block is rated with one `rate_factors` call per beam count over all
-    its allocations, and one eigendecomposition of all its Gram matrices.
+    trial is allocated and its rate table cut once, at the largest beam
+    count; a beam count m_e keeps every user's leading beams
+    (`allocate_bs_beams` is prefix-closed), so its table is a view of the
+    leading m_e * n_e rows.  Each block is rated with one `rate_factors` call
+    per beam count on its stacked tables, and one eigendecomposition of all
+    its Gram matrices.
     """
     counts = config.ut_antenna_list()
     sigmas = config.noise_powers()
@@ -380,25 +384,17 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
                      for seed in seeds[start:start + TRIAL_BLOCK]]
         block = slice(start, start + len(scenarios))
         shape = (len(sigmas), len(scenarios), config.users)  # (n, T, U)
-        widest = [s.allocate(max(me_values), config.ut_beams)
-                  for s in scenarios] if me_values else []
+        if me_values:
+            table = np.stack([RateInputs(s.factors, s.allocate(max(me_values), config.ut_beams))
+                              .blocks for s in scenarios])
         for j, m_e in enumerate(me_values):
-            inputs = [RateInputs(s.factors, _leading_beams(a, m_e))
-                      for s, a in zip(scenarios, widest)]
-            rates[block, :, j] = rate_factors(*inputs).rate(sigmas).reshape(shape).swapaxes(0, 1)
-            residuals[block, j] = [s.max_residual(x) for s, x in zip(scenarios, inputs)]
+            leading = table[:, :, :, :m_e * config.ut_beams]
+            rates[block, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
+            residuals[block, j] = [s.max_residual(b) for s, b in zip(scenarios, leading)]
         grams = np.concatenate([s.grams for s in scenarios])
         rates[block, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
                                .reshape(shape).swapaxes(0, 1))
     return rates.mean(axis=0), residuals.mean(axis=0)
-
-
-def _leading_beams(allocation: BeamAllocation, m_e: int) -> BeamAllocation:
-    """The allocation that keeps each user's first `m_e` transmit beams."""
-    if len(allocation.bs_beams[0]) == m_e:
-        return allocation
-    return build_matrices([b[:m_e] for b in allocation.bs_beams], allocation.ut_beams,
-                          allocation.bs_antennas, allocation.ut_counts)
 
 
 def _metadata(config: ScenarioConfig, name: str) -> dict:
@@ -613,7 +609,12 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
     Gaussian mutual-information reference over random small scenarios.
 
     Each instance is one multi-user scenario; every user's rate is compared
-    through both routes.
+    through both routes.  The reading is bounded below by the float64
+    oracle's own error, not only the engine's: at `validate --seed 7` one
+    user's oracle rate is 5.35e-13 off its 80-digit value and the engine's
+    2.86e-13, so this check cannot see engine errors below about 1e-12.
+    The engine's accuracy gate is the 80-digit sweep of the tests
+    (`TestAccuracySweep`).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(91,)))
     worst = 0.0
@@ -626,7 +627,7 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
         s2 = float(rng.choice([0.01, 0.1, 1.0]))
         scenario = Scenario.draw(rng, n_p, m, [2] * n_users)
         inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
-        for k, closed in enumerate(rate_factors(inputs).rate(s2)):
+        for k, closed in enumerate(rate_factors(inputs.blocks).rate(s2)):
             oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
             worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
     return worst
@@ -753,7 +754,7 @@ def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     for _ in range(5):
         scenario = Scenario.draw(rng, 2, 16, [2, 2])
         inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
-        rates = rate_factors(inputs).rate(sigma_sweep)
+        rates = rate_factors(inputs.blocks).rate(sigma_sweep)
         worst_increase = max(worst_increase, float(np.diff(rates, axis=0).max()))
     checks.append(_check("rate_monotonic_in_noise", worst_increase, 1e-9))
 
@@ -802,7 +803,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
         paths_list.append(paths)
     scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
     alloc = scenario.allocate(n_p, min(n_p, n_ut))
-    worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc))
+    worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc).blocks)
     channels = [synthesize_channel(p, m, n_ut) for p in paths_list]
     z_multi = downlink_probe(channels, alloc, 0.0)
     worst_e2e = 0.0

@@ -4,9 +4,9 @@ Both ends of a link observe noisy linear images of the same vectorized
 channel, so the extractable key rate per probing round is the mutual
 information of two jointly Gaussian complex vectors, computed here in bits.
 With F_k any factor of the covariance Lambda_k = F_k F_k^H of user k's
-column-stacked beam-domain channel (the rank-P path factor, or psd_sqrt of a
-dense Lambda_k), reshaped to F3_k of shape (M, N_k, P), and b_k, u_k user k's
-transmit and receive beam indices,
+column-stacked beam-domain channel (such as the rank-P path factor), reshaped
+to F3_k of shape (M, N_k, P), and b_k, u_k user k's transmit and receive
+beam indices,
 
     blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P)
     V_kk' = blocks[k][k']^H,    V_k = (sum_k'' blocks[k''][k])^H
@@ -73,8 +73,9 @@ grid, a user who loses a path to another user's beam can keep round-off
 floors that survive the cut; its rate can then be silently off (1.2e-2
 relative at 180 dB in one such draw) or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
-user at once, and the runners make one call per block of trials and beam
-count, over the block's allocations (one per trial, all of one shape): the
+user at once.  `rate_factors` takes one table, its leading axes over
+allocations: the runners stack a block of trials' tables, cut once at the
+widest beam count, and rate each beam count from its leading rows.  The
 SVDs of the V_k and of the interference stacks and the QR factorizations
 are each one call over a leading axis of T * U users, trial-major.  Every
 rate of every user for a whole array of noise powers is then one batched
@@ -166,8 +167,8 @@ class RateInputs:
     The allocation checks its own indices and beam counts; here there must
     be one factor per user, fitting that user's arrays, and one P for all,
     so that every user's observation model stacks into one batch.
-    `blocks` is the per-allocation table of factor rows that every V matrix
-    and every neutralization residual is read from.
+    `blocks` is the per-allocation table of factor rows that every V matrix,
+    every neutralization residual and `rate_factors` read.
     """
 
     lambda_factors: list[np.ndarray]
@@ -229,12 +230,6 @@ def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     threshold = 1e-12 * np.maximum(np.trace(s, axis1=-2, axis2=-1).real, 0.0)
     w = np.where(w < threshold[..., None], 0.0, w)
     return w, v
-
-
-def psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Hermitian square root Q of a PSD matrix, Q^H Q = Q Q = S (a factor of S)."""
-    w, v = psd_eigh(s)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
 def hermitian_logdet(s: np.ndarray, context: str = "logdet") -> float:
@@ -433,34 +428,33 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def rate_factors(*inputs: RateInputs) -> UserRateFactors:
+def rate_factors(blocks: np.ndarray) -> UserRateFactors:
     """Factor every user's observation model once for `UserRateFactors.rate`.
 
-    One or more rate inputs of one shape (U users, m_e, n_e, P), such as one
-    allocation per trial, are factored together: their T * U users become
-    the leading axis, trial-major (row t * U + k is user k of `inputs[t]`).
-    V_k and the interference stacks are built within each input, so a user
-    gets the same bits alone as within a batch.  Inputs of different shapes
-    raise ValueError.
+    `blocks` is one (..., U, U, d, P) table: a `RateInputs.blocks`, or such
+    tables stacked, one allocation per trial, or a view of their leading d
+    rows.  Its leading axes are flattened, trial-major, so its T * U users
+    become the leading axis (row t * U + k is user k of table t).  V_k and
+    the interference stacks are built within each table, so a user gets the
+    same bits alone as within a batch.  A table with fewer than 4 axes,
+    unequal user axes or no entries raises ValueError.
 
     g comes from the singular values of V_k, and s^2 and the complete d x d
     Z from the SVD of the interference stack J = vstack(V_kk', k' != k),
     each one batched SVD over the users.  Singular values of J below
     max(J.shape) * eps * (its largest) are round-off and are cut to zero.
-    Single-user inputs need g alone: their rate is the closed form, exact at
+    Single-user tables need g alone: their rate is the closed form, exact at
     every SNR, and nothing else is factored.
     """
-    if not inputs:
-        raise ValueError("rate_factors needs at least one RateInputs")
-    shape = inputs[0].blocks.shape
-    for t, x in enumerate(inputs):
-        if x.blocks.shape != shape:
-            raise ValueError(f"inputs[{t}] has (U, U, m_e*n_e, P) = {x.blocks.shape}; "
-                             f"every input needs {shape}, as inputs[0] has")
-    if shape[0] == 1:  # one user: no interference, and g alone sets the rate
-        sv_k = np.linalg.svd(np.stack([x.blocks[0, 0] for x in inputs]), compute_uv=False)
+    blocks = np.asarray(blocks)
+    if blocks.ndim < 4 or blocks.shape[-4] != blocks.shape[-3] or blocks.size == 0:
+        raise ValueError(f"rate_factors needs a nonempty (..., U, U, d, P) table; "
+                         f"got shape {blocks.shape}")
+    blocks = blocks.reshape(-1, *blocks.shape[-4:])
+    if blocks.shape[1] == 1:  # one user: no interference, and g alone sets the rate
+        sv_k = np.linalg.svd(blocks[:, 0, 0], compute_uv=False)
         return UserRateFactors(gains=sv_k * sv_k, uplink=None, joint=None)
-    u_k, sv_k, y, floors = _measurements(np.stack([x.blocks for x in inputs]))
+    u_k, sv_k, y, floors = _measurements(blocks)
     return UserRateFactors(
         gains=sv_k * sv_k,
         uplink=GradedInformation.from_sorted(y, floors),
@@ -475,7 +469,7 @@ def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     rows trial-major: the SVD V_k = u_k diag(sv_k) (...)^H, and the columns of Y
     with their floors s^2, sorted by nondecreasing floor.
 
-    A function of its own, so that the stacked blocks and the SVD factors
+    A function of its own, so that the stacks it forms and the SVD factors
     are freed before the terms are formed, which would otherwise set the
     batch's peak memory.
     """
@@ -533,10 +527,11 @@ def secret_key_rate(inputs: RateInputs, k: int, noise_power: float) -> float:
 
     with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I,
     evaluated by the rate engine at one point:
-    `rate_factors(inputs).rate(noise_power)[k]`, which factors every user.
+    `rate_factors(inputs.blocks).rate(noise_power)[k]`, which factors every
+    user.
     """
     _check_user(inputs, k)
-    return float(rate_factors(inputs).rate(noise_power)[k])
+    return float(rate_factors(inputs.blocks).rate(noise_power)[k])
 
 
 def gaussian_mi_oracle(cov: ObservationCovariances) -> float:
@@ -653,7 +648,6 @@ __all__ = [
     "hermitian_logdet",
     "pilot_overhead",
     "psd_eigh",
-    "psd_sqrt",
     "rate_factors",
     "secret_key_rate",
     "unit_skr",

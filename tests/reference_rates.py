@@ -4,13 +4,21 @@ rate tests.
 `mp_gaussian_mi_bits` evaluates the dense Gaussian mutual information of a
 user's observation covariances at 80 digits, independently of the rate
 engine; the float64 engine is held to it.  `sweep_draws` is the fixed draw
-rule of the accuracy sweep.
+rule of the accuracy sweep.  `psd_sqrt` turns a dense covariance into a
+factor, for the tests that rate the dense route against the rank-P one.
 """
 
 import numpy as np
 
+from beamkey._util import hermitize
 from beamkey.experiments import Scenario
-from beamkey.keyrate import RateInputs
+from beamkey.keyrate import RateInputs, psd_eigh
+
+
+def psd_sqrt(s: np.ndarray) -> np.ndarray:
+    """Hermitian square root Q of a PSD matrix, Q^H Q = Q Q = S (a factor of S)."""
+    w, v = psd_eigh(s)
+    return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
 def mp_gaussian_mi_bits(v_k, v_kks, k, noise_powers):

@@ -21,7 +21,8 @@ from beamkey.channel import (
     sample_paths,
 )
 from beamkey.experiments import Scenario
-from beamkey.keyrate import RateInputs, psd_sqrt
+from beamkey.keyrate import RateInputs
+from reference_rates import psd_sqrt
 
 
 def on_grid_paths(bs_idx, ut_idx, m, n, power=None):

@@ -8,7 +8,12 @@ import pytest
 
 from beamkey import experiments
 from beamkey._util import complex_normal, vec
-from beamkey.allocation import allocate_bs_beams, allocate_ut_beams, neutralization_residual
+from beamkey.allocation import (
+    allocate_bs_beams,
+    allocate_ut_beams,
+    build_matrices,
+    neutralization_residual,
+)
 from beamkey.channel import (
     PathSet,
     beam_covariance_factor,
@@ -288,9 +293,9 @@ class TestScenario:
             neutralization_residual(inputs.blocks[k][kp],
                                     scenario.factors[kp].conj().T @ scenario.factors[kp])
             for k in range(3) for kp in range(3) if kp != k)
-        assert scenario.max_residual(inputs) == expected > 0
+        assert scenario.max_residual(inputs.blocks) == expected > 0
         alone = Scenario.from_paths(scenario.paths[:1], 16, [4])
-        assert alone.max_residual(RateInputs(alone.factors, alone.allocate(2, 2))) == 0.0
+        assert alone.max_residual(RateInputs(alone.factors, alone.allocate(2, 2)).blocks) == 0.0
 
     def test_one_grid_per_array_size(self):
         sampling_matrix.cache_clear()
@@ -367,9 +372,9 @@ class TestMultiuserUnitRate:
         # Every user of an allocation is factored by one call, never one per user.
         calls = []
 
-        def counting(inputs):
-            calls.append(inputs.n_users)
-            return rate_factors(inputs)
+        def counting(blocks):
+            calls.append(blocks.shape[-4])
+            return rate_factors(blocks)
 
         monkeypatch.setattr(experiments, "rate_factors", counting)
         cfg = small_multi_user(trials=1)
@@ -408,8 +413,8 @@ def one_trial_at_a_time(cfg):
         trial, worst = [], []
         for m_e in cfg.bs_beams_compare:
             inputs = RateInputs(scenario.factors, scenario.allocate(m_e, cfg.ut_beams))
-            trial.append(rate_factors(inputs).rate(sigmas))
-            worst.append(scenario.max_residual(inputs))
+            trial.append(rate_factors(inputs.blocks).rate(sigmas))
+            worst.append(scenario.max_residual(inputs.blocks))
         trial.append(scenario.full_sampling_rate(sigmas))
         rates.append(np.stack(trial, axis=1))
         residuals.append(worst)
@@ -433,17 +438,23 @@ class TestTrialBlocks:
         assert np.array_equal(residuals, expected_residuals)
 
     def test_one_engine_call_per_block_and_beam_count(self, monkeypatch):
+        # Each call takes the block's (T, U, U, d, P) table, and every beam
+        # count of a block reads the leading rows of one stacked table.
         calls = []
 
-        def counting(*inputs):
-            calls.append(len(inputs))
-            return rate_factors(*inputs)
+        def counting(blocks):
+            calls.append(blocks)
+            return rate_factors(blocks)
 
         monkeypatch.setattr(experiments, "rate_factors", counting)
         cfg = small_multi_user(trials=self.TRIALS)
         run_multiuser_unit_rate(cfg)
         blocks = [TRIAL_BLOCK, TRIAL_BLOCK, 1]  # ceil(TRIALS / TRIAL_BLOCK) blocks
-        assert calls == [n for n in blocks for _ in cfg.bs_beams_compare]
+        assert [c.shape for c in calls] == [
+            (n, cfg.users, cfg.users, m_e * cfg.ut_beams, cfg.n_paths)
+            for n in blocks for m_e in cfg.bs_beams_compare]
+        for wide, narrow in zip(calls[::2], calls[1::2]):
+            assert narrow.base is wide.base is not None
 
 
 class TestOneAllocationPerTrial:
@@ -454,16 +465,42 @@ class TestOneAllocationPerTrial:
         (run_multiuser_unit_rate, small_multi_user(trials=7)),
     ], ids=["single_user", "multi_user"])
     def test_one_allocate_call_per_trial(self, monkeypatch, run, cfg):
-        calls = []
+        calls, built = [], []
         allocate = Scenario.allocate
 
         def counting(scenario, m_e, n_e):
             calls.append((m_e, n_e))
             return allocate(scenario, m_e, n_e)
 
+        def building(*args):
+            built.append(args)
+            return build_matrices(*args)
+
         monkeypatch.setattr(Scenario, "allocate", counting)
+        # Every BeamAllocation is built, and checked, by `build_matrices`;
+        # smaller beam counts build none.
+        monkeypatch.setattr(experiments, "build_matrices", building)
         run(cfg)
         assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * cfg.trials
+        assert len(built) == cfg.trials
+
+    @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
+    def test_smaller_beam_count_is_the_leading_rows(self, on_grid):
+        # What the runners rely on: the table of every user's first m
+        # transmit beams is the leading m * n_e rows of the widest table,
+        # bit for bit, and so are its residuals and rates.
+        n_e, widest = 2, 4
+        sigmas = small_multi_user().noise_powers()
+        for seed in range(5):
+            scenario = Scenario.draw(np.random.default_rng(seed), 2, 32, [4, 2, 8], on_grid)
+            wide = RateInputs(scenario.factors, scenario.allocate(widest, n_e)).blocks
+            for m in range(1, widest + 1):
+                alone = RateInputs(scenario.factors, scenario.allocate(m, n_e)).blocks
+                leading = wide[:, :, : m * n_e]
+                assert np.array_equal(alone, leading)
+                assert scenario.max_residual(alone) == scenario.max_residual(leading)
+                assert np.array_equal(rate_factors(alone).rate(sigmas),
+                                      rate_factors(leading).rate(sigmas))
 
     @pytest.mark.parametrize("run, cfg, complete_grid", [
         (run_single_user_rate, small_single_user(), "perfect"),

@@ -21,6 +21,7 @@ REMOVED = (
     "observations_to_csv",
     "pathset_from_json",
     "pathset_to_json",
+    "psd_sqrt",
     "steering_vector",
 )
 

@@ -29,13 +29,18 @@ from beamkey.keyrate import (
     hermitian_logdet,
     pilot_overhead,
     psd_eigh,
-    psd_sqrt,
     rate_factors,
     secret_key_rate,
     unit_skr,
 )
 from beamkey.experiments import Scenario, ScenarioConfig
-from reference_rates import SWEEP_SNR_DB, mp_gaussian_mi_bits, runner_draw, sweep_draws
+from reference_rates import (
+    SWEEP_SNR_DB,
+    mp_gaussian_mi_bits,
+    psd_sqrt,
+    runner_draw,
+    sweep_draws,
+)
 
 
 def random_psd(rng, n):
@@ -49,6 +54,8 @@ def full_inputs(factor, m, n_ut):
 
 
 class TestPsdSqrt:
+    """`reference_rates.psd_sqrt`, the dense route's factor."""
+
     def test_identity(self):
         np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
 
@@ -332,8 +339,8 @@ class TestFactorMatchesDense:
             assert secret_key_rate(factored, k, noise) == pytest.approx(
                 secret_key_rate(dense, k, noise), rel=1e-10)
             for s2 in (0.01, 1.0, 10.0):
-                assert rate_factors(factored).rate(s2)[k] == pytest.approx(
-                    rate_factors(dense).rate(s2)[k], rel=1e-10)
+                assert rate_factors(factored.blocks).rate(s2)[k] == pytest.approx(
+                    rate_factors(dense.blocks).rate(s2)[k], rel=1e-10)
             f = factored.lambda_factors[k]
             lam = covs[k].lambda_full
             gram_eigs = psd_eigh(f.conj().T @ f)[0]
@@ -375,13 +382,13 @@ class TestRateEngine:
         # oracle with diagonal jitter used to report 77.5.
         inputs = runner_draw(config, np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
-        fast = rate_factors(inputs).rate(noise)
+        fast = rate_factors(inputs.blocks).rate(noise)
         for k in users:
             v_k, v_kks = build_v_matrices(inputs, k)
             exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
             np.testing.assert_allclose(fast[:, k], exact, rtol=1e-12, atol=0)
         if inputs.n_users == 6:
-            assert rate_factors(inputs).rate(1e-20)[0] == pytest.approx(98.5279, abs=1e-4)
+            assert rate_factors(inputs.blocks).rate(1e-20)[0] == pytest.approx(98.5279, abs=1e-4)
 
     @pytest.mark.parametrize("m_e, n_e", [(4, 1), (1, 4), (1, 1)])
     def test_rank_deficient_single_user_matches_80_digit_gaussian_mi(self, m_e, n_e):
@@ -390,7 +397,7 @@ class TestRateEngine:
         inputs = scenario_inputs(np.random.default_rng(0), 128, [4], 6, m_e, n_e)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
         v_k, v_kks = build_v_matrices(inputs, 0)
-        np.testing.assert_allclose(rate_factors(inputs).rate(noise)[:, 0],
+        np.testing.assert_allclose(rate_factors(inputs.blocks).rate(noise)[:, 0],
                                    mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("make_inputs", [
@@ -413,13 +420,13 @@ class TestRateEngine:
         inputs = make_inputs()
         noise = 10.0 ** (-np.arange(-60.0, 201.0, 10.0) / 10.0)
         v_k, v_kks = build_v_matrices(inputs, 0)
-        np.testing.assert_allclose(rate_factors(inputs).rate(noise)[:, 0],
+        np.testing.assert_allclose(rate_factors(inputs.blocks).rate(noise)[:, 0],
                                    mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
 
     def test_batched_grid_equals_single_points(self):
         inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-np.linspace(-10.0, 200.0, 43) / 10.0)
-        factors = rate_factors(inputs)
+        factors = rate_factors(inputs.blocks)
         batched = factors.rate(noise)
         singles = np.array([factors.rate(s2) for s2 in noise])
         assert batched.shape == singles.shape == (noise.size, 6)
@@ -429,7 +436,7 @@ class TestRateEngine:
         rng = np.random.default_rng(16)
         inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2)
         for k in range(3):
-            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs).rate(0.05)[k]
+            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs.blocks).rate(0.05)[k]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
@@ -442,7 +449,7 @@ class TestRateEngine:
         rng = np.random.default_rng(seed)
         inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e)
         noise = np.sort(10.0 ** np.array(exponents))[::-1]
-        rates = rate_factors(inputs).rate(noise)
+        rates = rate_factors(inputs.blocks).rate(noise)
         assert rates.shape == (noise.size, n_users)
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         assert np.all(rates[1:] >= rates[:-1] - 1e-9 * rates[1:])
@@ -453,7 +460,7 @@ class TestRateEngine:
 
     def test_noise_free_multiuser_rejected(self):
         inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2)
-        factors = rate_factors(inputs)
+        factors = rate_factors(inputs.blocks)
         with pytest.raises(SingularNoiseFreeRateError):
             factors.rate(0.0)
         with pytest.raises(SingularNoiseFreeRateError):
@@ -462,7 +469,8 @@ class TestRateEngine:
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
                              ids=["negative", "nan", "inf", "negative_in_array", "2d"])
     def test_bad_noise_powers_rejected(self, noise):
-        factors = rate_factors(scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2))
+        factors = rate_factors(
+            scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2).blocks)
         with pytest.raises(ValueError):
             factors.rate(noise)
 
@@ -502,7 +510,7 @@ class TestAccuracySweep:
             if not snr_db.size:
                 continue
             noise = 10.0 ** (-snr_db / 10.0)
-            fast = rate_factors(inputs).rate(noise)
+            fast = rate_factors(inputs.blocks).rate(noise)
             for k in range(inputs.n_users):
                 v_k, v_kks = build_v_matrices(inputs, k)
                 exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
@@ -544,7 +552,7 @@ class TestBatchedUsers:
     def test_every_user_matches_the_dense_oracle(self, make_inputs):
         inputs = make_inputs()
         noise = np.array([0.01, 0.1, 1.0, 10.0])
-        rates = rate_factors(inputs).rate(noise)
+        rates = rate_factors(inputs.blocks).rate(noise)
         assert rates.shape == (noise.size, inputs.n_users)
         for k in range(inputs.n_users):
             for i, s2 in enumerate(noise):
@@ -554,7 +562,7 @@ class TestBatchedUsers:
     def test_every_row_keeps_one_term_per_measurement(self):
         # d = m_e * n_e = 6 uplink and P + d = 8 joint terms for every user,
         # however many of its floors are 0.
-        factors = rate_factors(mixed_term_count_inputs())
+        factors = rate_factors(mixed_term_count_inputs().blocks)
         for info, n_terms, zeros in ((factors.uplink, 6, [6, 2, 4]),
                                      (factors.joint, 8, [8, 4, 6])):
             assert info.terms.shape == (3, 2, 2, n_terms)
@@ -579,7 +587,7 @@ class TestBatchedUsers:
         inputs.blocks
         tracemalloc.start()
         try:
-            rate_factors(inputs)
+            rate_factors(inputs.blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -622,7 +630,8 @@ def term_count_mix():
 
 
 class TestBatchedAllocations:
-    """`rate_factors(*inputs)` factors several allocations as one batch."""
+    """`rate_factors` factors a stacked (T, U, U, d, P) table of several
+    allocations as one batch."""
 
     NOISE = 10.0 ** (-np.arange(-10.0, 151.0, 10.0) / 10.0)
 
@@ -634,33 +643,36 @@ class TestBatchedAllocations:
     ], ids=["multi_user_term_counts_differ", "single_user", "rank_deficient_single_user"])
     def test_batch_is_bit_identical_to_one_call_per_allocation(self, make_inputs):
         inputs = make_inputs()
-        batch = rate_factors(*inputs)
+        batch = rate_factors(np.stack([x.blocks for x in inputs]))
         for noise in (self.NOISE, 0.05):
-            alone = np.concatenate([rate_factors(x).rate(noise) for x in inputs], axis=-1)
+            alone = np.concatenate([rate_factors(x.blocks).rate(noise) for x in inputs],
+                                   axis=-1)
             assert np.array_equal(batch.rate(noise), alone)
 
     def test_zero_floor_counts_differ_across_the_mix(self):
         # So the bit-identity above covers flat and graded rows, with
         # different numbers of zero floors, in one batch.
-        floors = rate_factors(*term_count_mix()).uplink.floors
+        floors = rate_factors(np.stack([x.blocks for x in term_count_mix()])).uplink.floors
         assert np.count_nonzero(floors == 0, axis=1).reshape(5, 3).tolist() == [
             [2, 2, 2], [4, 3, 5], [4, 4, 4], [6, 2, 4], [6, 6, 6]]
 
-    @pytest.mark.parametrize("other", [
-        lambda rng: scenario_inputs(rng, 16, [4, 2], 2, 3, 2),
-        lambda rng: scenario_inputs(rng, 16, [4, 2, 8], 2, 2, 2),
-        lambda rng: scenario_inputs(rng, 16, [4, 2, 8], 3, 3, 2),
-    ], ids=["users", "beams", "paths"])
-    def test_shape_mismatch_rejected(self, other):
-        rng = np.random.default_rng(32)
-        first = scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2)
-        with pytest.raises(ValueError, match=r"inputs\[1\] has \(U, U, m_e\*n_e, P\) = "
-                                             r".*; every input needs \(3, 3, 6, 2\)"):
-            rate_factors(first, other(rng))
+    def test_leading_axes_are_flattened_trial_major(self):
+        tables = np.stack([x.blocks for x in term_count_mix()])  # (5, 3, 3, 6, 2)
+        flat = rate_factors(tables).rate(self.NOISE)
+        assert np.array_equal(rate_factors(tables[None]).rate(self.NOISE), flat)
+        assert np.array_equal(rate_factors(tables[:4].reshape(2, 2, 3, 3, 6, 2))
+                              .rate(self.NOISE), flat[:, :12])
 
-    def test_no_inputs_rejected(self):
-        with pytest.raises(ValueError, match="at least one RateInputs"):
-            rate_factors()
+    @pytest.mark.parametrize("table", [
+        np.ones((3, 6, 2)),
+        np.ones((3, 2, 6, 2)),
+        np.ones((2, 3, 2, 6, 2)),
+        np.ones((3, 3, 0, 2)),
+        np.ones((0, 3, 3, 6, 2)),
+    ], ids=["three_axes", "unequal_users", "unequal_users_stacked", "no_rows", "no_tables"])
+    def test_malformed_table_rejected(self, table):
+        with pytest.raises(ValueError, match=r"needs a nonempty \(\.\.\., U, U, d, P\) table"):
+            rate_factors(table)
 
 
 class TestFullSamplingRate:
@@ -775,7 +787,7 @@ class TestAssembledCovariances:
         rng = np.random.default_rng(12)
         inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
         direct = assemble_observation_covariances(inputs, 1, 0.25)
-        assert rate_factors(inputs).rate(0.25)[1] == pytest.approx(
+        assert rate_factors(inputs.blocks).rate(0.25)[1] == pytest.approx(
             gaussian_mi_oracle(direct), rel=1e-10)
 
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
