@@ -31,6 +31,13 @@ def check_noise_powers(noise_powers) -> np.ndarray:
     return sigma2
 
 
+def user_name(index) -> str:
+    """'user k', or 'user k of trial t', for the index of a user in a
+    (U,) or (T, U) stack."""
+    *trial, user = (int(i) for i in index)
+    return f"user {user}" + "".join(f" of trial {t}" for t in trial)
+
+
 def readonly(array: np.ndarray) -> np.ndarray:
     """Return an owned, write-protected copy of `array`."""
     out = np.array(array, copy=True)

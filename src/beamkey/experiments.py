@@ -10,7 +10,6 @@ seed twice produces byte-identical output files.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .channel import (
     PathSet,
     beam_covariance_factor,
     beam_covariances,  # unused here; the benchmark's tracer hooks this name
+    draw_paths,
     path_steering,
     sample_paths,
     sampling_matrix,
@@ -64,10 +64,12 @@ DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 # Probing rounds per chunk in `empirical_downlink_covariance`.
 PROBE_CHUNK = 256
 
-# Trials per rate-engine call in the rate runners, chosen by measurement:
-# 5 gives nearly all of the batching gain on a 10-trial single-user run, and
-# each trial in a block adds about 0.7 MiB to the peak memory of the
-# reference scenario.
+# Trials per block in the rate runners (one draw, one allocation and one
+# rate-engine call per beam count), chosen by measurement: 5 gives nearly all
+# of the batching gain on a 10-trial single-user run.  At the reference
+# scenario each trial in a block adds 0.72 MiB to the traced peak of the
+# runner (0.93 MiB for one trial, 3.83 MiB for five), which the rate engine
+# sets; a block's draw, allocation and table peak at 2.92 MiB.
 TRIAL_BLOCK = 5
 
 # Largest array a config may name: the runners form the M x M sampling matrix
@@ -290,68 +292,108 @@ def write_result(result: ExperimentResult | ValidationReport,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Every user's channel statistics, ready for beam allocation and rate evaluation.
+    """Every user's channel statistics, ready for beam allocation and rate
+    evaluation, for one trial or for a block of trials.
 
-    paths    : per-user PathSet
-    factors  : per-user rank-P factor F_k of Lambda_k = F_k F_k^H (M*N_k x P)
-    bs_gains : per-user transmit beam gains, the diagonal of r_bs (length M)
-    ut_gains : per-user receive beam gains, the diagonal of r_ut (length N_k)
+    paths    : every user's links, one PathSet shaped (..., U, P)
+    factors  : per user, the rank-P factor F_k of Lambda_k = F_k F_k^H,
+               (..., M*N_k, P)
+    bs_gains : transmit beam gains, the diagonals of the r_bs, (..., U, M)
+    ut_gains : per user, the receive beam gains, the diagonal of r_ut, (..., N_k)
+    grams    : the P x P Gram matrices F_k^H F_k, (..., U, P, P)
+
+    The leading axes `...` are empty for one trial and (T,) for a block, and
+    every user has the same P.  A block is built by array operations over
+    all of its trials: per user only where the N_k differ, and with each
+    argument check made once per block.  One trial is the block of one.
     """
 
-    paths: list[PathSet]
+    paths: PathSet
     factors: list[np.ndarray]
-    bs_gains: list[np.ndarray]
+    bs_gains: np.ndarray
     ut_gains: list[np.ndarray]
+    grams: np.ndarray
 
     @classmethod
     def draw(cls, rng: np.random.Generator, n_paths: int, bs_antennas: int,
              ut_counts: Sequence[int], on_grid: bool = False) -> "Scenario":
-        """One `sample_paths` call per user, in user order; on-grid angles sit
-        on the user's BS and UT beam grids."""
-        paths = [sample_paths(n_paths, rng, grid=(bs_antennas, n) if on_grid else None)
-                 for n in ut_counts]
+        """One trial: the block of one that `draw_trials` draws from [rng]."""
+        paths = draw_paths([rng], n_paths, bs_antennas, ut_counts, on_grid)[0]
         return cls.from_paths(paths, bs_antennas, ut_counts)
 
     @classmethod
-    def from_paths(cls, paths: Sequence[PathSet], bs_antennas: int,
-                   ut_counts: Sequence[int]) -> "Scenario":
-        factors, bs_gains, ut_gains = zip(*(beam_covariance_factor(p, bs_antennas, n)
-                                            for p, n in zip(paths, ut_counts, strict=True)))
-        return cls(list(paths), list(factors), list(bs_gains), list(ut_gains))
+    def draw_trials(cls, rngs: Sequence[np.random.Generator], n_paths: int, bs_antennas: int,
+                    ut_counts: Sequence[int], on_grid: bool = False) -> "Scenario":
+        """A block of trials, one per generator: every user of a trial draws
+        from its generator as `sample_paths` would, in user order
+        (`draw_paths`); on-grid angles sit on the user's BS and UT beam grids."""
+        return cls.from_paths(draw_paths(rngs, n_paths, bs_antennas, ut_counts, on_grid),
+                              bs_antennas, ut_counts)
 
-    @functools.cached_property
-    def grams(self) -> np.ndarray:
-        """Every user's P x P Gram matrix F_k^H F_k, as one (U, P, P) array,
-        formed once, when first read (so every user needs the same P)."""
-        return np.stack([f.conj().T @ f for f in self.factors])
+    @classmethod
+    def from_paths(cls, paths: PathSet | list[PathSet], bs_antennas: int,
+                   ut_counts: Sequence[int]) -> "Scenario":
+        """The statistics of `paths`, a (..., U, P) PathSet or a list of one
+        PathSet per user, with one `beam_covariance_factor` call per array
+        size N_k."""
+        if isinstance(paths, (list, tuple)):
+            if len({p.n_paths for p in paths}) > 1:
+                raise ValueError("every user needs the same number of paths")
+            paths = PathSet(*(np.stack([getattr(p, name) for p in paths])
+                              for name in ("gains", "aoa", "aod", "powers")))
+        ut_counts = [int(n) for n in ut_counts]
+        if paths.gains.ndim < 2 or len(ut_counts) != paths.gains.shape[-2]:
+            raise ValueError("paths must hold one link per user of ut_counts")
+        factors, ut_gains = [None] * len(ut_counts), [None] * len(ut_counts)
+        bs_gains = np.empty(paths.gains.shape[:-1] + (int(bs_antennas),))
+        grams = np.empty(paths.gains.shape + (paths.n_paths,), dtype=complex)
+        for n, users in _user_groups(ut_counts):
+            group = paths if len(users) == len(ut_counts) else paths[..., users]
+            factor, bs_gain, ut_gain = beam_covariance_factor(group, bs_antennas, n)
+            bs_gains[..., users, :] = bs_gain
+            grams[..., users, :, :] = factor.conj().swapaxes(-1, -2) @ factor
+            for i, k in enumerate(users):
+                factors[k], ut_gains[k] = factor[..., i, :, :], ut_gain[..., i, :]
+        return cls(paths, factors, bs_gains, ut_gains, grams)
 
     def allocate(self, m_e: int, n_e: int) -> BeamAllocation:
-        """Each user's `m_e` strongest transmit beams, disjoint across users,
-        and its `n_e` strongest receive beams."""
-        return build_matrices(
-            allocate_bs_beams(self.bs_gains, m_e),
-            [allocate_ut_beams(g, n_e) for g in self.ut_gains],
-            len(self.bs_gains[0]),
-            [len(g) for g in self.ut_gains],
-        )
+        """Each user's `m_e` strongest transmit beams, disjoint across the
+        users of a trial, and its `n_e` strongest receive beams: one
+        allocation over all trials, checked once."""
+        counts = [g.shape[-1] for g in self.ut_gains]
+        ut_beams = np.empty(self.bs_gains.shape[:-1] + (int(n_e),), dtype=int)
+        for n, users in _user_groups(counts):
+            gains = np.stack([self.ut_gains[k] for k in users], axis=-2)
+            ut_beams[..., users, :] = allocate_ut_beams(gains, n_e)
+        return build_matrices(allocate_bs_beams(self.bs_gains, m_e), ut_beams,
+                              self.bs_gains.shape[-1], counts)
 
-    def max_residual(self, blocks: np.ndarray) -> float:
+    def max_residual(self, blocks: np.ndarray):
         """Largest neutralization residual over ordered user pairs (0 for one
-        user) of an allocation's (U, U, d, P) `RateInputs.blocks` table: the
-        largest off-diagonal entry of one table of every pair."""
-        n_users = len(blocks)
+        user) of an allocation's (..., U, U, d, P) `RateInputs.blocks` table:
+        the largest off-diagonal entry of one table of every pair, per trial
+        (a float for one trial)."""
+        n_users = blocks.shape[-4]
         if n_users == 1:
-            return 0.0  # no pair, so no table to form
-        table = neutralization_residual(blocks, self.grams)
-        return float(table[~np.eye(n_users, dtype=bool)].max())
+            residual = np.zeros(blocks.shape[:-4])  # no pair, so no table to form
+        else:
+            table = neutralization_residual(blocks, self.grams[..., None, :, :, :])
+            residual = table[..., ~np.eye(n_users, dtype=bool)].max(axis=-1)
+        return float(residual) if residual.ndim == 0 else residual
 
     def full_sampling_rate(self, noise_powers):
         """Every user's rate under complete-grid probing, shaped as
         `UserRateFactors.rate` shapes it: (U,) for a scalar, (n, U) for n
-        noise powers.  The P x P Gram matrix F^H F has the nonzero spectrum
-        of Lambda = F F^H; one batched eigendecomposition takes them all, as
-        a (U, P) array, and one `full_sampling_rate` call rates them."""
+        noise powers (with a block's trial axis before U).  The P x P Gram
+        matrix F^H F has the nonzero spectrum of Lambda = F F^H; one batched
+        eigendecomposition takes them all, as a (..., U, P) array, and one
+        `full_sampling_rate` call rates them."""
         return full_sampling_rate(psd_eigh(self.grams)[0], noise_powers)
+
+
+def _user_groups(counts: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """(N, the users with N_k = N) for each distinct array size N."""
+    return [(n, [k for k, n_k in enumerate(counts) if n_k == n]) for n in sorted(set(counts))]
 
 
 def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
@@ -364,13 +406,15 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns the trial means of the (SNR, scheme, user) rates, with one scheme
     per `bs_beams_compare` entry and complete-grid probing last, and of the
     largest neutralization residual per beam count.  The trials are drawn in
-    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`.  Each
-    trial is allocated and its rate table cut once, at the largest beam
-    count; a beam count m_e keeps every user's leading beams
+    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`, and
+    each block is one `Scenario` of stacked arrays: its draw, allocation and
+    rate table are each built and checked once for all its trials.  The
+    block is allocated and its (T, U, U, d, P) table cut once, at the
+    largest beam count; a beam count m_e keeps every user's leading beams
     (`allocate_bs_beams` is prefix-closed), so its table is a view of the
     leading m_e * n_e rows.  Each block is rated with one `rate_factors` call
-    per beam count on its stacked tables, and one eigendecomposition of all
-    its Gram matrices.
+    per beam count on that table, and one eigendecomposition of all its Gram
+    matrices.
     """
     counts = config.ut_antenna_list()
     sigmas = config.noise_powers()
@@ -379,21 +423,22 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     rates = np.zeros((config.trials, len(sigmas), len(me_values) + 1, config.users))
     residuals = np.zeros((config.trials, len(me_values)))
     for start in range(0, config.trials, TRIAL_BLOCK):
-        scenarios = [Scenario.draw(np.random.default_rng(seed), config.n_paths,
-                                   config.bs_antennas, counts, config.angle_mode == "on_grid")
-                     for seed in seeds[start:start + TRIAL_BLOCK]]
-        block = slice(start, start + len(scenarios))
-        shape = (len(sigmas), len(scenarios), config.users)  # (n, T, U)
+        block = Scenario.draw_trials(
+            [np.random.default_rng(seed) for seed in seeds[start:start + TRIAL_BLOCK]],
+            config.n_paths, config.bs_antennas, counts, config.angle_mode == "on_grid")
+        n_trials = len(block.grams)
+        trials = slice(start, start + n_trials)
+        shape = (len(sigmas), n_trials, config.users)  # (n, T, U)
         if me_values:
-            table = np.stack([RateInputs(s.factors, s.allocate(max(me_values), config.ut_beams))
-                              .blocks for s in scenarios])
+            table = RateInputs(block.factors,
+                               block.allocate(max(me_values), config.ut_beams)).blocks
         for j, m_e in enumerate(me_values):
-            leading = table[:, :, :, :m_e * config.ut_beams]
-            rates[block, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
-            residuals[block, j] = [s.max_residual(b) for s, b in zip(scenarios, leading)]
-        grams = np.concatenate([s.grams for s in scenarios])
-        rates[block, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
-                               .reshape(shape).swapaxes(0, 1))
+            leading = table[..., :m_e * config.ut_beams, :]
+            rates[trials, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
+            residuals[trials, j] = block.max_residual(leading)
+        grams = block.grams.reshape(-1, config.n_paths, config.n_paths)
+        rates[trials, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
+                                .reshape(shape).swapaxes(0, 1))
     return rates.mean(axis=0), residuals.mean(axis=0)
 
 

@@ -13,8 +13,9 @@ beam indices,
 
 whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
 `RateInputs.blocks` cuts the table once per allocation, as one
-(U, U, m_e*n_e, P) array (every user has the same P); the rates and the
-neutralization residuals both read it.
+(U, U, m_e*n_e, P) array (every user has the same P), or (T, U, U, m_e*n_e, P)
+for a block of T trials; the rates and the neutralization residuals both
+read it.
 Grid beamformers are columns of unitary sampling matrices, so the noise in
 both observations is white with covariance sigma^2 * I.  With g and g_k'
 the users' white P-dim path gains (F carries the powers),
@@ -74,8 +75,8 @@ floors that survive the cut; its rate can then be silently off (1.2e-2
 relative at 180 dB in one such draw) or fail to factorize at 190-200 dB.
 Everything but the noise power is factored once per allocation, for every
 user at once.  `rate_factors` takes one table, its leading axes over
-allocations: the runners stack a block of trials' tables, cut once at the
-widest beam count, and rate each beam count from its leading rows.  The
+allocations: the runners cut a block of trials' table once, at the widest
+beam count, and rate each beam count from its leading rows.  The
 SVDs of the V_k and of the interference stacks and the QR factorizations
 are each one call over a leading axis of T * U users, trial-major.  Every
 rate of every user for a whole array of noise powers is then one batched
@@ -155,20 +156,23 @@ class ObservationCovariances:
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything but the noise power that the rate evaluation needs.
+    """Everything but the noise power that the rate evaluation needs, for one
+    trial or for a block of trials.
 
     lambda_factors : per-user covariance factors F_k with M*N_k rows and the
-                     same column count P for every user, Lambda_k = F_k F_k^H
+                     same column count P for every user, Lambda_k = F_k F_k^H;
+                     for a block, each is a (..., M*N_k, P) stack over the
+                     allocation's trials
     allocation     : the users' beams: the index sets `bs_beams` (m_e each)
                      and `ut_beams` (n_e each) and the array sizes
                      `bs_antennas` (M) and `ut_counts` (N_k); the
                      post-correlation pilot dimensions are m_e and n_e
 
     The allocation checks its own indices and beam counts; here there must
-    be one factor per user, fitting that user's arrays, and one P for all,
-    so that every user's observation model stacks into one batch.
-    `blocks` is the per-allocation table of factor rows that every V matrix,
-    every neutralization residual and `rate_factors` read.
+    be one factor per user, fitting that user's arrays and the allocation's
+    trials, and one P for all, so that every user's observation model stacks
+    into one batch.  `blocks` is the per-allocation table of factor rows that
+    every V matrix, every neutralization residual and `rate_factors` read.
     """
 
     lambda_factors: list[np.ndarray]
@@ -179,12 +183,15 @@ class RateInputs:
         if len(self.lambda_factors) != alloc.n_users:
             raise ValueError("need one covariance factor per allocated user")
         m = alloc.bs_antennas
+        lead = alloc.bs_beams.shape[:-2]
+        trials = f" for each of the allocation's {math.prod(lead)} trials" if lead else ""
+        n_paths = self.lambda_factors[0].shape[-1]
         for k, (factor, n_k) in enumerate(zip(self.lambda_factors, alloc.ut_counts)):
-            if factor.ndim != 2 or factor.shape[0] != m * n_k:
-                raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows")
-            n_paths = self.lambda_factors[0].shape[1]
-            if factor.shape[1] != n_paths:
-                raise ValueError(f"lambda_factors[{k}] has {factor.shape[1]} columns; every "
+            if factor.shape[:-1] != lead + (m * n_k,):
+                raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows"
+                                 + trials)
+            if factor.shape[-1] != n_paths:
+                raise ValueError(f"lambda_factors[{k}] has {factor.shape[-1]} columns; every "
                                  f"user needs {n_paths}, as user 0 has")
 
     @property
@@ -193,23 +200,29 @@ class RateInputs:
 
     @functools.cached_property
     def blocks(self) -> np.ndarray:
-        """blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P), cut once.
+        """blocks[..., k, k', :, :] = F3_k'[b_k][:, u_k', :].reshape(-1, P), cut once.
 
         The rows of user k''s factor at user k's transmit beams and user
         k''s receive beams, in vec order j*n_e + i: the rows through which
-        user k's pilots reach user k''s channel.  One (U, U, m_e*n_e, P)
-        array, filled by one gather per source user k'.
+        user k's pilots reach user k''s channel.  One (..., U, U, m_e*n_e, P)
+        array over the allocation's trials, filled by one gather per source
+        user k' over every trial at once.
         """
         alloc = self.allocation
-        bs = np.asarray(alloc.bs_beams)[:, :, None]
-        n_users, m_e, _ = bs.shape
-        n_e = len(alloc.ut_beams[0])
-        n_paths = self.lambda_factors[0].shape[1]
-        out = np.empty((n_users, n_users, m_e, n_e, n_paths),
+        lead = alloc.bs_beams.shape[:-2]
+        n_users, m_e = alloc.bs_beams.shape[-2:]
+        n_e = alloc.ut_beams.shape[-1]
+        n_paths = self.lambda_factors[0].shape[-1]
+        n_trials = math.prod(lead)
+        trials = np.arange(n_trials)[:, None, None, None]
+        bs = alloc.bs_beams.reshape(n_trials, n_users, m_e, 1)
+        ut = alloc.ut_beams.reshape(n_trials, n_users, 1, 1, n_e)
+        out = np.empty((n_trials, n_users, n_users, m_e, n_e, n_paths),
                        dtype=np.result_type(*self.lambda_factors))
-        for kp, (factor, u_kp) in enumerate(zip(self.lambda_factors, alloc.ut_beams)):
-            out[:, kp] = factor.reshape(alloc.bs_antennas, -1, n_paths)[bs, u_kp]
-        return out.reshape(n_users, n_users, m_e * n_e, n_paths)
+        for kp, factor in enumerate(self.lambda_factors):
+            f3 = factor.reshape(n_trials, alloc.bs_antennas, -1, n_paths)
+            out[:, :, kp] = f3[trials, bs, ut[:, kp]]
+        return out.reshape(*lead, n_users, n_users, m_e * n_e, n_paths)
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +444,10 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 def rate_factors(blocks: np.ndarray) -> UserRateFactors:
     """Factor every user's observation model once for `UserRateFactors.rate`.
 
-    `blocks` is one (..., U, U, d, P) table: a `RateInputs.blocks`, or such
-    tables stacked, one allocation per trial, or a view of their leading d
-    rows.  Its leading axes are flattened, trial-major, so its T * U users
-    become the leading axis (row t * U + k is user k of table t).  V_k and
+    `blocks` is one (..., U, U, d, P) table: a `RateInputs.blocks` of one
+    trial or of a block of trials, or a view of its leading d rows.  Its
+    leading axes are flattened, trial-major, so its T * U users become the
+    leading axis (row t * U + k is user k of table t).  V_k and
     the interference stacks are built within each table, so a user gets the
     same bits alone as within a batch.  A table with fewer than 4 axes,
     unequal user axes or no entries raises ValueError.
@@ -632,6 +645,9 @@ def unit_skr(sum_rate: float, overhead: int) -> float:
 
 
 def _check_user(inputs: RateInputs, k: int) -> None:
+    if inputs.allocation.bs_beams.ndim != 2:
+        raise ValueError("one user's rate needs one trial's rate inputs, not a block of "
+                         f"{len(inputs.allocation.bs_beams)} trials")
     if not 0 <= k < inputs.n_users:
         raise ValueError(f"user index {k} out of range for {inputs.n_users} users")
 

@@ -33,6 +33,9 @@ from .channel import sampling_matrix
 def _probe_matrices(allocation: BeamAllocation):
     """Every user's (precoders, combiners): the columns of the unitary grid
     sampling matrices at the allocated beams, so orthonormal."""
+    if allocation.bs_beams.ndim != 2:
+        raise ValueError("probing takes one trial's allocation, not a block of "
+                         f"{len(allocation.bs_beams)} trials")
     a_bs = sampling_matrix(allocation.bs_antennas)
     return ([a_bs[:, b] for b in allocation.bs_beams],
             [sampling_matrix(n)[:, u]
@@ -81,9 +84,10 @@ def downlink_probe(
     """
     channels = [np.asarray(h, dtype=complex) for h in channels]
     noise_power = _check_noise(noise_power, rng)
+    maps = downlink_maps(allocation)
     _check_counts(channels, allocation)
     out = []
-    for h_k, dl in zip(channels, downlink_maps(allocation)):
+    for h_k, dl in zip(channels, maps):
         z = dl.signal(h_k)
         if noise_power > 0:
             z = z + dl.noise(complex_normal(rng, (h_k.shape[0], dl.pilot.shape[1]),

@@ -143,8 +143,9 @@ class TestBuildMatrices:
         assert [f.name for f in dataclasses.fields(alloc)] == [
             "bs_beams", "ut_beams", "bs_antennas", "ut_counts"]
         assert (alloc.bs_antennas, alloc.ut_counts, alloc.n_users) == (128, [4, 2], 2)
-        assert alloc.bs_beams[0].tolist() == [3, 1] and alloc.ut_beams[0].tolist() == [2, 0]
-        for beams in alloc.bs_beams + alloc.ut_beams:
+        assert alloc.bs_beams.tolist() == [[3, 1], [0, 5]]
+        assert alloc.ut_beams.tolist() == [[2, 0], [1, 0]]
+        for beams in (alloc.bs_beams, alloc.ut_beams):
             assert not beams.flags.writeable
 
     def test_overlapping_bs_sets_rejected(self):

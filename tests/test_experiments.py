@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from beamkey._util import complex_normal, vec
 from beamkey.allocation import (
     allocate_bs_beams,
     allocate_ut_beams,
+    allocation_summary,
     build_matrices,
     neutralization_residual,
 )
@@ -48,8 +50,9 @@ from beamkey.keyrate import (
     gaussian_mi_oracle,
     psd_eigh,
     rate_factors,
+    secret_key_rate,
 )
-from beamkey.probing import downlink_probe
+from beamkey.probing import downlink_maps, downlink_probe, uplink_probe
 
 
 def small_single_user(**overrides):
@@ -237,29 +240,59 @@ class TestOverheadComparison:
         assert [rec["users"] for rec in res.records] == [1, 2, 3]
 
 
+def hand_drawn_paths(rng, n_paths, m, n, on_grid):
+    """One user's links, drawn in the stream order of the runners: the
+    departure, then the arrival sines (grid indices on grid), then the
+    complex gains."""
+    if on_grid:
+        aod = np.arcsin(2.0 * rng.choice(m, size=n_paths, replace=False) / m - 1.0)
+        aoa = np.arcsin(2.0 * rng.choice(n, size=n_paths, replace=False) / n - 1.0)
+    else:
+        open_interval = (np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
+        aod = np.arcsin(np.clip(rng.uniform(-1.0, 1.0, size=n_paths), *open_interval))
+        aoa = np.arcsin(np.clip(rng.uniform(-1.0, 1.0, size=n_paths), *open_interval))
+    powers = np.full(n_paths, 1.0 / n_paths)
+    return PathSet(complex_normal(rng, n_paths, powers), aoa, aod, powers)
+
+
 class TestScenario:
     """The one draw -> allocate route of every runner and check."""
 
+    @pytest.mark.parametrize("n_trials", [TRIAL_BLOCK, 1], ids=["block", "one_trial"])
     @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
-    def test_draw_and_allocate_are_the_explicit_chain(self, on_grid):
+    def test_draw_and_allocate_are_the_explicit_chain(self, on_grid, n_trials):
+        # Every trial of a block, bit for bit, is the chain of per-user calls
+        # it replaces, and leaves each trial's generator where they leave it.
         m, counts, n_p = 16, [4, 2, 3], 2
-        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-        scenario = Scenario.draw(rng, n_p, m, counts, on_grid)
-        diags_bs, diags_ut = [], []
-        for k, n in enumerate(counts):
-            ref = sample_paths(n_p, ref_rng, grid=(m, n) if on_grid else None)
-            for name in ("gains", "aoa", "aod", "powers"):
-                assert np.array_equal(getattr(scenario.paths[k], name), getattr(ref, name))
-            factor, bs_gains, ut_gains = beam_covariance_factor(ref, m, n)
-            assert np.array_equal(scenario.factors[k], factor)
-            assert np.array_equal(scenario.grams[k], factor.conj().T @ factor)
-            diags_bs.append(bs_gains)
-            diags_ut.append(ut_gains)
-        assert rng.random() == ref_rng.random()  # the stream is left where it was
-        alloc = scenario.allocate(2, 2)
-        for k, bs_set in enumerate(allocate_bs_beams(diags_bs, 2)):
-            assert np.array_equal(alloc.bs_beams[k], bs_set)
-            assert np.array_equal(alloc.ut_beams[k], allocate_ut_beams(diags_ut[k], 2))
+        seeds = np.random.SeedSequence(21).spawn(n_trials)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        block = Scenario.draw_trials(rngs, n_p, m, counts, on_grid)
+        alloc = block.allocate(2, 2)
+        assert alloc.bs_beams.shape == (n_trials, 3, 2)
+        for t, seed in enumerate(seeds):
+            ref_rng, hand_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            diags_bs, diags_ut = [], []
+            for k, n in enumerate(counts):
+                ref = sample_paths(n_p, ref_rng, grid=(m, n) if on_grid else None)
+                hand = hand_drawn_paths(hand_rng, n_p, m, n, on_grid)
+                for name in ("gains", "aoa", "aod", "powers"):
+                    assert np.array_equal(getattr(block.paths[t, k], name), getattr(ref, name))
+                    assert np.array_equal(getattr(ref, name), getattr(hand, name))
+                factor, bs_gains, ut_gains = beam_covariance_factor(ref, m, n)
+                assert np.array_equal(block.factors[k][t], factor)
+                assert np.array_equal(block.bs_gains[t, k], bs_gains)
+                assert np.array_equal(block.ut_gains[k][t], ut_gains)
+                assert np.array_equal(block.grams[t, k], factor.conj().T @ factor)
+                diags_bs.append(bs_gains)
+                diags_ut.append(ut_gains)
+            # the stream is left where the per-user draws leave it
+            assert rngs[t].random() == ref_rng.random() == hand_rng.random()
+            for k, bs_set in enumerate(allocate_bs_beams(diags_bs, 2)):
+                assert np.array_equal(alloc.bs_beams[t, k], bs_set)
+                assert np.array_equal(alloc.ut_beams[t, k], allocate_ut_beams(diags_ut[k], 2))
+        one = Scenario.draw(np.random.default_rng(seeds[0]), n_p, m, counts, on_grid)
+        assert np.array_equal(one.grams, block.grams[0])
+        assert np.array_equal(one.allocate(2, 2).bs_beams, alloc.bs_beams[0])
 
     def test_gains_allocate_as_the_dense_diagonals(self):
         # The beam gains replace the diagonals of the dense r_bs and r_ut
@@ -430,7 +463,9 @@ class TestTrialBlocks:
         small_single_user(trials=TRIALS),
         small_multi_user(trials=TRIALS, angle_mode="on_grid", snr_db_grid=[0.0, 50.0, 100.0]),
         small_multi_user(trials=TRIALS, ut_antennas=[4, 2, 8]),
-    ], ids=["single_user", "multi_user_on_grid", "multi_user_mixed_ut_antennas"])
+        small_multi_user(trials=TRIALS, angle_mode="on_grid", ut_antennas=[4, 2, 3]),
+    ], ids=["single_user", "multi_user_on_grid", "multi_user_mixed_ut_antennas",
+            "multi_user_on_grid_mixed_ut_antennas"])
     def test_blocks_equal_one_trial_at_a_time(self, cfg):
         rates, residuals = _mean_trial_rates(cfg)
         expected_rates, expected_residuals = one_trial_at_a_time(cfg)
@@ -458,13 +493,14 @@ class TestTrialBlocks:
 
 
 class TestOneAllocationPerTrial:
-    """The rate runners allocate each trial once, at the largest beam count."""
+    """The rate runners allocate each trial once, at the largest beam count,
+    with one allocation per block of trials."""
 
     @pytest.mark.parametrize("run, cfg", [
         (run_single_user_rate, small_single_user(trials=7, bs_beams_compare=[2, 3])),
         (run_multiuser_unit_rate, small_multi_user(trials=7)),
     ], ids=["single_user", "multi_user"])
-    def test_one_allocate_call_per_trial(self, monkeypatch, run, cfg):
+    def test_one_allocate_call_per_block(self, monkeypatch, run, cfg):
         calls, built = [], []
         allocate = Scenario.allocate
 
@@ -477,12 +513,13 @@ class TestOneAllocationPerTrial:
             return build_matrices(*args)
 
         monkeypatch.setattr(Scenario, "allocate", counting)
-        # Every BeamAllocation is built, and checked, by `build_matrices`;
-        # smaller beam counts build none.
+        # Every BeamAllocation is built, and checked, by `build_matrices`,
+        # once for all the trials of a block; smaller beam counts build none.
         monkeypatch.setattr(experiments, "build_matrices", building)
         run(cfg)
-        assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * cfg.trials
-        assert len(built) == cfg.trials
+        blocks = [TRIAL_BLOCK, cfg.trials - TRIAL_BLOCK]
+        assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * len(blocks)
+        assert [np.shape(args[0])[0] for args in built] == blocks
 
     @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
     def test_smaller_beam_count_is_the_leading_rows(self, on_grid):
@@ -522,6 +559,108 @@ class TestOneAllocationPerTrial:
         for doc in (meta, full_meta):
             del doc["config"], doc["config_hash"]
         assert meta == full_meta
+
+
+class TestBlockChecks:
+    """A block is checked once, as a whole, and rejects what the per-trial
+    objects reject, naming the trial and user."""
+
+    def setup_method(self):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(TRIAL_BLOCK)]
+        self.block = Scenario.draw_trials(rngs, 2, 16, [4, 2, 3])
+        self.alloc = self.block.allocate(2, 2)
+
+    def faulty_paths(self, name, value, index=()):
+        """The block's paths with one path of user 1 of trial 2 faulty, or the
+        links at `index` of them."""
+        arrays = {f: getattr(self.block.paths, f).copy()
+                  for f in ("gains", "aoa", "aod", "powers")}
+        arrays[name][2, 1, 0] = value
+        return PathSet(**{f: a[index] for f, a in arrays.items()})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("gains", np.nan, "path gains must be finite"),
+        ("gains", np.inf, "path gains must be finite"),
+        ("aoa", np.pi / 2, r"aoa angles must lie in \[-pi/2, pi/2\)"),
+        ("aod", np.pi / 2, r"aod angles must lie in \[-pi/2, pi/2\)"),
+    ], ids=["nan_gain", "infinite_gain", "aoa_at_pi_over_2", "aod_at_pi_over_2"])
+    def test_faulty_link_named(self, name, value, message):
+        with pytest.raises(ValueError, match=message + r" \(user 1 of trial 2\)"):
+            self.faulty_paths(name, value)
+        # one link, and one trial, keep the per-link message
+        with pytest.raises(ValueError, match=message + "$"):
+            self.faulty_paths(name, value, (2, 1))
+        with pytest.raises(ValueError, match=message + r" \(user 1\)$"):
+            self.faulty_paths(name, value, 2)
+
+    def test_shared_transmit_beam_named(self):
+        bs = self.alloc.bs_beams.copy()
+        bs[3, 2, 1] = bs[3, 0, 0]
+        with pytest.raises(ValueError, match="transmit beams of user 2 of trial 3 overlap "
+                                             "another user's"):
+            replace(self.alloc, bs_beams=bs)
+        with pytest.raises(ValueError, match="transmit beams of user 2 overlap another user's"):
+            build_matrices(bs[3], self.alloc.ut_beams[3], 16, [4, 2, 3])
+
+    def test_repeated_receive_beam_named(self):
+        ut = self.alloc.ut_beams.copy()
+        ut[1, 1, 1] = ut[1, 1, 0]
+        with pytest.raises(ValueError, match="invalid receive beam indices for user 1 of trial 1"):
+            replace(self.alloc, ut_beams=ut)
+        with pytest.raises(ValueError, match="invalid receive beam indices for user 1$"):
+            build_matrices(self.alloc.bs_beams[1], ut[1], 16, [4, 2, 3])
+
+    def test_repeated_transmit_beam_named(self):
+        bs = self.alloc.bs_beams.copy()
+        bs[4, 0, 1] = bs[4, 0, 0]
+        with pytest.raises(ValueError, match="repeated transmit beam for user 0 of trial 4"):
+            replace(self.alloc, bs_beams=bs)
+
+    def test_probing_rejects_a_block(self):
+        # A block's allocation has a trial axis before its users; probing
+        # and the allocation summary take one trial's and must not read
+        # trials as users.
+        channels = [synthesize_channel(self.block.paths[0, k], 16, n)
+                    for k, n in enumerate([4, 2, 3])]
+        for probe in (downlink_probe, uplink_probe):
+            with pytest.raises(ValueError, match="one trial's allocation"):
+                probe(channels, self.alloc, 0.0)
+        with pytest.raises(ValueError, match="one trial's allocation"):
+            downlink_maps(self.alloc)
+        with pytest.raises(ValueError, match="one trial's allocation"):
+            allocation_summary(self.alloc, self.block.bs_gains)
+        one = build_matrices(self.alloc.bs_beams[0], self.alloc.ut_beams[0], 16, [4, 2, 3])
+        assert len(downlink_probe(channels, one, 0.0)) == 3
+
+    def test_one_users_rate_needs_one_trial(self):
+        inputs = RateInputs(self.block.factors, self.alloc)
+        with pytest.raises(ValueError, match="one trial's rate inputs"):
+            secret_key_rate(inputs, 0, 0.1)
+        assert inputs.blocks.shape == (TRIAL_BLOCK, 3, 3, 4, 2)
+
+    def test_block_memory_is_bounded(self):
+        # One block's draw, allocation and gather at the reference scenario
+        # (5 trials, M = 128, 6 users x 4 antennas, P = 6) peaked at
+        # 2.92 MiB of traced allocations; the bound leaves a 10% margin.
+        # Scaling the factors out of place, a second factor-sized array,
+        # takes the block to 3.33 MiB; one trial at a time took 2.27 MiB.
+        import tracemalloc
+
+        def block_table():
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(2025).spawn(TRIAL_BLOCK)]
+            block = Scenario.draw_trials(rngs, 6, 128, [4] * 6)
+            return RateInputs(block.factors, block.allocate(6, 4)).blocks
+
+        block_table()  # the grids are built once, outside the measurement
+        tracemalloc.start()
+        try:
+            table = block_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (TRIAL_BLOCK, 6, 6, 24, 6)
+        assert peak <= 3.2 * 2 ** 20
 
 
 class TestWriteResult:
@@ -593,7 +732,10 @@ def probing_scenario():
     rng = np.random.default_rng(41)
     m, n_ut, n_p, m_e, n_e = 16, [2, 3], [2, 3], 2, 2
     paths = [sample_paths(p, rng) for p in n_p]
-    return paths, Scenario.from_paths(paths, m, n_ut).allocate(m_e, n_e)
+    # A Scenario needs one P for all users, so these are allocated directly.
+    gains = [beam_covariance_factor(p, m, n)[1:] for p, n in zip(paths, n_ut)]
+    return paths, build_matrices(allocate_bs_beams([g[0] for g in gains], m_e),
+                                 [allocate_ut_beams(g[1], n_e) for g in gains], m, n_ut)
 
 
 def _loop_downlink_covariance(stats_paths, allocation, noise_power, rounds, rng, user):
