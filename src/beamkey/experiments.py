@@ -64,13 +64,20 @@ DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 # Probing rounds per chunk in `empirical_downlink_covariance`.
 PROBE_CHUNK = 256
 
-# Trials per block in the rate runners (one draw, one allocation and one
-# rate-engine call per beam count), chosen by measurement: 5 gives nearly all
-# of the batching gain on a 10-trial single-user run.  At the reference
-# scenario each trial in a block adds 0.72 MiB to the traced peak of the
-# runner (0.93 MiB for one trial, 3.83 MiB for five), which the rate engine
-# sets; a block's draw, allocation and table peak at 2.92 MiB.
-TRIAL_BLOCK = 5
+# Bytes a block of trials in the rate runners (one draw, one allocation and
+# one rate-engine call per beam count) may hold, by `trial_working_set`: a
+# block takes as many trials as fit, and at least one.  A larger block pays
+# the per-block Python and call costs fewer times, and its memory grows
+# linearly.  In process, 1 BLAS thread, 100-trial runs (time, traced peak):
+# - single-user default: blocks of 5 took 46 ms and 0.61 MiB, of 20 32 ms and
+#   2.0 MiB, of 33 31 ms and 3.3 MiB, of 100 30 ms and 9.8 MiB;
+# - reference scenario: blocks of 5 took 535 ms and 4.0 MiB, of 10 466 ms
+#   and 7.6 MiB.
+# 4 MiB keeps the reference scenario at 5 trials a block (its estimate is
+# 0.75 MiB a trial), so its memory does not grow; it puts the single-user
+# default in blocks of 33 and a 10-trial one-user run with 32 BS antennas in
+# one block (2.3 ms in blocks of 5, 1.6 ms in one).
+BLOCK_BYTES = 4 * 2 ** 20
 
 # Largest array a config may name: the runners form the M x M sampling matrix
 # of each array, 64 GiB of complex128 at this size.
@@ -205,9 +212,8 @@ class ScenarioConfig:
         `workers` has no effect (the runners are single-threaded), so both
         are left out.
         """
-        doc = dataclasses.asdict(self)
-        for name in ("out_dir", "workers"):
-            del doc[name]
+        doc = {name: value for name, value in vars(self).items()
+               if name not in ("out_dir", "workers")}
         doc["ut_antennas"] = self.ut_antenna_list()
         doc["snr_db_grid"] = [float(s) for s in self.snr_db_grid]
         doc["bs_beams_compare"] = [int(m) for m in self.bs_beams_compare]
@@ -262,15 +268,30 @@ def _cell(value) -> str:
     return str(value)
 
 
+# How a column whose values all have one of these exact types is formatted,
+# with the bytes `_cell` gives each of its values.
+_COLUMN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _column(values: list) -> list[str]:
+    """The cells of one column: one `map` where every value has the same
+    exact type in `_COLUMN_FORMATS`, else `_cell` per value."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _COLUMN_FORMATS:
+        return list(map(_COLUMN_FORMATS[kind], values))
+    return list(map(_cell, values))
+
+
 def records_to_csv(records: list[dict], columns: list[str] | None = None) -> str:
+    """A table as CSV text: a header row, then one row per record; a key a
+    record lacks is an empty cell.  Formatted a column at a time."""
     if columns is None:
         if not records:
             raise ValueError("cannot infer CSV columns from an empty table")
         columns = list(records[0].keys())
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_cell(rec.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    cells = [_column([rec.get(c) for rec in records]) for c in columns]
+    rows = map(",".join, zip(*cells)) if cells else [""] * len(records)
+    return "\n".join([",".join(columns), *rows]) + "\n"
 
 
 def write_result(result: ExperimentResult | ValidationReport,
@@ -400,15 +421,61 @@ def _trial_seeds(config: ScenarioConfig) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(int(config.seed)).spawn(config.trials)
 
 
+def trial_working_set(config: ScenarioConfig) -> int:
+    """Estimated bytes that one trial adds to the peak of a rate-runner block.
+
+    From the sizes alone: M, the N_k, U, P, the widest d = m_e * n_e and the
+    number n of SNR points, counted in complex128 entries.  The block keeps
+    its factors F_k (M * N_k * P each) and its (U, U, d, P) table.  The draw
+    peaks at twice the factors (the conjugate that forms the Gram matrices)
+    plus the steering (M * U + sum N_k) * P and its beam-domain image.  Then
+    `rate_factors` holds its interference stacks and their SVD (about
+    2 * U^2 * d * P + U * d^2) and its information terms U * P^2 * (2d + P),
+    or `rate` its two (U, n, P, P) information matrices, their stack and its
+    Cholesky factors, whichever is larger; one user needs only a d x P table
+    or its n x P gains.  The larger of the draw and the rest is the trial's
+    share.  At the reference scenario this is 0.75 MiB, and the traced peak
+    of a block grows 0.72 MiB a trial.  A block also holds what does not
+    grow with its trials, such as the conjugate M x M beam grid that
+    `beam_path_factors` forms.
+    """
+    counts = config.ut_antenna_list()
+    # Python ints, which do not wrap, though a config may hold NumPy integers.
+    m, users, n_paths, n_e = map(int, (config.bs_antennas, config.users, config.n_paths,
+                                       config.ut_beams))
+    width = max(map(int, config.bs_beams_compare), default=0) * n_e
+    n_snr = len(config.snr_db_grid)
+    factors = m * sum(counts) * n_paths
+    draw = 2 * factors + 2 * (m * users + sum(counts)) * n_paths
+    if users == 1:
+        engine = max(width * n_paths, 2 * n_snr * n_paths)
+    else:
+        stacks = 2 * users * users * width * n_paths + users * width * width
+        terms = users * n_paths * n_paths * (2 * width + n_paths)
+        engine = max(stacks + terms, 6 * users * n_snr * n_paths * n_paths)
+    table = users * users * width * n_paths
+    return 16 * max(draw, factors + table + engine)
+
+
+def trials_per_block(config: ScenarioConfig) -> int:
+    """Trials in each block of the rate runners (the last may hold fewer):
+    as many as `BLOCK_BYTES` holds by `trial_working_set`, at least 1 and at
+    most `config.trials`."""
+    return max(1, min(config.trials, BLOCK_BYTES // trial_working_set(config)))
+
+
 def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The trials of both rate runners, one scenario draw each.
 
     Returns the trial means of the (SNR, scheme, user) rates, with one scheme
     per `bs_beams_compare` entry and complete-grid probing last, and of the
     largest neutralization residual per beam count.  The trials are drawn in
-    order, each from its own seed, in blocks of at most `TRIAL_BLOCK`, and
-    each block is one `Scenario` of stacked arrays: its draw, allocation and
-    rate table are each built and checked once for all its trials.  The
+    order, each from its own seed, in blocks of `trials_per_block`: as many
+    as the `BLOCK_BYTES` budget holds, so a small scenario runs as one block
+    and one whose trial exceeds the budget one trial at a time.  Each block
+    is one `Scenario` of stacked arrays (`_rate_block`): its draw,
+    allocation and rate table are each built and checked once for all its
+    trials.  The
     block is allocated and its (T, U, U, d, P) table cut once, at the
     largest beam count; a beam count m_e keeps every user's leading beams
     (`allocate_bs_beams` is prefix-closed), so its table is a view of the
@@ -416,30 +483,37 @@ def _mean_trial_rates(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     per beam count on that table, and one eigendecomposition of all its Gram
     matrices.
     """
-    counts = config.ut_antenna_list()
     sigmas = config.noise_powers()
-    me_values = [int(m) for m in config.bs_beams_compare]
     seeds = _trial_seeds(config)
-    rates = np.zeros((config.trials, len(sigmas), len(me_values) + 1, config.users))
-    residuals = np.zeros((config.trials, len(me_values)))
-    for start in range(0, config.trials, TRIAL_BLOCK):
-        block = Scenario.draw_trials(
-            [np.random.default_rng(seed) for seed in seeds[start:start + TRIAL_BLOCK]],
-            config.n_paths, config.bs_antennas, counts, config.angle_mode == "on_grid")
-        n_trials = len(block.grams)
-        trials = slice(start, start + n_trials)
-        shape = (len(sigmas), n_trials, config.users)  # (n, T, U)
-        if me_values:
-            table = RateInputs(block.factors,
-                               block.allocate(max(me_values), config.ut_beams)).blocks
-        for j, m_e in enumerate(me_values):
-            leading = table[..., :m_e * config.ut_beams, :]
-            rates[trials, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
-            residuals[trials, j] = block.max_residual(leading)
-        grams = block.grams.reshape(-1, config.n_paths, config.n_paths)
-        rates[trials, :, -1] = (full_sampling_rate(psd_eigh(grams)[0], sigmas)
-                                .reshape(shape).swapaxes(0, 1))
+    rates = np.zeros((config.trials, len(sigmas), len(config.bs_beams_compare) + 1, config.users))
+    residuals = np.zeros((config.trials, len(config.bs_beams_compare)))
+    size = trials_per_block(config)
+    for start in range(0, config.trials, size):
+        trials = slice(start, start + size)
+        _rate_block(config, seeds[trials], sigmas, rates[trials], residuals[trials])
     return rates.mean(axis=0), residuals.mean(axis=0)
+
+
+def _rate_block(config: ScenarioConfig, seeds: Sequence[np.random.SeedSequence],
+                sigmas: np.ndarray, rates: np.ndarray, residuals: np.ndarray) -> None:
+    """Rate the block of trials drawn from `seeds` into its rows of the
+    runner's (T, SNR, scheme, user) `rates` and (T, beam count) `residuals`.
+    A function of its own, so that a block's arrays are freed before the next
+    block is drawn."""
+    me_values = [int(m) for m in config.bs_beams_compare]
+    block = Scenario.draw_trials([np.random.default_rng(seed) for seed in seeds],
+                                 config.n_paths, config.bs_antennas, config.ut_antenna_list(),
+                                 config.angle_mode == "on_grid")
+    shape = (len(sigmas), len(seeds), config.users)  # (n, T, U)
+    if me_values:
+        table = RateInputs(block.factors,
+                           block.allocate(max(me_values), config.ut_beams)).blocks
+    for j, m_e in enumerate(me_values):
+        leading = table[..., :m_e * config.ut_beams, :]
+        rates[:, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
+        residuals[:, j] = block.max_residual(leading)
+    grams = block.grams.reshape(-1, config.n_paths, config.n_paths)
+    rates[:, :, -1] = full_sampling_rate(psd_eigh(grams)[0], sigmas).reshape(shape).swapaxes(0, 1)
 
 
 def _metadata(config: ScenarioConfig, name: str) -> dict:

@@ -28,7 +28,6 @@ from beamkey.channel import (
 from beamkey.experiments import (
     DEFAULT_SNR_GRID,
     PROBE_CHUNK,
-    TRIAL_BLOCK,
     ConfigError,
     Scenario,
     ScenarioConfig,
@@ -258,7 +257,7 @@ def hand_drawn_paths(rng, n_paths, m, n, on_grid):
 class TestScenario:
     """The one draw -> allocate route of every runner and check."""
 
-    @pytest.mark.parametrize("n_trials", [TRIAL_BLOCK, 1], ids=["block", "one_trial"])
+    @pytest.mark.parametrize("n_trials", [5, 1], ids=["block", "one_trial"])
     @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
     def test_draw_and_allocate_are_the_explicit_chain(self, on_grid, n_trials):
         # Every trial of a block, bit for bit, is the chain of per-user calls
@@ -454,10 +453,24 @@ def one_trial_at_a_time(cfg):
     return np.stack(rates).mean(axis=0), np.array(residuals).mean(axis=0)
 
 
-class TestTrialBlocks:
-    """The rate runners rate a block of up to TRIAL_BLOCK trials per engine call."""
+def budget_for(monkeypatch, cfg, trials):
+    """Set the block budget so that blocks of `cfg` hold `trials` trials."""
+    monkeypatch.setattr(experiments, "BLOCK_BYTES",
+                        trials * experiments.trial_working_set(cfg))
+    assert experiments.trials_per_block(cfg) == min(trials, cfg.trials)
 
-    TRIALS = 2 * TRIAL_BLOCK + 1  # two full blocks and a block of one
+
+def block_sizes(cfg):
+    """The trials of each block of a rate runner, by `trials_per_block`."""
+    size = experiments.trials_per_block(cfg)
+    return [min(size, cfg.trials - start) for start in range(0, cfg.trials, size)]
+
+
+class TestTrialBlocks:
+    """The rate runners rate a block of trials per engine call, as many
+    trials as the `BLOCK_BYTES` budget holds."""
+
+    TRIALS = 11  # blocks of 2, 3 or 5 leave a shorter last block
 
     @pytest.mark.parametrize("cfg", [
         small_single_user(trials=TRIALS),
@@ -466,15 +479,20 @@ class TestTrialBlocks:
         small_multi_user(trials=TRIALS, angle_mode="on_grid", ut_antennas=[4, 2, 3]),
     ], ids=["single_user", "multi_user_on_grid", "multi_user_mixed_ut_antennas",
             "multi_user_on_grid_mixed_ut_antennas"])
-    def test_blocks_equal_one_trial_at_a_time(self, cfg):
-        rates, residuals = _mean_trial_rates(cfg)
+    def test_blocks_equal_one_trial_at_a_time(self, monkeypatch, cfg):
+        # Every block size gives the same bits, the default one included.
         expected_rates, expected_residuals = one_trial_at_a_time(cfg)
-        assert np.array_equal(rates, expected_rates)
-        assert np.array_equal(residuals, expected_residuals)
+        for trials in (None, 1, 2, 3, cfg.trials):
+            if trials is not None:
+                budget_for(monkeypatch, cfg, trials)
+            rates, residuals = _mean_trial_rates(cfg)
+            assert np.array_equal(rates, expected_rates), trials
+            assert np.array_equal(residuals, expected_residuals), trials
 
     def test_one_engine_call_per_block_and_beam_count(self, monkeypatch):
         # Each call takes the block's (T, U, U, d, P) table, and every beam
         # count of a block reads the leading rows of one stacked table.
+        cfg = small_multi_user(trials=self.TRIALS)
         calls = []
 
         def counting(blocks):
@@ -482,14 +500,17 @@ class TestTrialBlocks:
             return rate_factors(blocks)
 
         monkeypatch.setattr(experiments, "rate_factors", counting)
-        cfg = small_multi_user(trials=self.TRIALS)
-        run_multiuser_unit_rate(cfg)
-        blocks = [TRIAL_BLOCK, TRIAL_BLOCK, 1]  # ceil(TRIALS / TRIAL_BLOCK) blocks
-        assert [c.shape for c in calls] == [
-            (n, cfg.users, cfg.users, m_e * cfg.ut_beams, cfg.n_paths)
-            for n in blocks for m_e in cfg.bs_beams_compare]
-        for wide, narrow in zip(calls[::2], calls[1::2]):
-            assert narrow.base is wide.base is not None
+        for trials in (None, 5):  # the default budget, then uneven blocks
+            if trials is not None:
+                budget_for(monkeypatch, cfg, trials)
+            calls.clear()
+            run_multiuser_unit_rate(cfg)
+            assert [c.shape for c in calls] == [
+                (n, cfg.users, cfg.users, m_e * cfg.ut_beams, cfg.n_paths)
+                for n in block_sizes(cfg) for m_e in cfg.bs_beams_compare]
+            for wide, narrow in zip(calls[::2], calls[1::2]):
+                assert narrow.base is wide.base is not None
+        assert block_sizes(cfg) == [5, 5, 1]
 
 
 class TestOneAllocationPerTrial:
@@ -516,10 +537,16 @@ class TestOneAllocationPerTrial:
         # Every BeamAllocation is built, and checked, by `build_matrices`,
         # once for all the trials of a block; smaller beam counts build none.
         monkeypatch.setattr(experiments, "build_matrices", building)
-        run(cfg)
-        blocks = [TRIAL_BLOCK, cfg.trials - TRIAL_BLOCK]
-        assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * len(blocks)
-        assert [np.shape(args[0])[0] for args in built] == blocks
+        for trials in (None, 5):  # the default budget, then uneven blocks
+            if trials is not None:
+                budget_for(monkeypatch, cfg, trials)
+            calls.clear()
+            built.clear()
+            run(cfg)
+            blocks = block_sizes(cfg)
+            assert calls == [(max(cfg.bs_beams_compare), cfg.ut_beams)] * len(blocks)
+            assert [np.shape(args[0])[0] for args in built] == blocks
+        assert blocks == [5, 2]
 
     @pytest.mark.parametrize("on_grid", [False, True], ids=["off_grid", "on_grid"])
     def test_smaller_beam_count_is_the_leading_rows(self, on_grid):
@@ -566,7 +593,7 @@ class TestBlockChecks:
     objects reject, naming the trial and user."""
 
     def setup_method(self):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(TRIAL_BLOCK)]
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(5)]
         self.block = Scenario.draw_trials(rngs, 2, 16, [4, 2, 3])
         self.alloc = self.block.allocate(2, 2)
 
@@ -636,31 +663,68 @@ class TestBlockChecks:
         inputs = RateInputs(self.block.factors, self.alloc)
         with pytest.raises(ValueError, match="one trial's rate inputs"):
             secret_key_rate(inputs, 0, 0.1)
-        assert inputs.blocks.shape == (TRIAL_BLOCK, 3, 3, 4, 2)
+        assert inputs.blocks.shape == (5, 3, 3, 4, 2)
 
     def test_block_memory_is_bounded(self):
-        # One block's draw, allocation and gather at the reference scenario
-        # (5 trials, M = 128, 6 users x 4 antennas, P = 6) peaked at
-        # 2.92 MiB of traced allocations; the bound leaves a 10% margin.
-        # Scaling the factors out of place, a second factor-sized array,
-        # takes the block to 3.33 MiB; one trial at a time took 2.27 MiB.
+        # One full block's draw, allocation, table, `rate_factors` and
+        # `rate` stay within the budget plus a margin for what a block holds
+        # whatever its size and `trial_working_set` leaves out: the conjugate
+        # of the M x M beam grid that `beam_path_factors` forms per block
+        # (0.25 MiB at M = 128) and the block's small arrays.  Measured peaks:
+        # 3.83 MiB for the reference scenario's 5 trials (as with the fixed
+        # blocks of 5 before the budget), 3.23 MiB for the single-user
+        # default's 33 and 0.44 MiB for a 10-trial one-user run with M = 32
+        # and 81 SNR points; a sixth trial takes the reference block to
+        # 4.55 MiB, over the bound.
         import tracemalloc
 
-        def block_table():
-            rngs = [np.random.default_rng(s)
-                    for s in np.random.SeedSequence(2025).spawn(TRIAL_BLOCK)]
-            block = Scenario.draw_trials(rngs, 6, 128, [4] * 6)
-            return RateInputs(block.factors, block.allocate(6, 4)).blocks
+        def traced_peak(run, cfg):
+            run(cfg)  # the grids are built once, outside the measurement
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        block_table()  # the grids are built once, outside the measurement
-        tracemalloc.start()
-        try:
-            table = block_table()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (TRIAL_BLOCK, 6, 6, 24, 6)
-        assert peak <= 3.2 * 2 ** 20
+        bound = experiments.BLOCK_BYTES + 0.5 * 2 ** 20
+        sweep = ScenarioConfig(bs_antennas=32, users=1, ut_antennas=4, n_paths=6,
+                               snr_db_grid=[-10.0 + 0.5 * i for i in range(81)],
+                               bs_beams_compare=[6, 4], trials=10)
+        for cfg, trials in ((ScenarioConfig(), 5), (ScenarioConfig(users=1), 33), (sweep, 10)):
+            assert experiments.trials_per_block(cfg) == trials
+            assert traced_peak(rate_one_block, cfg) <= bound, cfg
+        # A runner holds one block at a time: each block's arrays are freed
+        # before the next is drawn (3.27 MiB over the single-user default's
+        # four blocks; with two blocks alive at once, 4.95 MiB).
+        assert traced_peak(_mean_trial_rates, ScenarioConfig(users=1)) <= bound
+
+    def test_trial_over_budget_runs_in_blocks_of_one(self, monkeypatch):
+        cfg = ScenarioConfig(bs_antennas=256, users=16, ut_antennas=8, n_paths=4, bs_beams=1,
+                             ut_beams=1, bs_beams_compare=[1], snr_db_grid=[0.0], trials=3)
+        assert experiments.trial_working_set(cfg) > experiments.BLOCK_BYTES
+        built = []
+
+        def building(*args):
+            built.append(np.shape(args[0])[0])
+            return build_matrices(*args)
+
+        monkeypatch.setattr(experiments, "build_matrices", building)
+        res = run_multiuser_unit_rate(cfg)
+        assert built == [1, 1, 1]
+        assert all(np.isfinite(rec["sum_rate_bits"]) for rec in res.records)
+
+
+def rate_one_block(cfg):
+    """The first block of `cfg`'s trials as `_mean_trial_rates` rates it."""
+    rngs = [np.random.default_rng(s)
+            for s in _trial_seeds(cfg)[:experiments.trials_per_block(cfg)]]
+    block = Scenario.draw_trials(rngs, cfg.n_paths, cfg.bs_antennas, cfg.ut_antenna_list(),
+                                 cfg.angle_mode == "on_grid")
+    table = RateInputs(block.factors, block.allocate(max(cfg.bs_beams_compare),
+                                                     cfg.ut_beams)).blocks
+    for m_e in cfg.bs_beams_compare:
+        rate_factors(table[..., : m_e * cfg.ut_beams, :]).rate(cfg.noise_powers())
 
 
 class TestWriteResult:
@@ -695,6 +759,36 @@ class TestWriteResult:
         assert text.splitlines() == [
             "user,neighbor,own_peak_beam,neighbor_peak_beam,attenuation_db"
         ]
+
+    def test_columns_format_as_each_value_alone(self):
+        # `records_to_csv` formats a column at a time; the reference is one
+        # `_cell` call per value, row by row.
+        def per_value_csv(records, columns):
+            lines = [",".join(columns)]
+            for rec in records:
+                lines.append(",".join(experiments._cell(rec.get(c)) for c in columns))
+            return "\n".join(lines) + "\n"
+
+        columns = {
+            "float": [-0.0, 5e-324, 1e-300, 1e22, 0.1 + 0.2, 1.0, -2.5],
+            "int": [0, -3, 2 ** 70, 7, 1, 10 ** 22, 5],
+            "bool": [True, False, True, True, False, False, True],
+            "none": [None] * 7,
+            "np_float64": [np.float64(v) for v in (-0.0, 5e-324, 1e-300, 1e22, 0.3, 1, 2)],
+            "np_int64": [np.int64(v) for v in (0, -3, 2 ** 62, 7, 1, 4, 5)],
+            "str": ["perfect", "reduced_me6", "", "a b", "x", "reused_me4", "orthogonal"],
+            "max_neutralization_residual": [1e-17, None, 0.0, 2.5e-3, None, 5e-324, -0.0],
+            "ints_and_bools": [1, True, 0, False, 2, 3, 4],
+            "float_and_np": [0.1, np.float64(0.1), 1e22, np.float64(1e22), 0.0, 1.0, 2.0],
+            "mixed": [1, 1.0, "1", None, True, np.int64(1), np.float64(1.0)],
+        }
+        records = [{name: values[i] for name, values in columns.items()} for i in range(7)]
+        del records[3]["str"]  # a key a record lacks is an empty cell
+        for cols in (None, list(columns), ["str", "none", "absent", "float"]):
+            expected = per_value_csv(records, cols or list(records[0]))
+            assert records_to_csv(records, cols) == expected
+        assert records_to_csv([], ["user", "rate"]) == "user,rate\n"
+        assert records_to_csv([{}, {}]) == per_value_csv([{}, {}], []) == "\n\n\n"
 
 
 class TestValidationSuite:
