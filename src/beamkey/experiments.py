@@ -71,10 +71,10 @@ PROBE_CHUNK = 256
 # linearly.  In process, 1 BLAS thread, 100-trial runs (time, traced peak):
 # - single-user default: blocks of 5 took 46 ms and 0.61 MiB, of 20 32 ms and
 #   2.0 MiB, of 33 31 ms and 3.3 MiB, of 100 30 ms and 9.8 MiB;
-# - reference scenario: blocks of 5 took 535 ms and 4.0 MiB, of 10 466 ms
-#   and 7.6 MiB.
+# - reference scenario: blocks of 5 took 401 ms and 3.4 MiB, of 10 406 ms
+#   and 6.7 MiB.
 # 4 MiB keeps the reference scenario at 5 trials a block (its estimate is
-# 0.75 MiB a trial), so its memory does not grow; it puts the single-user
+# 0.71 MiB a trial), so its memory does not grow; it puts the single-user
 # default in blocks of 33 and a 10-trial one-user run with 32 BS antennas in
 # one block (2.3 ms in blocks of 5, 1.6 ms in one).
 BLOCK_BYTES = 4 * 2 ** 20
@@ -428,16 +428,20 @@ def trial_working_set(config: ScenarioConfig) -> int:
     number n of SNR points, counted in complex128 entries.  The block keeps
     its factors F_k (M * N_k * P each) and its (U, U, d, P) table.  The draw
     peaks at twice the factors (the conjugate that forms the Gram matrices)
-    plus the steering (M * U + sum N_k) * P and its beam-domain image.  Then
-    `rate_factors` holds its interference stacks and their SVD (about
-    2 * U^2 * d * P + U * d^2) and its information terms U * P^2 * (2d + P),
-    or `rate` its two (U, n, P, P) information matrices, their stack and its
-    Cholesky factors, whichever is larger; one user needs only a d x P table
-    or its n x P gains.  The larger of the draw and the rest is the trial's
-    share.  At the reference scenario this is 0.75 MiB, and the traced peak
-    of a block grows 0.72 MiB a trial.  A block also holds what does not
-    grow with its trials, such as the conjugate M x M beam grid that
-    `beam_path_factors` forms.
+    plus the steering (M * U + sum N_k) * P and its beam-domain image.  The
+    engine peaks either in `rate_factors`, at its interference stacks and
+    their SVD (about 2 * U^2 * d * P + U * d^2), or in `rate`, beside the
+    two graded factors U * P * (2d + P) that `rate_factors` keeps: at one
+    set's rank-one terms, at most U * P^2 * (P + d), next to two (U, n, P, P)
+    information matrices, or at those matrices, their stack and its
+    Cholesky factors, six such stacks in all.  One user needs only a d x P
+    table or its n x P gains.  The larger of the draw and the rest is the
+    trial's share.  At the reference scenario the draw sets it, 0.71 MiB,
+    and the traced peak of a block grows 0.63 MiB a trial; with 81 SNR
+    points `rate`'s stack sets it, 1.99 MiB, and the traced peak grows
+    1.54 MiB a trial.  A block also holds what does not grow with its
+    trials, such as the conjugate M x M beam grid that `beam_path_factors`
+    forms.
     """
     counts = config.ut_antenna_list()
     # Python ints, which do not wrap, though a config may hold NumPy integers.
@@ -451,8 +455,10 @@ def trial_working_set(config: ScenarioConfig) -> int:
         engine = max(width * n_paths, 2 * n_snr * n_paths)
     else:
         stacks = 2 * users * users * width * n_paths + users * width * width
-        terms = users * n_paths * n_paths * (2 * width + n_paths)
-        engine = max(stacks + terms, 6 * users * n_snr * n_paths * n_paths)
+        held = users * n_paths * (2 * width + n_paths)
+        terms = users * n_paths * n_paths * (n_paths + width)
+        mats = users * n_snr * n_paths * n_paths
+        engine = max(stacks, held + max(terms + 2 * mats, 6 * mats))
     table = users * users * width * n_paths
     return 16 * max(draw, factors + table + engine)
 
@@ -512,8 +518,7 @@ def _rate_block(config: ScenarioConfig, seeds: Sequence[np.random.SeedSequence],
         leading = table[..., :m_e * config.ut_beams, :]
         rates[:, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
         residuals[:, j] = block.max_residual(leading)
-    grams = block.grams.reshape(-1, config.n_paths, config.n_paths)
-    rates[:, :, -1] = full_sampling_rate(psd_eigh(grams)[0], sigmas).reshape(shape).swapaxes(0, 1)
+    rates[:, :, -1] = block.full_sampling_rate(sigmas).swapaxes(0, 1)
 
 
 def _metadata(config: ScenarioConfig, name: str) -> dict:

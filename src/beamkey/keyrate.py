@@ -46,13 +46,14 @@ sigma^2 -> 0 and no regularization is needed.  Each information matrix is a sum 
 measurements r r^H / (c + sigma^2), where c >= 0 is the measurement's
 interference floor: the columns of Y with c = s^2 and, for G, the columns of
 V_k with c = 0.  Sorted by c, the order of the weights is the same at every
-noise power, so one QR factorization per set (`GradedInformation`) keeps the
-heavy measurements in the leading coordinates and the matrices graded, so
-that a plain Cholesky factorization stays accurate; a set whose floors are
-all 0 has one weight and is taken diagonal, in the eigenbasis of
-sum r r^H.  Singular values of J below max(J.shape) * eps * (its largest)
-are round-off and are cut to zero, so a direction the interference does not
-reach has floor exactly 0.
+noise power, so each set is kept as one graded factor (`GradedInformation`):
+the R of a QR factorization, which keeps the heavy measurements in the
+leading coordinates and the matrices graded, so that a plain Cholesky
+factorization stays accurate.  A set whose floors are all 0 has one weight,
+so only sum r r^H matters, and its factor is diagonal: the singular values
+of its measurements, in the eigenbasis of that sum.  Singular values of J
+below max(J.shape) * eps * (its largest) are round-off and are cut to zero,
+so a direction the interference does not reach has floor exactly 0.
 A lone user (U = 1) has no J and V_kk = V_k, so T = G / sigma^2, and in the
 eigenbasis of G the three log-determinants come to
 
@@ -81,9 +82,9 @@ SVDs of the V_k and of the interference stacks and the QR factorizations
 are each one call over a leading axis of T * U users, trial-major.  Every
 rate of every user for a whole array of noise powers is then one batched
 Cholesky factorization of (2, T * U, n, P, P) matrices (for one user, one
-closed-form sum over the gains).  Every user of one shape has one term per
-measurement, so no row is padded and each allocation gets the same bits in
-a batch as alone.
+closed-form sum over the gains).  Every user of one shape has one factor
+column per measurement, so no row is padded and each allocation gets the
+same bits in a batch as alone.
 `secret_key_rate` is the same engine at one noise power, read off for one
 user.
 
@@ -287,51 +288,54 @@ class GradedInformation:
     path gains, from a graded factor, for evaluation at any noise power
     sigma^2 > 0.  The rows are the users of T allocations, trial-major.
 
-    terms  : (T*U, P, P, n) per user the rank-one term r_j r_j^H of each of
-             its n measurements, term j being terms[u, :, :, j]; when every
-             floor of a user is 0, its term 0 is diag(s^2), s the singular
-             values of its measurements, and its other terms are 0
+    factor : (T*U, P, n) per user the r_j as columns: the upper trapezoidal
+             R of a QR factorization of its n measurements C, or, when every
+             floor of the user is 0, C's singular values on the diagonal
     floors : (T*U, n) per user nondecreasing c_j >= 0, the interference
              power that measurement j sees on top of the noise
 
-    The r_j are the columns of the upper trapezoidal R of a QR factorization
-    of the measurements sorted by c, so by decreasing weight at every noise
-    power: column j touches only the first j coordinates.  The heaviest
-    measurements thus sit in the leading coordinates, and the information
-    matrix stays graded, which keeps its Cholesky factorization accurate at
-    every noise power.  Every user of one shape has the same n and no row is
-    padded, so a user's sum is the same product in a batch as alone; the
-    zero terms of a user whose floors are all 0 add exact zeros.  The term
-    axis is last so that the sums over terms below run along contiguous
-    memory, which sets how NumPy and BLAS round them.
+    C is sorted by c, so by decreasing weight at every noise power, and
+    column j of R touches only the first j coordinates: the heaviest
+    measurements sit in the leading coordinates, and the information matrix
+    stays graded, which keeps its Cholesky factorization accurate at every
+    noise power.  With one weight for all, only C C^H matters, taken in its
+    eigenbasis (its zero columns add exact zeros): C C^H itself fails to
+    factorize at low noise when C has rank below P (fewer measurements than
+    paths, or uncaptured paths).  Every user of one shape has the same n and
+    no row is padded, so a user's sum is the same product in a batch as
+    alone.
     """
 
-    terms: np.ndarray
+    factor: np.ndarray
     floors: np.ndarray
 
     @classmethod
     def from_sorted(cls, columns: np.ndarray, floors: np.ndarray) -> "GradedInformation":
-        """Factor each user's (P, n) measurement columns, already sorted by
+        """Reduce each user's (P, n) measurement columns, already sorted by
         nondecreasing floor, from (T*U, P, n) columns and (T*U, n) floors,
-        into one term per column; the floors are kept as given."""
-        n_rows, n_paths, n_cols = columns.shape
+        to its factor; the floors are kept as given."""
         flat = (floors == 0).all(axis=1)
-        terms = np.zeros((n_rows, n_paths, n_paths, n_cols), dtype=columns.dtype)
-        terms[flat, :, :, 0] = _diagonal_terms(columns[flat])
-        r = _rank_one(np.linalg.qr(columns[~flat], mode="r"))
-        terms[~flat, : r.shape[1], : r.shape[1]] = r
-        return cls(terms=terms, floors=floors)
+        factor = np.zeros_like(columns)
+        rows = np.flatnonzero(flat)
+        sv = np.linalg.svd(columns[rows], compute_uv=False)
+        diag = np.arange(sv.shape[1])
+        factor[rows[:, None], diag, diag] = sv
+        r = np.linalg.qr(columns[~flat], mode="r")
+        factor[~flat, : r.shape[1]] = r
+        return cls(factor=factor, floors=floors)
 
     def plus_identity(self, noise_powers: np.ndarray) -> np.ndarray:
         """I + sum_j r_j r_j^H / (c_j + sigma^2) for each user and each noise
-        power in the (n, 1) column `noise_powers`, as a (T*U, n, P, P) array."""
-        n_rows, n_paths, _, n_terms = self.terms.shape
+        power in the (n, 1) column `noise_powers`, as a (T*U, n, P, P) array;
+        the terms r_j r_j^H exist only within the call."""
+        n_rows, n_paths, n_terms = self.factor.shape
         weights = 1.0 / (self.floors[:, None, :] + noise_powers)
-        # One 1 x n_terms product per user and noise power, not one matrix
-        # product for all noise powers: BLAS rounds a single-row product
-        # differently, and this way a noise power gives the same bits alone
-        # as within a grid.
-        terms = self.terms.reshape(n_rows, 1, -1, n_terms).swapaxes(-1, -2)
+        # The term axis is last, so the sums run along contiguous memory,
+        # which sets how BLAS rounds them.  One 1 x n_terms product per user
+        # and noise power, not one matrix product for all noise powers: BLAS
+        # rounds a single-row product differently, and this way a noise
+        # power gives the same bits alone as within a grid.
+        terms = _rank_one(self.factor).reshape(n_rows, 1, -1, n_terms).swapaxes(-1, -2)
         gram = (weights[..., None, :] @ terms).reshape(n_rows, -1, n_paths, n_paths)
         diag = np.arange(n_paths)
         gram[..., diag, diag] += 1.0
@@ -342,22 +346,6 @@ def _rank_one(columns: np.ndarray) -> np.ndarray:
     """r_j r_j^H of each column j of each matrix in a (U, P, n) stack, as a
     (U, P, P, n) array."""
     return np.einsum("uaj,ubj->uabj", columns, columns.conj(), order="C")
-
-
-def _diagonal_terms(columns: np.ndarray) -> np.ndarray:
-    """The single term diag(s^2) of each (P, n) matrix C in a stack, s its
-    singular values zero-padded to P.
-
-    One weight for all: a single term, diagonal in the eigenbasis of C C^H.
-    C C^H itself fails to factorize at low noise when C has rank below P
-    (fewer measurements than paths, or uncaptured paths).
-    """
-    n_users, n_paths, _ = columns.shape
-    sv = np.linalg.svd(columns, compute_uv=False)
-    terms = np.zeros((n_users, n_paths, n_paths))
-    diag = np.arange(sv.shape[1])
-    terms[:, diag, diag] = sv * sv
-    return terms
 
 
 @dataclass(frozen=True)
@@ -482,9 +470,9 @@ def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     rows trial-major: the SVD V_k = u_k diag(sv_k) (...)^H, and the columns of Y
     with their floors s^2, sorted by nondecreasing floor.
 
-    A function of its own, so that the stacks it forms and the SVD factors
-    are freed before the terms are formed, which would otherwise set the
-    batch's peak memory.
+    A function of its own, so that the stacks it forms and the SVD factors,
+    which set `rate_factors`' peak memory, are freed before the graded
+    factors and then `rate`'s terms and matrices are formed.
     """
     n_allocs, n_users, _, dim, n_paths = blocks.shape
     n_rows = n_allocs * n_users

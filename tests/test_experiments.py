@@ -671,11 +671,12 @@ class TestBlockChecks:
         # whatever its size and `trial_working_set` leaves out: the conjugate
         # of the M x M beam grid that `beam_path_factors` forms per block
         # (0.25 MiB at M = 128) and the block's small arrays.  Measured peaks:
-        # 3.83 MiB for the reference scenario's 5 trials (as with the fixed
-        # blocks of 5 before the budget), 3.23 MiB for the single-user
-        # default's 33 and 0.44 MiB for a 10-trial one-user run with M = 32
-        # and 81 SNR points; a sixth trial takes the reference block to
-        # 4.55 MiB, over the bound.
+        # 3.28 MiB for the reference scenario's 5 trials (as with the fixed
+        # blocks of 5 before the budget), 3.10 MiB for its 2 trials with 81
+        # SNR points, where `rate`'s stack sets the estimate, 3.23 MiB for
+        # the single-user default's 33 and 0.44 MiB for a 10-trial one-user
+        # run with M = 32 and 81 SNR points; a third trial takes the 81-point
+        # reference block to 4.63 MiB, over the bound.
         import tracemalloc
 
         def traced_peak(run, cfg):
@@ -688,10 +689,11 @@ class TestBlockChecks:
                 tracemalloc.stop()
 
         bound = experiments.BLOCK_BYTES + 0.5 * 2 ** 20
+        grid = [-10.0 + 0.5 * i for i in range(81)]
         sweep = ScenarioConfig(bs_antennas=32, users=1, ut_antennas=4, n_paths=6,
-                               snr_db_grid=[-10.0 + 0.5 * i for i in range(81)],
-                               bs_beams_compare=[6, 4], trials=10)
-        for cfg, trials in ((ScenarioConfig(), 5), (ScenarioConfig(users=1), 33), (sweep, 10)):
+                               snr_db_grid=grid, bs_beams_compare=[6, 4], trials=10)
+        for cfg, trials in ((ScenarioConfig(), 5), (ScenarioConfig(snr_db_grid=grid), 2),
+                            (ScenarioConfig(users=1), 33), (sweep, 10)):
             assert experiments.trials_per_block(cfg) == trials
             assert traced_peak(rate_one_block, cfg) <= bound, cfg
         # A runner holds one block at a time: each block's arrays are freed

@@ -22,6 +22,7 @@ from beamkey.keyrate import (
     RateInputs,
     SingularNoiseFreeRateError,
     _finalize_rate,
+    _measurements,
     assemble_observation_covariances,
     build_v_matrices,
     full_sampling_rate,
@@ -524,7 +525,7 @@ def mixed_term_count_inputs():
 
     User 0 sits on grid beams, and users 1 and 2 carry no power on its
     transmit beams, as users on disjoint grid beams do: every floor of user
-    0 is 0, and its terms take the diagonal form.  Users 1 and 2 are off
+    0 is 0, and its factor takes the diagonal form.  Users 1 and 2 are off
     grid; each sees an interference stack of 4 rows against d = 6
     measurements, so at least two of its floors are 0.  The numbers of
     zero floors thus differ between users.
@@ -559,22 +560,37 @@ class TestBatchedUsers:
                 oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
                 assert rates[i, k] == pytest.approx(oracle, rel=1e-10)
 
-    def test_every_row_keeps_one_term_per_measurement(self):
-        # d = m_e * n_e = 6 uplink and P + d = 8 joint terms for every user,
-        # however many of its floors are 0.
-        factors = rate_factors(mixed_term_count_inputs().blocks)
-        for info, n_terms, zeros in ((factors.uplink, 6, [6, 2, 4]),
-                                     (factors.joint, 8, [8, 4, 6])):
-            assert info.terms.shape == (3, 2, 2, n_terms)
+    def test_every_row_keeps_its_factor(self):
+        # d = m_e * n_e = 6 uplink and P + d = 8 joint measurements for every
+        # user, however many of its floors are 0, as one (P, n) factor of
+        # its measurement columns C, sorted by floor as `rate_factors` sorts
+        # them.
+        blocks = mixed_term_count_inputs().blocks
+        factors = rate_factors(blocks)
+        u_k, sv_k, y, _ = _measurements(blocks[None])
+        joint = np.concatenate([u_k * sv_k[:, None, :], y], axis=-1)
+        for info, columns, zeros in ((factors.uplink, y, [6, 2, 4]),
+                                     (factors.joint, joint, [8, 4, 6])):
+            n_terms = columns.shape[-1]
+            assert info.factor.shape == (3, 2, n_terms)
             assert info.floors.shape == (3, n_terms)
             assert np.count_nonzero(info.floors == 0, axis=1).tolist() == zeros
-            # User 0's single diagonal term, then zero terms.
-            first = info.terms[0, :, :, 0]
-            assert np.count_nonzero(first - np.diag(np.diag(first))) == 0
-            assert np.all(info.terms[0, :, :, 1:] == 0)
-            # Users 1 and 2 keep each measurement, zero floors too, as a term.
+            # User 0's floors are all 0: its singular values on the
+            # diagonal, in decreasing order, and zeros elsewhere.
+            sv = np.diag(info.factor[0])
+            assert np.array_equal(info.factor[0], sv[:, None] * np.eye(2, n_terms))
+            assert np.all(sv[:-1] >= sv[1:])
+            outer = columns[0] @ columns[0].conj().T
+            np.testing.assert_allclose(sv.real ** 2, np.linalg.eigvalsh(outer)[::-1],
+                                       rtol=0, atol=1e-12 * np.abs(outer).max())
+            # Users 1 and 2 keep QR's R: upper trapezoidal, with R^H R = C^H C,
+            # so that column j of R is measurement j in Q's basis.
             for k in (1, 2):
-                assert np.all(np.any(info.terms[k] != 0, axis=(0, 1)))
+                r = info.factor[k]
+                assert np.all(np.tril(r, -1) == 0)
+                gram = columns[k].conj().T @ columns[k]
+                np.testing.assert_allclose(r.conj().T @ r, gram, rtol=0,
+                                           atol=1e-12 * np.abs(gram).max())
 
     def test_interference_svd_memory_is_linear_in_the_stack_height(self):
         # 32 users, P = 6, d = 2: each interference stack is 186 x 2.  Its
@@ -648,6 +664,10 @@ class TestBatchedAllocations:
             alone = np.concatenate([rate_factors(x.blocks).rate(noise) for x in inputs],
                                    axis=-1)
             assert np.array_equal(batch.rate(noise), alone)
+        # A noise power gives the same bits alone as within the grid.
+        grid = batch.rate(self.NOISE)
+        for i, noise in enumerate(self.NOISE):
+            assert np.array_equal(batch.rate(noise), grid[i])
 
     def test_zero_floor_counts_differ_across_the_mix(self):
         # So the bit-identity above covers flat and graded rows, with
