@@ -11,8 +11,8 @@ Run:  python demos/02_allocation_and_neutralization.py
 
 import numpy as np
 
-from beamkey import (PathSet, RateInputs, Scenario, build_matrices, grid_sines,
-                     neutralization_residual)
+from beamkey import (PathSet, Scenario, build_matrices, grid_sines, neutralization_residual,
+                     rate_table)
 
 M, N, N_PATHS, USERS = 32, 4, 2, 3
 rng = np.random.default_rng(3)
@@ -28,29 +28,28 @@ for k in range(USERS):
         aod=np.arcsin(grid_sines(M)[beam_pool[k]]),
         powers=np.full(N_PATHS, 1 / N_PATHS),
     ))
-# Each user's Lambda = F F^H is carried as its factor F.  The rate inputs cut,
+# Each user's Lambda = F F^H is carried as its factor F.  The rate table cuts,
 # once, the rows of every F that each pair of users' beams select; one
 # residual call reads those rows against every user's Gram matrix F^H F and
-# returns the table of all pairs.
+# returns the residuals of all pairs.
 scenario = Scenario.from_paths(paths, M, [N] * USERS)
 alloc = scenario.allocate(N_PATHS, 2)
-inputs = RateInputs(scenario.factors, alloc)
+blocks = rate_table(scenario.factors, alloc)
 
 print("allocated transmit beams per user:", [s.tolist() for s in alloc.bs_beams])
 print("\ncross-user neutralization residuals (probing user -> listening user):")
-table = neutralization_residual(inputs.blocks, scenario.grams)
+table = neutralization_residual(blocks, scenario.grams)
 for k in range(USERS):
     for kp in range(USERS):
         if kp != k:
             print(f"  user {k} -> user {kp}: {table[k, kp]:.2e}")
-print(f"  largest: {scenario.max_residual(inputs.blocks):.2e}")
+print(f"  largest: {scenario.max_residual(blocks):.2e}")
 
 # Force an overlap: one beam per user, with user 0 probing straight through
 # user 1's strongest beam and user 1 moved to its second one.
 shared = int(alloc.bs_beams[1][0])
 forced = build_matrices([[shared], alloc.bs_beams[1][1:2]], alloc.ut_beams[:2], M, [N] * 2)
-r = neutralization_residual(RateInputs(scenario.factors[:2], forced).blocks[0][1],
-                            scenario.grams[1])
+r = neutralization_residual(rate_table(scenario.factors[:2], forced)[0][1], scenario.grams[1])
 print(f"\nprobing directly on user 1's beam {shared} instead: residual = {r:.3f}")
 print(f"(the leak equals the mean power riding on the shared beam, {1 / N_PATHS} here; "
       "disjoint beams keep it at ~0)")

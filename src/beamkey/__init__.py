@@ -49,7 +49,6 @@ from .experiments import (
 from .keyrate import (
     NumericalConsistencyError,
     ObservationCovariances,
-    RateInputs,
     SingularNoiseFreeRateError,
     assemble_observation_covariances,
     build_v_matrices,
@@ -57,6 +56,7 @@ from .keyrate import (
     gaussian_mi_oracle,
     pilot_overhead,
     rate_factors,
+    rate_table,
     secret_key_rate,
     unit_skr,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "NumericalConsistencyError",
     "ObservationCovariances",
     "PathSet",
-    "RateInputs",
     "Scenario",
     "ScenarioConfig",
     "SingularNoiseFreeRateError",
@@ -98,6 +97,7 @@ __all__ = [
     "pilot_overhead",
     "rank_beams",
     "rate_factors",
+    "rate_table",
     "run_beam_gain_profile",
     "run_multiuser_unit_rate",
     "run_overhead_comparison",

@@ -179,7 +179,7 @@ def allocate_bs_beams(diagonals, m_e: int) -> np.ndarray:
     beams collide.  Each turn is one array step over every trial.  Round r
     depends only on the rounds before it, so the allocation is prefix-closed:
     the first m picks of every user at `m_e` are the allocation at m, for
-    any m <= m_e.  The rate table (`RateInputs.blocks`) runs in vec order
+    any m <= m_e.  The rate table (`keyrate.rate_table`) runs in vec order
     j * n_e + i over transmit beam j, so the table at m is then the leading
     m * n_e rows of the table at `m_e`.
     """
@@ -251,13 +251,13 @@ def neutralization_residual(block: np.ndarray, gram: np.ndarray) -> np.ndarray |
     receive beams u, the constraint is that the entries (b, u) of user k''s
     beam-domain channel carry no power.  With Lambda_k' = F F^H, `block`
     B = F3[b][:, u, :] the rows of F those entries select
-    (`RateInputs.blocks[k][k']`) and `gram` = F^H F, the residual is
+    (entry [k, k'] of a `rate_table`) and `gram` = F^H F, the residual is
 
         ||B F^H||_F = sqrt(Re <B, B F^H F>),
 
     returned without normalization; the M*N_k' columns of B F^H are never
     formed.  Stacks give a table: blocks (..., d, P) against Gram matrices
-    that broadcast as (..., P, P), such as `RateInputs.blocks` (U, U, d, P)
+    that broadcast as (..., P, P), such as a `rate_table` (U, U, d, P)
     against every user's (U, P, P), give the (U, U) residuals, entry [k, k']
     as above.  A single pair gives a float.
     """

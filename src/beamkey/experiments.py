@@ -40,13 +40,13 @@ from .channel import (
     synthesize_channel,
 )
 from .keyrate import (
-    RateInputs,
     assemble_observation_covariances,
     full_sampling_rate,
     gaussian_mi_oracle,
     pilot_overhead,
     psd_eigh,
     rate_factors,
+    rate_table,
     secret_key_rate,  # unused here; the benchmark's tracer hooks this name
     unit_skr,
 )
@@ -389,17 +389,17 @@ class Scenario:
         return build_matrices(allocate_bs_beams(self.bs_gains, m_e), ut_beams,
                               self.bs_gains.shape[-1], counts)
 
-    def max_residual(self, blocks: np.ndarray):
+    def max_residual(self, table: np.ndarray):
         """Largest neutralization residual over ordered user pairs (0 for one
-        user) of an allocation's (..., U, U, d, P) `RateInputs.blocks` table:
-        the largest off-diagonal entry of one table of every pair, per trial
-        (a float for one trial)."""
-        n_users = blocks.shape[-4]
+        user) of an allocation's (..., U, U, d, P) `rate_table`: the largest
+        off-diagonal entry of the (..., U, U) residuals of every pair, per
+        trial (a float for one trial)."""
+        n_users = table.shape[-4]
         if n_users == 1:
-            residual = np.zeros(blocks.shape[:-4])  # no pair, so no table to form
+            residual = np.zeros(table.shape[:-4])  # no pair, so no residual to form
         else:
-            table = neutralization_residual(blocks, self.grams[..., None, :, :, :])
-            residual = table[..., ~np.eye(n_users, dtype=bool)].max(axis=-1)
+            pairs = neutralization_residual(table, self.grams[..., None, :, :, :])
+            residual = pairs[..., ~np.eye(n_users, dtype=bool)].max(axis=-1)
         return float(residual) if residual.ndim == 0 else residual
 
     def full_sampling_rate(self, noise_powers):
@@ -434,11 +434,13 @@ def trial_working_set(config: ScenarioConfig) -> int:
     two graded factors U * P * (2d + P) that `rate_factors` keeps: at one
     set's rank-one terms, at most U * P^2 * (P + d), next to two (U, n, P, P)
     information matrices, or at those matrices, their stack and its
-    Cholesky factors, six such stacks in all.  One user needs only a d x P
+    Cholesky factors, counted as five such stacks (`tracemalloc` puts
+    `rate`'s peak at 4.3 stacks above what it holds, for 3 and 6 users, 81
+    and 161 SNR points, 1 and 2 trials).  One user needs only a d x P
     table or its n x P gains.  The larger of the draw and the rest is the
     trial's share.  At the reference scenario the draw sets it, 0.71 MiB,
     and the traced peak of a block grows 0.63 MiB a trial; with 81 SNR
-    points `rate`'s stack sets it, 1.99 MiB, and the traced peak grows
+    points `rate`'s stack sets it, 1.72 MiB, and the traced peak grows
     1.54 MiB a trial.  A block also holds what does not grow with its
     trials, such as the conjugate M x M beam grid that `beam_path_factors`
     forms.
@@ -458,7 +460,7 @@ def trial_working_set(config: ScenarioConfig) -> int:
         held = users * n_paths * (2 * width + n_paths)
         terms = users * n_paths * n_paths * (n_paths + width)
         mats = users * n_snr * n_paths * n_paths
-        engine = max(stacks, held + max(terms + 2 * mats, 6 * mats))
+        engine = max(stacks, held + max(terms + 2 * mats, 5 * mats))
     table = users * users * width * n_paths
     return 16 * max(draw, factors + table + engine)
 
@@ -512,8 +514,7 @@ def _rate_block(config: ScenarioConfig, seeds: Sequence[np.random.SeedSequence],
                                  config.angle_mode == "on_grid")
     shape = (len(sigmas), len(seeds), config.users)  # (n, T, U)
     if me_values:
-        table = RateInputs(block.factors,
-                           block.allocate(max(me_values), config.ut_beams)).blocks
+        table = rate_table(block.factors, block.allocate(max(me_values), config.ut_beams))
     for j, m_e in enumerate(me_values):
         leading = table[..., :m_e * config.ut_beams, :]
         rates[:, :, j] = rate_factors(leading).rate(sigmas).reshape(shape).swapaxes(0, 1)
@@ -750,9 +751,9 @@ def closed_form_agreement_sweep(seed: int, instances: int) -> float:
         n_e = int(rng.integers(1, 3))
         s2 = float(rng.choice([0.01, 0.1, 1.0]))
         scenario = Scenario.draw(rng, n_p, m, [2] * n_users)
-        inputs = RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
-        for k, closed in enumerate(rate_factors(inputs.blocks).rate(s2)):
-            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
+        table = rate_table(scenario.factors, scenario.allocate(m_e, n_e))
+        for k, closed in enumerate(rate_factors(table).rate(s2)):
+            oracle = gaussian_mi_oracle(assemble_observation_covariances(table, k, s2))
             worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
     return worst
 
@@ -877,8 +878,8 @@ def run_validation_suite(config: ScenarioConfig) -> ValidationReport:
     sigma_sweep = np.logspace(-2, 2, 10)
     for _ in range(5):
         scenario = Scenario.draw(rng, 2, 16, [2, 2])
-        inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
-        rates = rate_factors(inputs.blocks).rate(sigma_sweep)
+        table = rate_table(scenario.factors, scenario.allocate(2, 2))
+        rates = rate_factors(table).rate(sigma_sweep)
         worst_increase = max(worst_increase, float(np.diff(rates, axis=0).max()))
     checks.append(_check("rate_monotonic_in_noise", worst_increase, 1e-9))
 
@@ -927,7 +928,7 @@ def _on_grid_neutralization(rng: np.random.Generator, n_users: int, m: int,
         paths_list.append(paths)
     scenario = Scenario.from_paths(paths_list, m, [n_ut] * n_users)
     alloc = scenario.allocate(n_p, min(n_p, n_ut))
-    worst_resid = scenario.max_residual(RateInputs(scenario.factors, alloc).blocks)
+    worst_resid = scenario.max_residual(rate_table(scenario.factors, alloc))
     channels = [synthesize_channel(p, m, n_ut) for p in paths_list]
     z_multi = downlink_probe(channels, alloc, 0.0)
     worst_e2e = 0.0
@@ -946,8 +947,8 @@ def _covariance_consistency(rng: np.random.Generator, noise: float,
     n_users = 2
     scenario = Scenario.draw(rng, n_p, m, [n_ut] * n_users)
     alloc = scenario.allocate(m_e, n_e)
-    inputs = RateInputs(scenario.factors, alloc)
-    expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
+    expected = assemble_observation_covariances(rate_table(scenario.factors, alloc), 0,
+                                                noise).r_zdl
     empirical = empirical_downlink_covariance(
         scenario.paths, alloc, noise, rounds, rng, user=0
     )

@@ -8,14 +8,14 @@ column-stacked beam-domain channel (such as the rank-P path factor), reshaped
 to F3_k of shape (M, N_k, P), and b_k, u_k user k's transmit and receive
 beam indices,
 
-    blocks[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P)
-    V_kk' = blocks[k][k']^H,    V_k = (sum_k'' blocks[k''][k])^H
+    table[k][k'] = F3_k'[b_k][:, u_k', :].reshape(-1, P)
+    V_kk' = table[k][k']^H,    V_k = (sum_k'' table[k''][k])^H
 
 whose columns run in the vec order j*n_e + i (transmit beam j, receive beam i).
-`RateInputs.blocks` cuts the table once per allocation, as one
-(U, U, m_e*n_e, P) array (every user has the same P), or (T, U, U, m_e*n_e, P)
-for a block of T trials; the rates and the neutralization residuals both
-read it.
+`rate_table` cuts the table once per allocation, as one (U, U, m_e*n_e, P)
+array (every user has the same P), or (T, U, U, m_e*n_e, P) for a block of
+T trials.  It is the one input of the rate layer: every rate entry point and
+the neutralization residuals read it.
 Grid beamformers are columns of unitary sampling matrices, so the noise in
 both observations is white with covariance sigma^2 * I.  With g and g_k'
 the users' white P-dim path gains (F carries the powers),
@@ -60,7 +60,7 @@ eigenbasis of G the three log-determinants come to
     I = sum_i log1p(g_i^2 / (sigma^2 (2 g_i + sigma^2))),
 
 the complete-grid sum of `full_sampling_rate` over g.  A batch of single-user
-inputs is rated by it: one batched SVD of the V_k gives g, and nothing else
+tables is rated by it: one batched SVD of the V_k gives g, and nothing else
 is factored.
 Accuracy: single-user rates are exact at every SNR, by the closed form; the
 80-digit tests hold them to the dense Gaussian MI to 1e-12 relative from
@@ -96,7 +96,6 @@ engine is checked against, not a runner path.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -155,75 +154,52 @@ class ObservationCovariances:
         return np.block([[self.r_zdl, self.r_cross], [self.r_cross.conj().T, self.r_zul]])
 
 
-@dataclass(frozen=True)
-class RateInputs:
-    """Everything but the noise power that the rate evaluation needs, for one
-    trial or for a block of trials.
+def rate_table(factors: Sequence[np.ndarray], allocation: BeamAllocation) -> np.ndarray:
+    """table[..., k, k', :, :] = F3_k'[b_k][:, u_k', :].reshape(-1, P), the
+    rate table that every rate entry point and neutralization residual reads.
 
-    lambda_factors : per-user covariance factors F_k with M*N_k rows and the
-                     same column count P for every user, Lambda_k = F_k F_k^H;
-                     for a block, each is a (..., M*N_k, P) stack over the
-                     allocation's trials
-    allocation     : the users' beams: the index sets `bs_beams` (m_e each)
-                     and `ut_beams` (n_e each) and the array sizes
-                     `bs_antennas` (M) and `ut_counts` (N_k); the
-                     post-correlation pilot dimensions are m_e and n_e
+    factors    : per-user covariance factors F_k with M*N_k rows and the same
+                 column count P for every user, Lambda_k = F_k F_k^H; for a
+                 block, each is a (..., M*N_k, P) stack over the allocation's
+                 trials
+    allocation : the users' beams: the index sets `bs_beams` (m_e each) and
+                 `ut_beams` (n_e each) and the array sizes `bs_antennas` (M)
+                 and `ut_counts` (N_k)
 
-    The allocation checks its own indices and beam counts; here there must
-    be one factor per user, fitting that user's arrays and the allocation's
-    trials, and one P for all, so that every user's observation model stacks
-    into one batch.  `blocks` is the per-allocation table of factor rows that
-    every V matrix, every neutralization residual and `rate_factors` read.
+    Entry (k, k') holds the rows of user k''s factor at user k's transmit
+    beams and user k''s receive beams, in vec order j*n_e + i: the rows
+    through which user k's pilots reach user k''s channel.  One
+    (..., U, U, m_e*n_e, P) array over the allocation's trials, filled by one
+    gather per source user k' over every trial at once.  The allocation
+    checks its own indices and beam counts; here there must be one factor
+    per user, fitting that user's arrays and the allocation's trials, and
+    one P for all, so that every user's observation model stacks into one
+    batch.
     """
-
-    lambda_factors: list[np.ndarray]
-    allocation: BeamAllocation
-
-    def __post_init__(self) -> None:
-        alloc = self.allocation
-        if len(self.lambda_factors) != alloc.n_users:
-            raise ValueError("need one covariance factor per allocated user")
-        m = alloc.bs_antennas
-        lead = alloc.bs_beams.shape[:-2]
-        trials = f" for each of the allocation's {math.prod(lead)} trials" if lead else ""
-        n_paths = self.lambda_factors[0].shape[-1]
-        for k, (factor, n_k) in enumerate(zip(self.lambda_factors, alloc.ut_counts)):
-            if factor.shape[:-1] != lead + (m * n_k,):
-                raise ValueError(f"lambda_factors[{k}] must be a matrix with {m * n_k} rows"
-                                 + trials)
-            if factor.shape[-1] != n_paths:
-                raise ValueError(f"lambda_factors[{k}] has {factor.shape[-1]} columns; every "
-                                 f"user needs {n_paths}, as user 0 has")
-
-    @property
-    def n_users(self) -> int:
-        return len(self.lambda_factors)
-
-    @functools.cached_property
-    def blocks(self) -> np.ndarray:
-        """blocks[..., k, k', :, :] = F3_k'[b_k][:, u_k', :].reshape(-1, P), cut once.
-
-        The rows of user k''s factor at user k's transmit beams and user
-        k''s receive beams, in vec order j*n_e + i: the rows through which
-        user k's pilots reach user k''s channel.  One (..., U, U, m_e*n_e, P)
-        array over the allocation's trials, filled by one gather per source
-        user k' over every trial at once.
-        """
-        alloc = self.allocation
-        lead = alloc.bs_beams.shape[:-2]
-        n_users, m_e = alloc.bs_beams.shape[-2:]
-        n_e = alloc.ut_beams.shape[-1]
-        n_paths = self.lambda_factors[0].shape[-1]
-        n_trials = math.prod(lead)
-        trials = np.arange(n_trials)[:, None, None, None]
-        bs = alloc.bs_beams.reshape(n_trials, n_users, m_e, 1)
-        ut = alloc.ut_beams.reshape(n_trials, n_users, 1, 1, n_e)
-        out = np.empty((n_trials, n_users, n_users, m_e, n_e, n_paths),
-                       dtype=np.result_type(*self.lambda_factors))
-        for kp, factor in enumerate(self.lambda_factors):
-            f3 = factor.reshape(n_trials, alloc.bs_antennas, -1, n_paths)
-            out[:, :, kp] = f3[trials, bs, ut[:, kp]]
-        return out.reshape(*lead, n_users, n_users, m_e * n_e, n_paths)
+    if len(factors) != allocation.n_users:
+        raise ValueError("need one covariance factor per allocated user")
+    m = allocation.bs_antennas
+    lead = allocation.bs_beams.shape[:-2]
+    per_trial = f" for each of the allocation's {math.prod(lead)} trials" if lead else ""
+    n_paths = factors[0].shape[-1]
+    for k, (factor, n_k) in enumerate(zip(factors, allocation.ut_counts)):
+        if factor.shape[:-1] != lead + (m * n_k,):
+            raise ValueError(f"factors[{k}] must be a matrix with {m * n_k} rows" + per_trial)
+        if factor.shape[-1] != n_paths:
+            raise ValueError(f"factors[{k}] has {factor.shape[-1]} columns; every "
+                             f"user needs {n_paths}, as user 0 has")
+    n_users, m_e = allocation.bs_beams.shape[-2:]
+    n_e = allocation.ut_beams.shape[-1]
+    n_trials = math.prod(lead)
+    trial = np.arange(n_trials)[:, None, None, None]
+    bs = allocation.bs_beams.reshape(n_trials, n_users, m_e, 1)
+    ut = allocation.ut_beams.reshape(n_trials, n_users, 1, 1, n_e)
+    out = np.empty((n_trials, n_users, n_users, m_e, n_e, n_paths),
+                   dtype=np.result_type(*factors))
+    for kp, factor in enumerate(factors):
+        f3 = factor.reshape(n_trials, m, -1, n_paths)
+        out[:, :, kp] = f3[trial, bs, ut[:, kp]]
+    return out.reshape(*lead, n_users, n_users, m_e * n_e, n_paths)
 
 
 def psd_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +241,7 @@ def hermitian_logdet(s: np.ndarray, context: str = "logdet") -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def build_v_matrices(table: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Factor matrices of user k's observation model.
 
     Returns (V_k, [V_kk' for every user k']).  V_k maps the stacked
@@ -273,13 +249,12 @@ def build_v_matrices(inputs: RateInputs, k: int) -> tuple[np.ndarray, list[np.nd
     user's transmit beams carry pilots at once, and user k listens on u_k.
     V_kk' maps user k's pilots through user k''s channel into the uplink
     observation: the base station listens on b_k while user k' sends on u_k'.
-    Both are read from `inputs.blocks` (module docstring); V_k sums its
-    blocks in user order.
+    Both are read from one trial's (U, U, d, P) `rate_table` (module
+    docstring); V_k sums its column of blocks in user order.
     """
-    _check_user(inputs, k)
-    blocks = inputs.blocks
-    v_k = sum(row[k].conj() for row in blocks).T
-    return v_k, [block.conj().T for block in blocks[k]]
+    _check_user(table, k)
+    v_k = sum(row[k].conj() for row in table).T
+    return v_k, [block.conj().T for block in table[k]]
 
 
 @dataclass(frozen=True)
@@ -432,8 +407,8 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 def rate_factors(blocks: np.ndarray) -> UserRateFactors:
     """Factor every user's observation model once for `UserRateFactors.rate`.
 
-    `blocks` is one (..., U, U, d, P) table: a `RateInputs.blocks` of one
-    trial or of a block of trials, or a view of its leading d rows.  Its
+    `blocks` is one (..., U, U, d, P) table: a `rate_table` of one trial or
+    of a block of trials, or a view of its leading d rows.  Its
     leading axes are flattened, trial-major, so its T * U users become the
     leading axis (row t * U + k is user k of table t).  V_k and
     the interference stacks are built within each table, so a user gets the
@@ -498,10 +473,11 @@ def _measurements(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     return u_k, sv_k, y[..., ::-1], floors[:, ::-1]
 
 
-def assemble_observation_covariances(inputs: RateInputs, k: int,
+def assemble_observation_covariances(table: np.ndarray, k: int,
                                      noise_power: float) -> ObservationCovariances:
     """Dense observation covariances of user k under the reused-pilot signal
-    model, at `noise_power` (the variance of each complex noise entry):
+    model, from one trial's `rate_table`, at `noise_power` (the variance of
+    each complex noise entry):
 
     r_zdl   = V_k^H V_k            + noise_power * I
     r_zul   = sum_k' V_kk'^H V_kk' + noise_power * I
@@ -511,7 +487,7 @@ def assemble_observation_covariances(inputs: RateInputs, k: int,
     `gaussian_mi_oracle` evaluates these; the rate engine never assembles them.
     """
     noise_power = float(_noise_powers(noise_power))
-    v_k, v_kks = build_v_matrices(inputs, k)
+    v_k, v_kks = build_v_matrices(table, k)
     return ObservationCovariances(
         _plus_noise(hermitize(v_k.conj().T @ v_k), noise_power),
         _plus_noise(hermitize(sum(v.conj().T @ v for v in v_kks)), noise_power),
@@ -519,8 +495,9 @@ def assemble_observation_covariances(inputs: RateInputs, k: int,
     )
 
 
-def secret_key_rate(inputs: RateInputs, k: int, noise_power: float) -> float:
-    """Closed-form key rate of user k at `noise_power`, in bits per probing round.
+def secret_key_rate(table: np.ndarray, k: int, noise_power: float) -> float:
+    """Closed-form key rate of user k of one trial's `rate_table` at
+    `noise_power`, in bits per probing round.
 
     The quantity is
 
@@ -528,11 +505,10 @@ def secret_key_rate(inputs: RateInputs, k: int, noise_power: float) -> float:
 
     with B_dl = V_k^H V_k + noise*I and B_ul = sum_k' V_kk'^H V_kk' + noise*I,
     evaluated by the rate engine at one point:
-    `rate_factors(inputs.blocks).rate(noise_power)[k]`, which factors every
-    user.
+    `rate_factors(table).rate(noise_power)[k]`, which factors every user.
     """
-    _check_user(inputs, k)
-    return float(rate_factors(inputs.blocks).rate(noise_power)[k])
+    _check_user(table, k)
+    return float(rate_factors(table).rate(noise_power)[k])
 
 
 def gaussian_mi_oracle(cov: ObservationCovariances) -> float:
@@ -632,18 +608,18 @@ def unit_skr(sum_rate: float, overhead: int) -> float:
     return float(sum_rate) / overhead
 
 
-def _check_user(inputs: RateInputs, k: int) -> None:
-    if inputs.allocation.bs_beams.ndim != 2:
-        raise ValueError("one user's rate needs one trial's rate inputs, not a block of "
-                         f"{len(inputs.allocation.bs_beams)} trials")
-    if not 0 <= k < inputs.n_users:
-        raise ValueError(f"user index {k} out of range for {inputs.n_users} users")
+def _check_user(table: np.ndarray, k: int) -> None:
+    shape = np.shape(table)
+    if len(shape) != 4 or shape[0] != shape[1]:
+        got = f"a block of {math.prod(shape[:-4])} trials" if len(shape) > 4 else f"shape {shape}"
+        raise ValueError(f"one user's rate needs one trial's (U, U, d, P) rate table, not {got}")
+    if not 0 <= k < shape[0]:
+        raise ValueError(f"user index {k} out of range for {shape[0]} users")
 
 
 __all__ = [
     "NumericalConsistencyError",
     "ObservationCovariances",
-    "RateInputs",
     "SingularNoiseFreeRateError",
     "assemble_observation_covariances",
     "build_v_matrices",
@@ -653,6 +629,7 @@ __all__ = [
     "pilot_overhead",
     "psd_eigh",
     "rate_factors",
+    "rate_table",
     "secret_key_rate",
     "unit_skr",
     "GradedInformation",

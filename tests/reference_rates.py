@@ -12,7 +12,7 @@ import numpy as np
 
 from beamkey._util import hermitize
 from beamkey.experiments import Scenario
-from beamkey.keyrate import RateInputs, psd_eigh
+from beamkey.keyrate import psd_eigh, rate_table
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
@@ -68,11 +68,16 @@ def mp_gaussian_mi_bits(v_k, v_kks, k, noise_powers):
     return np.array(rates)
 
 
+def runner_scenario(config, rng):
+    """One trial's users, drawn the way the runners draw them."""
+    return Scenario.draw(rng, config.n_paths, config.bs_antennas,
+                         config.ut_antenna_list(), config.angle_mode == "on_grid")
+
+
 def runner_draw(config, rng, m_e):
-    """One trial's users and allocation, drawn the way the runners draw them."""
-    scenario = Scenario.draw(rng, config.n_paths, config.bs_antennas,
-                             config.ut_antenna_list(), config.angle_mode == "on_grid")
-    return RateInputs(scenario.factors, scenario.allocate(m_e, config.ut_beams))
+    """One trial's rate table, drawn and allocated the way the runners do."""
+    scenario = runner_scenario(config, rng)
+    return rate_table(scenario.factors, scenario.allocate(m_e, config.ut_beams))
 
 
 # The accuracy sweep's SNR grid, in dB.
@@ -80,8 +85,9 @@ SWEEP_SNR_DB = np.array([-60.0, -30.0, -10.0, 0.0, 30.0, 60.0, 100.0, 150.0, 180
 
 
 def sweep_draws(n_draws=60, seed=7):
-    """The accuracy sweep's draws: `n_draws` (rate inputs, on_grid) pairs
-    from `default_rng(seed)`, each drawn by one rule, in this order:
+    """The accuracy sweep's draws: `n_draws` (rate table, allocation,
+    on_grid) triples from `default_rng(seed)`, each drawn by one rule, in
+    this order:
 
     - U uniform on 1-4, M 16 or 32, each N_k 2 or 4, on or off grid;
     - P uniform on 1-3, capped at min N_k on grid, where paths sit on
@@ -102,4 +108,5 @@ def sweep_draws(n_draws=60, seed=7):
         m_e = int(rng.integers(1, 4))
         n_e = int(rng.integers(1, min(ut_counts) + 1))
         scenario = Scenario.draw(rng, n_paths, m, ut_counts, on_grid)
-        yield RateInputs(scenario.factors, scenario.allocate(m_e, n_e)), on_grid
+        alloc = scenario.allocate(m_e, n_e)
+        yield rate_table(scenario.factors, alloc), alloc, on_grid

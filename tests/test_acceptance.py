@@ -34,9 +34,9 @@ from beamkey.experiments import (
     closed_form_agreement_sweep,
 )
 from beamkey.keyrate import (
-    RateInputs,
     assemble_observation_covariances,
     pilot_overhead,
+    rate_table,
 )
 from beamkey.probing import downlink_probe, uplink_probe
 
@@ -189,7 +189,7 @@ def test_criterion_6_reciprocity_and_neutralization_on_grid():
         for k in range(n_users)
     )
     factors = [beam_covariance_factor(p, m, n_ut)[0] for p in paths_list]
-    blocks = RateInputs(factors, alloc).blocks
+    blocks = rate_table(factors, alloc)
     worst_resid = max(
         neutralization_residual(blocks[k][kp], factors[kp].conj().T @ factors[kp])
         for k in range(n_users) for kp in range(n_users) if kp != k
@@ -212,8 +212,7 @@ def test_criterion_7_covariance_consistency():
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
     factors = [beam_covariance_factor(p, m, n_ut)[0] for p in paths_list]
-    inputs = RateInputs(factors, alloc)
-    expected = assemble_observation_covariances(inputs, 0, noise).r_zdl
+    expected = assemble_observation_covariances(rate_table(factors, alloc), 0, noise).r_zdl
     empirical = empirical_downlink_covariance(
         paths_list, alloc, noise, rounds=100_000, rng=rng, user=0
     )

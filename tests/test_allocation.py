@@ -21,7 +21,7 @@ from beamkey.channel import (
     sample_paths,
 )
 from beamkey.experiments import Scenario
-from beamkey.keyrate import RateInputs
+from beamkey.keyrate import rate_table
 from reference_rates import psd_sqrt
 
 
@@ -186,8 +186,8 @@ class TestBuildMatrices:
 
 
 def residual(factors, alloc, k, kp):
-    """User k's probing leak into user k', from the rate inputs' block table."""
-    block = RateInputs(factors, alloc).blocks[k][kp]
+    """User k's probing leak into user k', from its block of the rate table."""
+    block = rate_table(factors, alloc)[k][kp]
     return neutralization_residual(block, factors[kp].conj().T @ factors[kp])
 
 
@@ -211,12 +211,12 @@ class TestNeutralizationResidual:
         rng = np.random.default_rng(m + n_p)
         for _ in range(5):
             scenario = Scenario.draw(rng, n_p, m, counts, on_grid)
-            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, 2))
-            table = neutralization_residual(inputs.blocks, scenario.grams)
+            blocks = rate_table(scenario.factors, scenario.allocate(m_e, 2))
+            table = neutralization_residual(blocks, scenario.grams)
             assert table.shape == (len(counts), len(counts))
             for k in range(len(counts)):
                 for kp in range(len(counts)):
-                    single = neutralization_residual(inputs.blocks[k][kp], scenario.grams[kp])
+                    single = neutralization_residual(blocks[k][kp], scenario.grams[kp])
                     assert type(single) is float
                     assert table[k, kp] == single
 

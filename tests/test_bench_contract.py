@@ -85,3 +85,18 @@ def test_reference_ops_match_the_recorded_rates(tmp_path, name):
     repeat = tmp_path / "repeat"
     assert worker.run_op(cli, w, config, op_seed(name, DEFAULT_SEED, 0), repeat)[2] == []
     assert worker.same_files(tmp_path / "op0", repeat) is None
+
+
+@pytest.mark.parametrize("index", [0, 35])
+def test_validate_suite_ops_pass_the_output_check(tmp_path, index):
+    # Op 35 at the default seed is the suite's closest known reading to a
+    # bound: `rate_oracle_equivalence` reads 1.75e-9 against 1e-8, set by a
+    # 3-user instance whose user 2 has a rate of 9.13e-8 bits, which the
+    # float64 oracle misses by 2.5e-9 relative and the engine by 7.5e-10.
+    from beamkey import cli
+
+    w = WORKLOADS["validate_suite"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(w.config))
+    seed = op_seed("validate_suite", DEFAULT_SEED, index)
+    assert worker.run_op(cli, w, config, seed, tmp_path / "out")[2] == []

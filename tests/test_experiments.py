@@ -43,12 +43,12 @@ from beamkey.experiments import (
     write_result,
 )
 from beamkey.keyrate import (
-    RateInputs,
     assemble_observation_covariances,
     full_sampling_rate,
     gaussian_mi_oracle,
     psd_eigh,
     rate_factors,
+    rate_table,
     secret_key_rate,
 )
 from beamkey.probing import downlink_maps, downlink_probe, uplink_probe
@@ -320,14 +320,14 @@ class TestScenario:
     @pytest.mark.parametrize("seed", [23, 28])
     def test_max_residual_over_ordered_pairs(self, seed):
         scenario = Scenario.draw(np.random.default_rng(seed), 2, 16, [4, 2, 3])
-        inputs = RateInputs(scenario.factors, scenario.allocate(2, 2))
+        table = rate_table(scenario.factors, scenario.allocate(2, 2))
         expected = max(
-            neutralization_residual(inputs.blocks[k][kp],
+            neutralization_residual(table[k][kp],
                                     scenario.factors[kp].conj().T @ scenario.factors[kp])
             for k in range(3) for kp in range(3) if kp != k)
-        assert scenario.max_residual(inputs.blocks) == expected > 0
+        assert scenario.max_residual(table) == expected > 0
         alone = Scenario.from_paths(scenario.paths[:1], 16, [4])
-        assert alone.max_residual(RateInputs(alone.factors, alone.allocate(2, 2)).blocks) == 0.0
+        assert alone.max_residual(rate_table(alone.factors, alone.allocate(2, 2))) == 0.0
 
     def test_one_grid_per_array_size(self):
         sampling_matrix.cache_clear()
@@ -382,8 +382,8 @@ def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
         for m_e in cfg.bs_beams_compare:
             alloc = scenario.allocate(m_e, cfg.ut_beams)
             for k in range(cfg.users):
-                inputs = RateInputs(scenario.factors, alloc)
-                rates = [gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
+                table = rate_table(scenario.factors, alloc)
+                rates = [gaussian_mi_oracle(assemble_observation_covariances(table, k, s2))
                          for s2 in noise]
                 oracle.setdefault((m_e, k), []).append(rates)
     checked = 0
@@ -444,9 +444,9 @@ def one_trial_at_a_time(cfg):
                                  cfg.ut_antenna_list(), cfg.angle_mode == "on_grid")
         trial, worst = [], []
         for m_e in cfg.bs_beams_compare:
-            inputs = RateInputs(scenario.factors, scenario.allocate(m_e, cfg.ut_beams))
-            trial.append(rate_factors(inputs.blocks).rate(sigmas))
-            worst.append(scenario.max_residual(inputs.blocks))
+            table = rate_table(scenario.factors, scenario.allocate(m_e, cfg.ut_beams))
+            trial.append(rate_factors(table).rate(sigmas))
+            worst.append(scenario.max_residual(table))
         trial.append(scenario.full_sampling_rate(sigmas))
         rates.append(np.stack(trial, axis=1))
         residuals.append(worst)
@@ -557,9 +557,9 @@ class TestOneAllocationPerTrial:
         sigmas = small_multi_user().noise_powers()
         for seed in range(5):
             scenario = Scenario.draw(np.random.default_rng(seed), 2, 32, [4, 2, 8], on_grid)
-            wide = RateInputs(scenario.factors, scenario.allocate(widest, n_e)).blocks
+            wide = rate_table(scenario.factors, scenario.allocate(widest, n_e))
             for m in range(1, widest + 1):
-                alone = RateInputs(scenario.factors, scenario.allocate(m, n_e)).blocks
+                alone = rate_table(scenario.factors, scenario.allocate(m, n_e))
                 leading = wide[:, :, : m * n_e]
                 assert np.array_equal(alone, leading)
                 assert scenario.max_residual(alone) == scenario.max_residual(leading)
@@ -660,10 +660,13 @@ class TestBlockChecks:
         assert len(downlink_probe(channels, one, 0.0)) == 3
 
     def test_one_users_rate_needs_one_trial(self):
-        inputs = RateInputs(self.block.factors, self.alloc)
-        with pytest.raises(ValueError, match="one trial's rate inputs"):
-            secret_key_rate(inputs, 0, 0.1)
-        assert inputs.blocks.shape == (5, 3, 3, 4, 2)
+        table = rate_table(self.block.factors, self.alloc)
+        with pytest.raises(ValueError, match=r"one trial's \(U, U, d, P\) rate table, not "
+                                             r"a block of 5 trials"):
+            secret_key_rate(table, 0, 0.1)
+        with pytest.raises(ValueError, match=r"rate table, not shape \(3, 4, 2\)"):
+            secret_key_rate(table[0, 0], 0, 0.1)
+        assert table.shape == (5, 3, 3, 4, 2)
 
     def test_block_memory_is_bounded(self):
         # One full block's draw, allocation, table, `rate_factors` and
@@ -723,8 +726,7 @@ def rate_one_block(cfg):
             for s in _trial_seeds(cfg)[:experiments.trials_per_block(cfg)]]
     block = Scenario.draw_trials(rngs, cfg.n_paths, cfg.bs_antennas, cfg.ut_antenna_list(),
                                  cfg.angle_mode == "on_grid")
-    table = RateInputs(block.factors, block.allocate(max(cfg.bs_beams_compare),
-                                                     cfg.ut_beams)).blocks
+    table = rate_table(block.factors, block.allocate(max(cfg.bs_beams_compare), cfg.ut_beams))
     for m_e in cfg.bs_beams_compare:
         rate_factors(table[..., : m_e * cfg.ut_beams, :]).rate(cfg.noise_powers())
 

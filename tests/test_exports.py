@@ -17,6 +17,7 @@ REMOVED = (
     "PILOT_MODES",
     "PilotSet",
     "ProbingObservation",
+    "RateInputs",
     "make_pilots",
     "observations_to_csv",
     "pathset_from_json",

@@ -19,7 +19,6 @@ from beamkey.channel import (
 from beamkey.keyrate import (
     NumericalConsistencyError,
     ObservationCovariances,
-    RateInputs,
     SingularNoiseFreeRateError,
     _finalize_rate,
     _measurements,
@@ -31,6 +30,7 @@ from beamkey.keyrate import (
     pilot_overhead,
     psd_eigh,
     rate_factors,
+    rate_table,
     secret_key_rate,
     unit_skr,
 )
@@ -40,6 +40,7 @@ from reference_rates import (
     mp_gaussian_mi_bits,
     psd_sqrt,
     runner_draw,
+    runner_scenario,
     sweep_draws,
 )
 
@@ -49,9 +50,9 @@ def random_psd(rng, n):
     return b.conj().T @ b
 
 
-def full_inputs(factor, m, n_ut):
+def full_table(factor, m, n_ut):
     """Complete-grid probing of a single user."""
-    return RateInputs([factor], build_matrices([np.arange(m)], [np.arange(n_ut)], m, [n_ut]))
+    return rate_table([factor], build_matrices([np.arange(m)], [np.arange(n_ut)], m, [n_ut]))
 
 
 class TestPsdSqrt:
@@ -139,11 +140,11 @@ class TestFinalizeRate:
 
 class TestBuildVMatrices:
     def test_zero_covariance_gives_zero_factors(self):
-        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4)
-        v_k, v_kks = build_v_matrices(inputs, 0)
+        table = full_table(np.zeros((32, 2), dtype=complex), 8, 4)
+        v_k, v_kks = build_v_matrices(table, 0)
         assert np.all(v_k == 0) and np.all(v_kks[0] == 0)
-        assert secret_key_rate(inputs, 0, 0.5) == 0.0
-        assert gaussian_mi_oracle(assemble_observation_covariances(inputs, 0, 0.5)) == (
+        assert secret_key_rate(table, 0, 0.5) == 0.0
+        assert gaussian_mi_oracle(assemble_observation_covariances(table, 0, 0.5)) == (
             pytest.approx(0.0, abs=1e-12))
 
     def test_aligned_on_grid_path_has_unit_factor_norm(self):
@@ -157,8 +158,8 @@ class TestBuildVMatrices:
             powers=[1.0],
         )
         factor, _, _ = beam_covariance_factor(paths, m, n_ut)
-        inputs = RateInputs([factor], build_matrices([[5]], [[2]], m, [n_ut]))
-        v_k, _ = build_v_matrices(inputs, 0)
+        table = rate_table([factor], build_matrices([[5]], [[2]], m, [n_ut]))
+        v_k, _ = build_v_matrices(table, 0)
         assert np.linalg.norm(v_k) == pytest.approx(1.0, abs=1e-10)
 
     def test_disjoint_on_grid_cross_factors_vanish(self):
@@ -175,24 +176,29 @@ class TestBuildVMatrices:
                 powers=np.full(n_p, 1 / n_p),
             ))
         scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
-        inputs = RateInputs(scenario.factors, scenario.allocate(n_p, 2))
-        _, v_kks = build_v_matrices(inputs, 0)
+        table = rate_table(scenario.factors, scenario.allocate(n_p, 2))
+        _, v_kks = build_v_matrices(table, 0)
         assert np.max(np.abs(v_kks[1])) < 1e-10
 
 
-def scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e):
-    """Random off-grid users with the given antenna counts, allocated as the runners do."""
+def scenario_draw(rng, m, ut_counts, n_p, m_e, n_e):
+    """Random off-grid users with the given antenna counts: their factors and
+    their allocation, allocated as the runners do."""
     scenario = Scenario.draw(rng, n_p, m, ut_counts)
-    return RateInputs(scenario.factors, scenario.allocate(m_e, n_e))
+    return scenario.factors, scenario.allocate(m_e, n_e)
 
 
-def kron_v_matrices(inputs, k):
+def scenario_table(rng, m, ut_counts, n_p, m_e, n_e):
+    """The rate table of `scenario_draw`."""
+    return rate_table(*scenario_draw(rng, m, ut_counts, n_p, m_e, n_e))
+
+
+def kron_v_matrices(f, alloc, k):
     """V_k and every V_kk' through dense 0/1 selectors and kron, built from the
-    beam indices: V_k = (kron(S_sum^T, C_k^H) F_k)^H, V_kk' = (kron(S_k^T, C_k'^H) F_k')^H."""
-    alloc = inputs.allocation
+    factors f and the beam indices:
+    V_k = (kron(S_sum^T, C_k^H) F_k)^H, V_kk' = (kron(S_k^T, C_k'^H) F_k')^H."""
     sel_bs = [np.eye(alloc.bs_antennas)[:, b] for b in alloc.bs_beams]
     sel_ut = [np.eye(n)[:, u] for n, u in zip(alloc.ut_counts, alloc.ut_beams)]
-    f = inputs.lambda_factors
     v_k = (np.kron(sum(sel_bs).T, sel_ut[k].conj().T) @ f[k]).conj().T
     v_kks = [(np.kron(sel_bs[k].T, c.conj().T) @ f_kp).conj().T
              for c, f_kp in zip(sel_ut, f)]
@@ -214,10 +220,11 @@ class TestIndexRoute:
     ])
     def test_matches_kron_reference(self, m, ut_counts, n_p, m_e, n_e):
         rng = np.random.default_rng(m + 10 * len(ut_counts) + n_p)
-        inputs = scenario_inputs(rng, m, ut_counts, n_p, m_e, n_e)
-        for k in range(inputs.n_users):
-            v_k, v_kks = build_v_matrices(inputs, k)
-            ref_k, ref_kks = kron_v_matrices(inputs, k)
+        factors, alloc = scenario_draw(rng, m, ut_counts, n_p, m_e, n_e)
+        table = rate_table(factors, alloc)
+        for k in range(len(ut_counts)):
+            v_k, v_kks = build_v_matrices(table, k)
+            ref_k, ref_kks = kron_v_matrices(factors, alloc, k)
             assert v_k.shape == ref_k.shape
             assert np.max(np.abs(v_k - ref_k)) <= 1e-14
             assert len(v_kks) == len(ref_kks)
@@ -226,17 +233,16 @@ class TestIndexRoute:
                 assert np.max(np.abs(v - ref)) <= 1e-14
 
     def setup_method(self):
-        self.inputs = scenario_inputs(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
-        self.alloc = self.inputs.allocation
+        self.factors, self.alloc = scenario_draw(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
 
     def test_wrong_factor_rows_rejected(self):
-        factors = [self.inputs.lambda_factors[0], self.inputs.lambda_factors[0]]
-        with pytest.raises(ValueError, match=r"lambda_factors\[1\] must be a matrix with 32 rows"):
-            RateInputs(factors, self.alloc)
+        factors = [self.factors[0], self.factors[0]]
+        with pytest.raises(ValueError, match=r"^factors\[1\] must be a matrix with 32 rows"):
+            rate_table(factors, self.alloc)
 
     def test_factor_count_must_match_users(self):
         with pytest.raises(ValueError, match="one covariance factor per allocated user"):
-            RateInputs(self.inputs.lambda_factors[:1], self.alloc)
+            rate_table(self.factors[:1], self.alloc)
 
     @pytest.mark.parametrize("field, beams", [
         ("bs_beams", [5, 16]), ("bs_beams", [5, -1]), ("ut_beams", [0, 2]), ("ut_beams", [0, -1]),
@@ -244,7 +250,7 @@ class TestIndexRoute:
     def test_out_of_range_index_rejected(self, field, beams):
         # User 1 has 16 transmit and 2 receive beams; a negative index would
         # otherwise wrap around silently.  The allocation rejects it as it
-        # is built, so no rate input can hold it.
+        # is built, so no rate table can hold it.
         message = {"bs_beams": "transmit beam index out of range",
                    "ut_beams": "invalid receive beam indices"}[field]
         with pytest.raises(ValueError, match=f"{message} for user 1"):
@@ -256,13 +262,12 @@ class TestIndexRoute:
     ])
     def test_v_matrices_are_the_blocks(self, m, ut_counts, n_p, m_e, n_e):
         # V_kk' = blocks[k][k']^H and V_k = (sum_k'' blocks[k''][k])^H, bit
-        # for bit, with the table cut once per rate inputs.
-        inputs = scenario_inputs(np.random.default_rng(m + n_p), m, ut_counts, n_p, m_e, n_e)
-        blocks = inputs.blocks
-        assert inputs.blocks is blocks
-        assert [len(row) for row in blocks] == [inputs.n_users] * inputs.n_users
-        for k in range(inputs.n_users):
-            v_k, v_kks = build_v_matrices(inputs, k)
+        # for bit, from one `rate_table`.
+        blocks = scenario_table(np.random.default_rng(m + n_p), m, ut_counts, n_p, m_e, n_e)
+        n_users = len(ut_counts)
+        assert [len(row) for row in blocks] == [n_users] * n_users
+        for k in range(n_users):
+            v_k, v_kks = build_v_matrices(blocks, k)
             total = blocks[0][k]
             for row in blocks[1:]:
                 total = total + row[k]
@@ -281,27 +286,27 @@ class TestSecretKeyRate:
             sizes = [int(rng.choice([8, 16])), [2] * n_users, int(rng.integers(1, 4)),
                      int(rng.integers(1, 3)), int(rng.integers(1, 3))]
             noise = float(rng.choice([0.01, 0.1, 1.0]))
-            inputs = scenario_inputs(rng, *sizes)
+            table = scenario_table(rng, *sizes)
             for k in range(n_users):
-                closed = secret_key_rate(inputs, k, noise)
-                oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, noise))
+                closed = secret_key_rate(table, k, noise)
+                oracle = gaussian_mi_oracle(assemble_observation_covariances(table, k, noise))
                 worst = max(worst, abs(closed - oracle) / max(oracle, 1e-12))
         assert worst <= 1e-8
 
     def test_monotone_decreasing_in_noise(self):
         rng = np.random.default_rng(5)
-        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
-        rates = [secret_key_rate(inputs, 0, s2) for s2 in (1.0, 10.0, 100.0, 1000.0)]
+        table = scenario_table(rng, 16, [2, 2], 2, 2, 2)
+        rates = [secret_key_rate(table, 0, s2) for s2 in (1.0, 10.0, 100.0, 1000.0)]
         for earlier, later in zip(rates, rates[1:]):
             assert later <= earlier + 1e-9
-        sweep = [secret_key_rate(inputs, 0, s2) for s2 in np.logspace(-2, 2, 10)]
+        sweep = [secret_key_rate(table, 0, s2) for s2 in np.logspace(-2, 2, 10)]
         assert np.max(np.diff(sweep)) <= 1e-9
 
     def test_negative_noise_rejected(self):
         rng = np.random.default_rng(6)
-        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2)
+        table = scenario_table(rng, 8, [2], 2, 2, 2)
         with pytest.raises(ValueError):
-            secret_key_rate(inputs, 0, -1.0)
+            secret_key_rate(table, 0, -1.0)
 
     def test_noise_free_rank_deficient_rejected(self):
         # A single path probed through two beams leaves the observation
@@ -314,35 +319,35 @@ class TestSecretKeyRate:
             powers=[1.0],
         )
         factor, _, _ = beam_covariance_factor(paths, m, n_ut)
-        inputs = RateInputs([factor], build_matrices([[2, 3]], [[1, 0]], m, [n_ut]))
+        table = rate_table([factor], build_matrices([[2, 3]], [[1, 0]], m, [n_ut]))
         with pytest.raises(SingularNoiseFreeRateError):
-            secret_key_rate(inputs, 0, 0.0)
+            secret_key_rate(table, 0, 0.0)
 
 
-def factor_and_dense_inputs(rng, n_users, m, n_ut, n_p, m_e, n_e):
-    """One random scenario as rate inputs twice: with each user's rank-P path
-    factor, and with psd_sqrt of the dense covariance as the factor."""
+def factor_and_dense_tables(rng, n_users, m, n_ut, n_p, m_e, n_e):
+    """One random scenario's rank-P path factors, and its rate table twice:
+    from those factors, and from psd_sqrt of the dense covariances."""
     paths = [sample_paths(n_p, rng) for _ in range(n_users)]
     covs = [beam_covariances(p, m, n_ut) for p in paths]
     bs_sets = allocate_bs_beams([np.real(np.diag(c.r_bs)) for c in covs], m_e)
     ut_sets = [allocate_ut_beams(np.real(np.diag(c.r_ut)), n_e) for c in covs]
     alloc = build_matrices(bs_sets, ut_sets, m, [n_ut] * n_users)
-    factored = RateInputs([beam_covariance_factor(p, m, n_ut)[0] for p in paths], alloc)
-    dense = replace(factored, lambda_factors=[psd_sqrt(c.lambda_full) for c in covs])
-    return factored, dense, covs
+    factors = [beam_covariance_factor(p, m, n_ut)[0] for p in paths]
+    factored = rate_table(factors, alloc)
+    dense = rate_table([psd_sqrt(c.lambda_full) for c in covs], alloc)
+    return factors, factored, dense, covs
 
 
 class TestFactorMatchesDense:
     """The rank-P factor route against the dense square-root route."""
 
-    def assert_routes_agree(self, factored, dense, covs, noise):
-        for k in range(factored.n_users):
+    def assert_routes_agree(self, factors, factored, dense, covs, noise):
+        for k, f in enumerate(factors):
             assert secret_key_rate(factored, k, noise) == pytest.approx(
                 secret_key_rate(dense, k, noise), rel=1e-10)
             for s2 in (0.01, 1.0, 10.0):
-                assert rate_factors(factored.blocks).rate(s2)[k] == pytest.approx(
-                    rate_factors(dense.blocks).rate(s2)[k], rel=1e-10)
-            f = factored.lambda_factors[k]
+                assert rate_factors(factored).rate(s2)[k] == pytest.approx(
+                    rate_factors(dense).rate(s2)[k], rel=1e-10)
             lam = covs[k].lambda_full
             gram_eigs = psd_eigh(f.conj().T @ f)[0]
             dense_eigs = psd_eigh(lam)[0]
@@ -359,12 +364,12 @@ class TestFactorMatchesDense:
             sizes = [n_users, m, int(rng.choice([2, 4])), int(rng.integers(1, 4)),
                      int(rng.integers(1, m // (2 * n_users) + 1)), int(rng.integers(1, 3))]
             noise = float(rng.choice([0.01, 0.1, 1.0]))
-            self.assert_routes_agree(*factor_and_dense_inputs(rng, *sizes), noise)
+            self.assert_routes_agree(*factor_and_dense_tables(rng, *sizes), noise)
 
     def test_reference_size_user(self):
         # M = 128, N = 4, P = 6: the dense covariance is 512 x 512.
         rng = np.random.default_rng(14)
-        self.assert_routes_agree(*factor_and_dense_inputs(rng, 1, 128, 4, 6, 6, 4), 0.1)
+        self.assert_routes_agree(*factor_and_dense_tables(rng, 1, 128, 4, 6, 6, 4), 0.1)
 
 
 HIGH_SNR_DB = np.array([30.0, 60.0, 100.0, 150.0, 200.0])
@@ -381,27 +386,27 @@ class TestRateEngine:
     def test_matches_80_digit_gaussian_mi(self, config, users):
         # At 200 dB, user 0 of this draw reads 98.53 bits; the Cholesky
         # oracle with diagonal jitter used to report 77.5.
-        inputs = runner_draw(config, np.random.default_rng(5), m_e=6)
+        table = runner_draw(config, np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
-        fast = rate_factors(inputs.blocks).rate(noise)
+        fast = rate_factors(table).rate(noise)
         for k in users:
-            v_k, v_kks = build_v_matrices(inputs, k)
+            v_k, v_kks = build_v_matrices(table, k)
             exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
             np.testing.assert_allclose(fast[:, k], exact, rtol=1e-12, atol=0)
-        if inputs.n_users == 6:
-            assert rate_factors(inputs.blocks).rate(1e-20)[0] == pytest.approx(98.5279, abs=1e-4)
+        if len(table) == 6:
+            assert rate_factors(table).rate(1e-20)[0] == pytest.approx(98.5279, abs=1e-4)
 
     @pytest.mark.parametrize("m_e, n_e", [(4, 1), (1, 4), (1, 1)])
     def test_rank_deficient_single_user_matches_80_digit_gaussian_mi(self, m_e, n_e):
         # Fewer measurements than paths (m_e * n_e < P = 6): the information
         # matrices are singular, and used to fail to factorize at high SNR.
-        inputs = scenario_inputs(np.random.default_rng(0), 128, [4], 6, m_e, n_e)
+        table = scenario_table(np.random.default_rng(0), 128, [4], 6, m_e, n_e)
         noise = 10.0 ** (-HIGH_SNR_DB / 10.0)
-        v_k, v_kks = build_v_matrices(inputs, 0)
-        np.testing.assert_allclose(rate_factors(inputs.blocks).rate(noise)[:, 0],
+        v_k, v_kks = build_v_matrices(table, 0)
+        np.testing.assert_allclose(rate_factors(table).rate(noise)[:, 0],
                                    mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("make_inputs", [
+    @pytest.mark.parametrize("make_table", [
         lambda: runner_draw(ScenarioConfig(bs_antennas=32, users=1), np.random.default_rng(5),
                             m_e=6),
         lambda: runner_draw(ScenarioConfig(bs_antennas=32, users=1), np.random.default_rng(5),
@@ -410,24 +415,24 @@ class TestRateEngine:
                                            angle_mode="on_grid"),
                             np.random.default_rng(5), m_e=6),
         # Fewer measurements than paths: m_e * n_e = 4 < P = 6.
-        lambda: scenario_inputs(np.random.default_rng(0), 128, [4], 6, 1, 4),
+        lambda: scenario_table(np.random.default_rng(0), 128, [4], 6, 1, 4),
     ], ids=["m_e_6", "m_e_4", "on_grid", "rank_deficient"])
     def test_single_user_matches_80_digit_gaussian_mi_from_minus_60_to_200_db(
-            self, make_inputs):
+            self, make_table):
         # One user's rate is the complete-grid sum over V_k's squared
         # singular values.  The three log-determinants of the graded route,
         # each O(1/sigma^2), cancelled to an O(1/sigma^4) rate: they missed
         # by 1.5e-3, 5.8e-3, 9.4e-4 and 7.8e-3 at -60 dB on these draws.
-        inputs = make_inputs()
+        table = make_table()
         noise = 10.0 ** (-np.arange(-60.0, 201.0, 10.0) / 10.0)
-        v_k, v_kks = build_v_matrices(inputs, 0)
-        np.testing.assert_allclose(rate_factors(inputs.blocks).rate(noise)[:, 0],
+        v_k, v_kks = build_v_matrices(table, 0)
+        np.testing.assert_allclose(rate_factors(table).rate(noise)[:, 0],
                                    mp_gaussian_mi_bits(v_k, v_kks, 0, noise), rtol=1e-12, atol=0)
 
     def test_batched_grid_equals_single_points(self):
-        inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
+        table = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
         noise = 10.0 ** (-np.linspace(-10.0, 200.0, 43) / 10.0)
-        factors = rate_factors(inputs.blocks)
+        factors = rate_factors(table)
         batched = factors.rate(noise)
         singles = np.array([factors.rate(s2) for s2 in noise])
         assert batched.shape == singles.shape == (noise.size, 6)
@@ -435,9 +440,9 @@ class TestRateEngine:
 
     def test_secret_key_rate_is_the_engine_at_one_point(self):
         rng = np.random.default_rng(16)
-        inputs = scenario_inputs(rng, 16, [2, 2, 2], 3, 2, 2)
+        table = scenario_table(rng, 16, [2, 2, 2], 3, 2, 2)
         for k in range(3):
-            assert secret_key_rate(inputs, k, 0.05) == rate_factors(inputs.blocks).rate(0.05)[k]
+            assert secret_key_rate(table, k, 0.05) == rate_factors(table).rate(0.05)[k]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_users=st.integers(1, 3),
@@ -448,20 +453,19 @@ class TestRateEngine:
             self, seed, n_users, m, n_paths, m_e, n_e, exponents):
         # Round-off slack, relative: 1e-9.
         rng = np.random.default_rng(seed)
-        inputs = scenario_inputs(rng, m, [2] * n_users, n_paths, m_e, n_e)
+        factors, alloc = scenario_draw(rng, m, [2] * n_users, n_paths, m_e, n_e)
         noise = np.sort(10.0 ** np.array(exponents))[::-1]
-        rates = rate_factors(inputs.blocks).rate(noise)
+        rates = rate_factors(rate_table(factors, alloc)).rate(noise)
         assert rates.shape == (noise.size, n_users)
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         assert np.all(rates[1:] >= rates[:-1] - 1e-9 * rates[1:])
         if n_users == 1:
-            f = inputs.lambda_factors[0]
+            f = factors[0]
             perfect = full_sampling_rate(psd_eigh(f.conj().T @ f)[0], noise)
             assert np.all(rates[:, 0] <= perfect * (1 + 1e-9))
 
     def test_noise_free_multiuser_rejected(self):
-        inputs = scenario_inputs(np.random.default_rng(17), 16, [2, 2], 2, 2, 2)
-        factors = rate_factors(inputs.blocks)
+        factors = rate_factors(scenario_table(np.random.default_rng(17), 16, [2, 2], 2, 2, 2))
         with pytest.raises(SingularNoiseFreeRateError):
             factors.rate(0.0)
         with pytest.raises(SingularNoiseFreeRateError):
@@ -470,8 +474,7 @@ class TestRateEngine:
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, [0.1, -1.0], [[0.1]]],
                              ids=["negative", "nan", "inf", "negative_in_array", "2d"])
     def test_bad_noise_powers_rejected(self, noise):
-        factors = rate_factors(
-            scenario_inputs(np.random.default_rng(18), 8, [2], 2, 2, 2).blocks)
+        factors = rate_factors(scenario_table(np.random.default_rng(18), 8, [2], 2, 2, 2))
         with pytest.raises(ValueError):
             factors.rate(noise)
 
@@ -494,8 +497,8 @@ class TestAccuracySweep:
 
     def test_draws_cover_the_rule(self):
         # (U, N_k, d = m_e * n_e, P, on_grid) of each draw.
-        draws = [(x.n_users, x.allocation.ut_counts, *x.blocks.shape[2:], on_grid)
-                 for x, on_grid in sweep_draws()]
+        draws = [(len(table), alloc.ut_counts, *table.shape[2:], on_grid)
+                 for table, alloc, on_grid in sweep_draws()]
         assert {u for u, *_ in draws} == {1, 2, 3, 4}
         assert {on_grid for *_, on_grid in draws} == {False, True}
         assert any(len(set(n_k)) > 1 for _, n_k, *_ in draws)
@@ -506,21 +509,21 @@ class TestAccuracySweep:
         # Within 1e-12 relative or 1e-12 bits absolute: a user whose V_k is
         # round-off has a true rate of about 1e-25 bits.
         misses = []
-        for i, (inputs, on_grid) in enumerate(sweep_draws()):
-            snr_db = claimed_snr_db(inputs.n_users, on_grid)
+        for i, (table, _, on_grid) in enumerate(sweep_draws()):
+            snr_db = claimed_snr_db(len(table), on_grid)
             if not snr_db.size:
                 continue
             noise = 10.0 ** (-snr_db / 10.0)
-            fast = rate_factors(inputs.blocks).rate(noise)
-            for k in range(inputs.n_users):
-                v_k, v_kks = build_v_matrices(inputs, k)
+            fast = rate_factors(table).rate(noise)
+            for k in range(len(table)):
+                v_k, v_kks = build_v_matrices(table, k)
                 exact = mp_gaussian_mi_bits(v_k, v_kks, k, noise)
                 miss = np.abs(fast[:, k] - exact) > np.maximum(1e-12 * np.abs(exact), 1e-12)
                 misses += [(i, k, db) for db in snr_db[miss]]
         assert not misses, misses
 
 
-def mixed_term_count_inputs():
+def mixed_term_count_table():
     """Three users with 4, 2 and 8 UT antennas, P = 2, m_e = 3, n_e = 2.
 
     User 0 sits on grid beams, and users 1 and 2 carry no power on its
@@ -539,25 +542,25 @@ def mixed_term_count_inputs():
     factors = [f.copy() for f in scenario.factors]
     for f in factors[1:]:
         f.reshape(m, -1, 2)[alloc.bs_beams[0]] = 0.0
-    return RateInputs(factors, alloc)
+    return rate_table(factors, alloc)
 
 
 class TestBatchedUsers:
     """One `rate_factors` call factors every user of an allocation."""
 
-    @pytest.mark.parametrize("make_inputs", [
-        mixed_term_count_inputs,
+    @pytest.mark.parametrize("make_table", [
+        mixed_term_count_table,
         # Fewer measurements than paths: m_e * n_e = 4 < P = 6.
-        lambda: scenario_inputs(np.random.default_rng(0), 128, [4], 6, 1, 4),
+        lambda: scenario_table(np.random.default_rng(0), 128, [4], 6, 1, 4),
     ], ids=["mixed_term_counts", "rank_deficient_single_user"])
-    def test_every_user_matches_the_dense_oracle(self, make_inputs):
-        inputs = make_inputs()
+    def test_every_user_matches_the_dense_oracle(self, make_table):
+        table = make_table()
         noise = np.array([0.01, 0.1, 1.0, 10.0])
-        rates = rate_factors(inputs.blocks).rate(noise)
-        assert rates.shape == (noise.size, inputs.n_users)
-        for k in range(inputs.n_users):
+        rates = rate_factors(table).rate(noise)
+        assert rates.shape == (noise.size, len(table))
+        for k in range(len(table)):
             for i, s2 in enumerate(noise):
-                oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, k, s2))
+                oracle = gaussian_mi_oracle(assemble_observation_covariances(table, k, s2))
                 assert rates[i, k] == pytest.approx(oracle, rel=1e-10)
 
     def test_every_row_keeps_its_factor(self):
@@ -565,7 +568,7 @@ class TestBatchedUsers:
         # user, however many of its floors are 0, as one (P, n) factor of
         # its measurement columns C, sorted by floor as `rate_factors` sorts
         # them.
-        blocks = mixed_term_count_inputs().blocks
+        blocks = mixed_term_count_table()
         factors = rate_factors(blocks)
         u_k, sv_k, y, _ = _measurements(blocks[None])
         joint = np.concatenate([u_k * sv_k[:, None, :], y], axis=-1)
@@ -592,6 +595,21 @@ class TestBatchedUsers:
                 np.testing.assert_allclose(r.conj().T @ r, gram, rtol=0,
                                            atol=1e-12 * np.abs(gram).max())
 
+    def test_all_zero_floor_rows_match_80_digit_gaussian_mi(self):
+        # Both cross blocks are 0, so every floor is 0 and both users take
+        # the diagonal route.  User 0's V_00 has rank 1 < P = 2, with
+        # measurement columns off the coordinate axes: through QR, its
+        # C C^H fails to factorize at low noise.
+        table = np.zeros((2, 2, 2, 2), dtype=complex)
+        table[0, 0] = [[1, 1], [0, 0]]
+        table[1, 1] = [[1, 0], [0, 2]]
+        noise = 10.0 ** (-np.array([0.0, 30.0, 60.0, 100.0, 150.0, 200.0]) / 10.0)
+        fast = rate_factors(table).rate(noise)
+        for k in range(2):
+            v_k, v_kks = build_v_matrices(table, k)
+            np.testing.assert_allclose(fast[:, k], mp_gaussian_mi_bits(v_k, v_kks, k, noise),
+                                       rtol=1e-12, atol=0)
+
     def test_interference_svd_memory_is_linear_in_the_stack_height(self):
         # 32 users, P = 6, d = 2: each interference stack is 186 x 2.  Its
         # full left singular vectors, 32 x 186 x 186 complex, would take
@@ -599,33 +617,31 @@ class TestBatchedUsers:
         import tracemalloc
 
         scenario = Scenario.draw(np.random.default_rng(3), 6, 64, [2] * 32)
-        inputs = RateInputs(scenario.factors, scenario.allocate(2, 1))
-        inputs.blocks
+        table = rate_table(scenario.factors, scenario.allocate(2, 1))
         tracemalloc.start()
         try:
-            rate_factors(inputs.blocks)
+            rate_factors(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
 
     def test_unequal_column_counts_rejected(self):
-        inputs = scenario_inputs(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
-        wider = [inputs.lambda_factors[0], np.hstack([inputs.lambda_factors[1]] * 2)]
-        with pytest.raises(ValueError, match=r"lambda_factors\[1\] has 4 columns; every user "
+        factors, alloc = scenario_draw(np.random.default_rng(15), 16, [4, 2], 2, 2, 2)
+        wider = [factors[0], np.hstack([factors[1]] * 2)]
+        with pytest.raises(ValueError, match=r"^factors\[1\] has 4 columns; every user "
                                              r"needs 2, as user 0 has"):
-            RateInputs(wider, inputs.allocation)
+            rate_table(wider, alloc)
 
 
-def zeroed(inputs, pairs):
-    """`inputs` with user kp's factor rows at user k's transmit beams set to
-    0, for each (k, kp) in `pairs`, as for users on disjoint grid beams:
-    user k's uplink then sees no interference from user kp."""
-    alloc = inputs.allocation
-    factors = [f.copy() for f in inputs.lambda_factors]
+def zeroed(factors, alloc, pairs):
+    """The rate table of `factors` with user kp's rows at user k's transmit
+    beams set to 0, for each (k, kp) in `pairs`, as for users on disjoint
+    grid beams: user k's uplink then sees no interference from user kp."""
+    factors = [f.copy() for f in factors]
     for k, kp in pairs:
         factors[kp].reshape(alloc.bs_antennas, -1, factors[kp].shape[1])[alloc.bs_beams[k]] = 0
-    return RateInputs(factors, alloc)
+    return rate_table(factors, alloc)
 
 
 def term_count_mix():
@@ -633,14 +649,14 @@ def term_count_mix():
     antennas, P = 2, m_e = 3, n_e = 2) whose users' numbers of zero uplink
     floors differ, so that a batch of them holds flat and graded rows: off
     grid, on grid, every user free of one interferer, user 0 free of both
-    (`mixed_term_count_inputs`) and every user free of both, whose floors
+    (`mixed_term_count_table`) and every user free of both, whose floors
     are all 0."""
     rng = np.random.default_rng(22)
     draw = lambda on_grid: Scenario.draw(rng, 2, 16, [4, 2, 8], on_grid)  # noqa: E731
-    return [RateInputs(s.factors, s.allocate(3, 2)) for s in (draw(False), draw(True))] + [
-        zeroed(scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2), [(0, 1), (1, 2), (2, 0)]),
-        mixed_term_count_inputs(),
-        zeroed(scenario_inputs(rng, 16, [4, 2, 8], 2, 3, 2),
+    return [rate_table(s.factors, s.allocate(3, 2)) for s in (draw(False), draw(True))] + [
+        zeroed(*scenario_draw(rng, 16, [4, 2, 8], 2, 3, 2), [(0, 1), (1, 2), (2, 0)]),
+        mixed_term_count_table(),
+        zeroed(*scenario_draw(rng, 16, [4, 2, 8], 2, 3, 2),
                [(k, kp) for k in range(3) for kp in range(3) if kp != k]),
     ]
 
@@ -651,17 +667,17 @@ class TestBatchedAllocations:
 
     NOISE = 10.0 ** (-np.arange(-10.0, 151.0, 10.0) / 10.0)
 
-    @pytest.mark.parametrize("make_inputs", [
+    @pytest.mark.parametrize("make_tables", [
         term_count_mix,
-        lambda: [scenario_inputs(np.random.default_rng(s), 32, [4], 6, 6, 4) for s in range(4)],
+        lambda: [scenario_table(np.random.default_rng(s), 32, [4], 6, 6, 4) for s in range(4)],
         # Fewer measurements than paths: m_e * n_e = 4 < P = 6.
-        lambda: [scenario_inputs(np.random.default_rng(s), 128, [4], 6, 1, 4) for s in range(3)],
+        lambda: [scenario_table(np.random.default_rng(s), 128, [4], 6, 1, 4) for s in range(3)],
     ], ids=["multi_user_term_counts_differ", "single_user", "rank_deficient_single_user"])
-    def test_batch_is_bit_identical_to_one_call_per_allocation(self, make_inputs):
-        inputs = make_inputs()
-        batch = rate_factors(np.stack([x.blocks for x in inputs]))
+    def test_batch_is_bit_identical_to_one_call_per_allocation(self, make_tables):
+        tables = make_tables()
+        batch = rate_factors(np.stack(tables))
         for noise in (self.NOISE, 0.05):
-            alone = np.concatenate([rate_factors(x.blocks).rate(noise) for x in inputs],
+            alone = np.concatenate([rate_factors(x).rate(noise) for x in tables],
                                    axis=-1)
             assert np.array_equal(batch.rate(noise), alone)
         # A noise power gives the same bits alone as within the grid.
@@ -672,12 +688,12 @@ class TestBatchedAllocations:
     def test_zero_floor_counts_differ_across_the_mix(self):
         # So the bit-identity above covers flat and graded rows, with
         # different numbers of zero floors, in one batch.
-        floors = rate_factors(np.stack([x.blocks for x in term_count_mix()])).uplink.floors
+        floors = rate_factors(np.stack(term_count_mix())).uplink.floors
         assert np.count_nonzero(floors == 0, axis=1).reshape(5, 3).tolist() == [
             [2, 2, 2], [4, 3, 5], [4, 4, 4], [6, 2, 4], [6, 6, 6]]
 
     def test_leading_axes_are_flattened_trial_major(self):
-        tables = np.stack([x.blocks for x in term_count_mix()])  # (5, 3, 3, 6, 2)
+        tables = np.stack(term_count_mix())  # (5, 3, 3, 6, 2)
         flat = rate_factors(tables).rate(self.NOISE)
         assert np.array_equal(rate_factors(tables[None]).rate(self.NOISE), flat)
         assert np.array_equal(rate_factors(tables[:4].reshape(2, 2, 3, 3, 6, 2))
@@ -702,8 +718,8 @@ class TestFullSamplingRate:
             paths = sample_paths(3, rng)
             cov = beam_covariances(paths, 8, 4)
             noise = float(rng.choice([0.05, 0.5, 2.0]))
-            inputs = full_inputs(psd_sqrt(cov.lambda_full), 8, 4)
-            oracle = gaussian_mi_oracle(assemble_observation_covariances(inputs, 0, noise))
+            table = full_table(psd_sqrt(cov.lambda_full), 8, 4)
+            oracle = gaussian_mi_oracle(assemble_observation_covariances(table, 0, noise))
             eigs = np.linalg.eigvalsh(cov.lambda_full)
             assert full_sampling_rate(eigs, noise) == pytest.approx(oracle, rel=1e-9)
 
@@ -733,8 +749,8 @@ class TestFullSamplingRate:
         # at low SNR: it missed by 1.4e-12 at -10 dB and by 5e-2 at -60 dB.
         import mpmath
 
-        inputs = runner_draw(ScenarioConfig(), np.random.default_rng(5), m_e=6)
-        spectra = psd_eigh(np.stack([f.conj().T @ f for f in inputs.lambda_factors]))[0]
+        factors = runner_scenario(ScenarioConfig(), np.random.default_rng(5)).factors
+        spectra = psd_eigh(np.stack([f.conj().T @ f for f in factors]))[0]
         noise = 10.0 ** (-np.arange(-60.0, 201.0, 10.0) / 10.0)
         fast = full_sampling_rate(spectra, noise)
         assert fast.shape == (noise.size, 6)
@@ -758,8 +774,8 @@ class TestDominanceAndInterference:
             m_e = int(rng.integers(1, 5))
             bs_set = allocate_bs_beams([np.real(np.diag(cov.r_bs))], m_e)[0]
             ut_set = allocate_ut_beams(np.real(np.diag(cov.r_ut)), 2)
-            inputs = RateInputs([factor], build_matrices([bs_set], [ut_set], 16, [4]))
-            reduced = secret_key_rate(inputs, 0, noise)
+            table = rate_table([factor], build_matrices([bs_set], [ut_set], 16, [4]))
+            reduced = secret_key_rate(table, 0, noise)
             assert reduced <= perfect + 1e-9
 
     def test_reuse_with_overlapping_supports_pays_a_penalty(self):
@@ -777,44 +793,43 @@ class TestDominanceAndInterference:
         ) for _ in range(2)]
         scenario = Scenario.from_paths(paths, m, [n_ut] * 2)
         alloc = scenario.allocate(n_p, 2)
-        reused = RateInputs(scenario.factors, alloc)
+        reused = rate_table(scenario.factors, alloc)
         for k in range(2):
             with_interference = secret_key_rate(reused, k, 0.1)
             alone_alloc = build_matrices([alloc.bs_beams[k]], [alloc.ut_beams[k]], m, [n_ut])
-            alone = RateInputs([scenario.factors[k]], alone_alloc)
+            alone = rate_table([scenario.factors[k]], alone_alloc)
             interference_free = secret_key_rate(alone, 0, 0.1)
             assert with_interference <= interference_free + 1e-9
 
 
 class TestAssembledCovariances:
     def test_zero_channel_leaves_noise_only(self):
-        inputs = full_inputs(np.zeros((32, 2), dtype=complex), 8, 4)
-        cov = assemble_observation_covariances(inputs, 0, 0.7)
+        table = full_table(np.zeros((32, 2), dtype=complex), 8, 4)
+        cov = assemble_observation_covariances(table, 0, 0.7)
         np.testing.assert_allclose(cov.r_zdl, 0.7 * np.eye(32), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.7 * np.eye(32), atol=1e-12)
         assert np.all(cov.r_cross == 0)
 
     def test_orthonormal_matrices_give_scaled_identity_noise(self):
         rng = np.random.default_rng(11)
-        inputs = scenario_inputs(rng, 8, [2], 2, 2, 2)
-        zero = [np.zeros_like(inputs.lambda_factors[0])]
-        noise_only = replace(inputs, lambda_factors=zero)
+        factors, alloc = scenario_draw(rng, 8, [2], 2, 2, 2)
+        noise_only = rate_table([np.zeros_like(factors[0])], alloc)
         cov = assemble_observation_covariances(noise_only, 0, 0.3)
         np.testing.assert_allclose(cov.r_zdl, 0.3 * np.eye(4), atol=1e-12)
         np.testing.assert_allclose(cov.r_zul, 0.3 * np.eye(4), atol=1e-12)
 
     def test_rate_factors_match_direct_assembly(self):
         rng = np.random.default_rng(12)
-        inputs = scenario_inputs(rng, 16, [2, 2], 2, 2, 2)
-        direct = assemble_observation_covariances(inputs, 1, 0.25)
-        assert rate_factors(inputs.blocks).rate(0.25)[1] == pytest.approx(
+        table = scenario_table(rng, 16, [2, 2], 2, 2, 2)
+        direct = assemble_observation_covariances(table, 1, 0.25)
+        assert rate_factors(table).rate(0.25)[1] == pytest.approx(
             gaussian_mi_oracle(direct), rel=1e-10)
 
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
     def test_bad_noise_power_rejected(self, noise):
-        inputs = scenario_inputs(np.random.default_rng(12), 8, [2], 2, 2, 2)
+        table = scenario_table(np.random.default_rng(12), 8, [2], 2, 2, 2)
         with pytest.raises(ValueError, match="noise_power must be finite and nonnegative"):
-            assemble_observation_covariances(inputs, 0, noise)
+            assemble_observation_covariances(table, 0, noise)
 
     @pytest.mark.parametrize("block", ["r_zdl", "r_zul"])
     def test_non_hermitian_block_rejected(self, block):
