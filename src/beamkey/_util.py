@@ -1,5 +1,7 @@
 """Shared numeric helpers."""
 
+import math
+
 import numpy as np
 
 
@@ -29,6 +31,35 @@ def check_noise_powers(noise_powers) -> np.ndarray:
     if not ((sigma2 >= 0) & (sigma2 < np.inf)).all():
         raise ValueError("noise_power must be finite and nonnegative")
     return sigma2
+
+
+def integral(values) -> bool:
+    """Whether every value is a whole number of an integer or float type.
+
+    8, np.int64(8) and 8.0 are; 2.5, NaN, the infinities and the bools are
+    not, so a count or an index is never truncated and True never reads as 1.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return True
+    return values.dtype.kind == "f" and bool((np.isfinite(values)
+                                              & (np.round(values) == values)).all())
+
+
+def count(n, name: str) -> int:
+    """`n` as an int, checked to be `integral` and at least 1."""
+    if not integral(n) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    return int(n)
+
+
+def check_one_trial(shape: tuple, ndim: int, what: str) -> None:
+    """Reject anything but `ndim` axes where `what` (one trial's array) is
+    taken, counting the trials of a block, whose leading axes index them."""
+    if len(shape) != ndim:
+        got = (f"a block of {math.prod(shape[:-ndim])} trials" if len(shape) > ndim
+               else f"shape {shape}")
+        raise ValueError(f"{what}, not {got}")
 
 
 def user_name(index) -> str:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import readonly, user_name
+from ._util import check_one_trial, count, integral, readonly, user_name
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,14 @@ class BeamAllocation:
     One trial's index sets may also be given as one sequence per user.  The
     leading axes of a block index its trials, which share M and the N_k.
     Construction checks the whole allocation once: at least one user, one
-    entry per user in each list, every index in range for its grid, no beam
-    repeated within a set, no transmit beam shared between the users of a
-    trial, and as many transmit beams (m_e) and receive beams (n_e) for every
-    user as for user 0, since all users share one probing burst of
-    m_e + n_e slots.  A fault names its first user and trial.  The index
+    entry per user in each list, every index a whole number (not a bool) in
+    range for its grid, no beam repeated within a set, no transmit beam
+    shared between the users of a trial, and as many transmit beams (m_e)
+    and receive beams (n_e) for every user as for user 0, since all users
+    share one probing burst of m_e + n_e slots.  One rule finds a fault: an
+    allocation that fails the whole-block check is walked user by user in
+    (trial, user) order, and the first user's first fault is raised, naming
+    that user and trial, as checking one user at a time would.  The index
     sets are stored as read-only integer arrays, so an allocation is valid
     for its lifetime.
     """
@@ -52,18 +55,18 @@ class BeamAllocation:
     ut_counts: list[int]
 
     def __post_init__(self) -> None:
-        n_bs = int(self.bs_antennas)
-        ut_counts = [int(n) for n in self.ut_counts]
-        (bs, bs_sizes), (ut, ut_sizes) = _padded(self.bs_beams), _padded(self.ut_beams)
-        n_users = bs.shape[-2]
-        if ut.shape[:-1] != bs.shape[:-1] or len(ut_counts) != n_users:
+        n_bs = count(self.bs_antennas, "antenna_count")
+        ut_counts = [count(n, "antenna_count") for n in self.ut_counts]
+        bs, ut = _index_sets(self.bs_beams), _index_sets(self.ut_beams)
+        if _users(ut) != _users(bs) or len(ut_counts) != _users(bs)[-1]:
             raise ValueError("bs_sets, ut_sets and ut_counts must have one entry per user")
-        if n_users == 0:
+        if not ut_counts:
             raise ValueError("an allocation needs at least one user")
-        if not _valid(bs, ut, n_bs, ut_counts):
-            _raise_first_fault(bs, bs_sizes, ut, ut_sizes, n_bs, ut_counts)
-        object.__setattr__(self, "bs_beams", readonly(bs))
-        object.__setattr__(self, "ut_beams", readonly(ut))
+        bs_ints, ut_ints = _integers(bs), _integers(ut)
+        if bs_ints is None or ut_ints is None or not _valid(bs_ints, ut_ints, n_bs, ut_counts):
+            _raise_first_fault(bs, ut, n_bs, ut_counts)
+        object.__setattr__(self, "bs_beams", readonly(bs_ints))
+        object.__setattr__(self, "ut_beams", readonly(ut_ints))
         object.__setattr__(self, "bs_antennas", n_bs)
         object.__setattr__(self, "ut_counts", ut_counts)
 
@@ -72,9 +75,34 @@ class BeamAllocation:
         return self.bs_beams.shape[-2]
 
 
+def _index_sets(sets) -> np.ndarray | list[np.ndarray]:
+    """Index sets as one (..., U, m) array, or, given one sequence per user
+    with lengths that differ, as one array per user."""
+    if isinstance(sets, np.ndarray):
+        if sets.ndim < 2:
+            raise ValueError("bs_sets and ut_sets must hold one index set per user")
+        return sets
+    rows = [np.asarray(s) for s in sets]
+    if any(r.ndim != 1 for r in rows):
+        raise ValueError("bs_sets and ut_sets must hold one index set per user")
+    return np.array(rows) if len({r.size for r in rows}) == 1 else rows
+
+
+def _users(sets) -> tuple[int, ...]:
+    return sets.shape[:-1] if isinstance(sets, np.ndarray) else (len(sets),)
+
+
+def _integers(sets) -> np.ndarray | None:
+    """`sets` as an integer array, or None if their lengths differ or an
+    index is not `integral`: faults the walk names."""
+    if isinstance(sets, np.ndarray) and integral(sets):
+        return sets.astype(int, copy=False)
+    return None
+
+
 def _valid(bs: np.ndarray, ut: np.ndarray, n_bs: int, ut_counts: list[int]) -> bool:
     """Whether every check of the allocation passes, in a few passes over
-    the whole block.  Padded sets never pass: their pads are negative."""
+    the whole block."""
     trial_beams = np.sort(bs.reshape(*bs.shape[:-2], -1), axis=-1)
     ut_sorted = np.sort(ut, axis=-1)
     return bool(((trial_beams >= 0) & (trial_beams < n_bs)).all()
@@ -83,71 +111,37 @@ def _valid(bs: np.ndarray, ut: np.ndarray, n_bs: int, ut_counts: list[int]) -> b
                 and not (ut_sorted[..., 1:] == ut_sorted[..., :-1]).any())
 
 
-def _raise_first_fault(bs, bs_sizes, ut, ut_sizes, n_bs: int, ut_counts: list[int]) -> None:
-    """Raise the fault of the first user (and trial), in user order, checking
-    each user's sets in `_FAULTS` order, as a one-user-at-a-time check would."""
-    # A beam held by an earlier user of the trial (or earlier in its own
-    # set) shows as a repeat in the stable sort of the trial's beams.
-    flat = bs.reshape(*bs.shape[:-2], -1)
-    order = np.argsort(flat, axis=-1, kind="stable")
-    repeat = np.nonzero(np.diff(np.take_along_axis(flat, order, axis=-1), axis=-1) == 0)
-    held = np.zeros(bs.shape[:-1], dtype=bool)
-    held[repeat[:-1] + (order[..., 1:][repeat] // bs.shape[-1],)] = True
-    bs_in = np.arange(bs.shape[-1]) < bs_sizes[..., None]
-    ut_in = np.arange(ut.shape[-1]) < ut_sizes[..., None]
-    faults = np.stack([
-        (((bs < 0) | (bs >= n_bs)) & bs_in).any(axis=-1),
-        _repeats(bs),
-        held,
-        (((ut < 0) | (ut >= np.array(ut_counts)[:, None])) & ut_in).any(axis=-1)
-        | _repeats(ut),
-        (bs_sizes != bs_sizes[..., :1]) | (ut_sizes != ut_sizes[..., :1]),
-    ], axis=-1)
-    *where, kind = np.argwhere(faults)[0]
-    raise ValueError(_FAULTS[kind].format(
-        user=user_name(where), m=bs_sizes[tuple(where)], n=ut_sizes[tuple(where)],
-        m_e=bs_sizes.flat[0], n_e=ut_sizes.flat[0]))
-
-
-# What each column of BeamAllocation's fault table means, checked in this
-# order for each user.
-_FAULTS = (
-    "transmit beam index out of range for {user}",
-    "repeated transmit beam for {user}",
-    "transmit beams of {user} overlap another user's",
-    "invalid receive beam indices for {user}",
-    "{user} has {m} transmit and {n} receive beams; "
-    "every user needs {m_e} and {n_e}, as user 0 has",
-)
-
-
-def _padded(sets) -> tuple[np.ndarray, np.ndarray]:
-    """Index sets as one (..., U, m) integer array, and each set's size.
-
-    Sets given as one sequence per user may differ in length.  They are
-    padded to the longest with distinct negative values, which the checks
-    mask as out of range and no other set can hold unless it is itself out
-    of range, a fault found first.
-    """
-    if isinstance(sets, np.ndarray):
-        if sets.ndim < 2:
-            raise ValueError("bs_sets and ut_sets must hold one index set per user")
-        return sets.astype(int, copy=False), np.full(sets.shape[:-1], sets.shape[-1])
-    rows = [np.asarray(s, dtype=int) for s in sets]
-    if any(r.ndim != 1 for r in rows):
-        raise ValueError("bs_sets and ut_sets must hold one index set per user")
-    sizes = np.array([r.size for r in rows], dtype=int)
-    width = int(sizes.max(initial=0))
-    out = -1 - np.arange(len(rows) * width).reshape(len(rows), width)
-    for k, r in enumerate(rows):
-        out[k, :r.size] = r
-    return out, sizes
-
-
-def _repeats(sets: np.ndarray) -> np.ndarray:
-    """Whether each (..., m) index set repeats an entry."""
-    ranked = np.sort(sets, axis=-1)
-    return (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1)
+def _raise_first_fault(bs, ut, n_bs: int, ut_counts: list[int]) -> None:
+    """Raise the first user's first fault, walking the users in (trial, user)
+    order and checking each user's sets in the order below: what checking
+    one user at a time reports.  It runs only on what fails the whole-block
+    check: a fault in `_valid`, a non-integral index or lengths that differ."""
+    block = isinstance(bs, np.ndarray) and isinstance(ut, np.ndarray)
+    for trial in np.ndindex(bs.shape[:-2]) if block else [()]:
+        users = list(zip(bs[trial], ut[trial]) if block else zip(bs, ut))
+        m_e, n_e = users[0][0].size, users[0][1].size
+        taken: set[int] = set()  # the transmit beams of the trial's earlier users
+        for k, (b, u) in enumerate(users):
+            user = user_name(trial + (k,))
+            if not integral(b):
+                raise ValueError(f"transmit beam indices must be integers for {user}")
+            b = b.astype(int)
+            if ((b < 0) | (b >= n_bs)).any():
+                raise ValueError(f"transmit beam index out of range for {user}")
+            beams = set(b.tolist())
+            if len(beams) < b.size:
+                raise ValueError(f"repeated transmit beam for {user}")
+            if taken & beams:
+                raise ValueError(f"transmit beams of {user} overlap another user's")
+            if not integral(u):
+                raise ValueError(f"receive beam indices must be integers for {user}")
+            u = u.astype(int)
+            if ((u < 0) | (u >= ut_counts[k])).any() or len(set(u.tolist())) < u.size:
+                raise ValueError(f"invalid receive beam indices for {user}")
+            if (b.size, u.size) != (m_e, n_e):
+                raise ValueError(f"{user} has {b.size} transmit and {u.size} receive beams; "
+                                 f"every user needs {m_e} and {n_e}, as user 0 has")
+            taken |= beams
 
 
 def rank_beams(diagonal: np.ndarray) -> np.ndarray:
@@ -183,9 +177,7 @@ def allocate_bs_beams(diagonals, m_e: int) -> np.ndarray:
     j * n_e + i over transmit beam j, so the table at m is then the leading
     m * n_e rows of the table at `m_e`.
     """
-    m_e = int(m_e)
-    if m_e < 1:
-        raise ValueError("m_e must be at least 1")
+    m_e = count(m_e, "m_e")
     if not isinstance(diagonals, np.ndarray):
         if len({np.shape(d) for d in diagonals}) > 1:
             raise ValueError("all gain vectors must have the same length")
@@ -220,9 +212,7 @@ def allocate_bs_beams(diagonals, m_e: int) -> np.ndarray:
 def allocate_ut_beams(diagonal: np.ndarray, n_e: int) -> np.ndarray:
     """The `n_e` strongest receive beams of one terminal, strongest first;
     a stack of gain vectors (..., N) gives (..., n_e)."""
-    n_e = int(n_e)
-    if n_e < 1:
-        raise ValueError("n_e must be at least 1")
+    n_e = count(n_e, "n_e")
     ranking = rank_beams(diagonal)
     if n_e > ranking.shape[-1]:
         raise ValueError(f"n_e = {n_e} exceeds the {ranking.shape[-1]} available beams")
@@ -274,9 +264,7 @@ def allocation_summary(allocation: BeamAllocation,
                        bs_gain_diagonals: Sequence[np.ndarray]) -> dict:
     """Per-user beam index sets and the gains of the transmit beams, as plain
     data, of one trial's allocation."""
-    if allocation.bs_beams.ndim != 2:
-        raise ValueError("a summary takes one trial's allocation, not a block of "
-                         f"{len(allocation.bs_beams)} trials")
+    check_one_trial(allocation.bs_beams.shape, 2, "a summary takes one trial's allocation")
     return {
         "users": [
             {

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import hermitize, readonly, user_name, vec
+from ._util import count, hermitize, readonly, user_name, vec
 
 HALF_PI = np.pi / 2.0
 
@@ -45,8 +45,10 @@ class PathSet:
     The four arrays share one shape.  Its leading axes, if any, index links:
     a trial's users are (U, n_paths) and a block of trials (T, U, n_paths),
     and `paths[i]` is the PathSet at index i of those axes.  Construction
-    checks the whole stack at once, and a fault names the first user (and
-    trial) that has it.
+    checks the whole stack in one pass.  A stack that fails it is walked
+    link by link in (trial, user) order, and the first link's first fault is
+    raised, naming that user (and trial), as checking one link at a time
+    would.
     """
 
     gains: np.ndarray
@@ -63,16 +65,13 @@ class PathSet:
             raise ValueError("a PathSet needs at least one path")
         if not (aoa.shape == aod.shape == powers.shape == gains.shape):
             raise ValueError("gains, aoa, aod and powers must have identical lengths")
-        # One pass over every check; only a fault is looked for check by check.
+        # One pass over every check; only a stack that fails it is walked.
         if not (np.isfinite(gains) & _in_range(aoa) & _in_range(aod)
                 & (powers >= 0) & (powers < np.inf)).all() or (powers.sum(axis=-1) <= 0).any():
-            _check_links(~np.isfinite(gains), "path gains must be finite")
-            _validate_angles(aoa, "aoa")
-            _validate_angles(aod, "aod")
-            _check_links(~(np.isfinite(powers) & (powers >= 0)),
-                         "path powers must be finite and nonnegative")
-            _check_links(powers.sum(axis=-1, keepdims=True) <= 0,
-                         "total path power must be positive")
+            for link in np.ndindex(gains.shape[:-1]):
+                fault = _link_fault(gains[link], aoa[link], aod[link], powers[link])
+                if fault:
+                    raise ValueError(fault + (f" ({user_name(link)})" if link else ""))
         object.__setattr__(self, "gains", readonly(gains))
         object.__setattr__(self, "aoa", readonly(aoa))
         object.__setattr__(self, "aod", readonly(aod))
@@ -99,22 +98,26 @@ class PathSet:
         return links
 
 
-def _check_links(bad: np.ndarray, message: str) -> None:
-    # `bad` is per path; a fault in a stack names its first link.
-    links = bad.any(axis=-1)
-    if links.any():
-        raise ValueError(message + (f" ({user_name(np.argwhere(links)[0])})" if links.ndim else ""))
-
-
 def _in_range(angles: np.ndarray) -> np.ndarray:
     # The lowest grid beam sits exactly at -pi/2, so the left endpoint is
     # admitted; +pi/2 is not (no grid beam reaches it).  NaN is out of range.
     return (angles >= -HALF_PI) & (angles < HALF_PI)
 
 
-def _validate_angles(angles: np.ndarray, name: str) -> None:
-    _check_links(~np.isfinite(angles), f"{name} angles must be finite")
-    _check_links(~_in_range(angles), f"{name} angles must lie in [-pi/2, pi/2)")
+def _link_fault(gains, aoa, aod, powers) -> str | None:
+    """The first fault of one link's paths, or None."""
+    if not np.isfinite(gains).all():
+        return "path gains must be finite"
+    for name, angles in (("aoa", aoa), ("aod", aod)):
+        if not np.isfinite(angles).all():
+            return f"{name} angles must be finite"
+        if not _in_range(angles).all():
+            return f"{name} angles must lie in [-pi/2, pi/2)"
+    if not (np.isfinite(powers) & (powers >= 0)).all():
+        return "path powers must be finite and nonnegative"
+    if powers.sum() <= 0:
+        return "total path power must be positive"
+    return None
 
 
 class BeamCovariances(NamedTuple):
@@ -130,15 +133,9 @@ class BeamCovariances(NamedTuple):
     lambda_full: np.ndarray
 
 
-def _antenna_count(n) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"antenna_count must be a positive integer, got {n}")
-    return int(n)
-
-
 def grid_sines(antenna_count: int) -> np.ndarray:
     """Sines of the beam grid angles: sin(angle_m) = 2m/n - 1, m = 0..n-1."""
-    n = _antenna_count(antenna_count)
+    n = count(antenna_count, "antenna_count")
     return 2.0 * np.arange(n) / n - 1.0
 
 
@@ -148,9 +145,11 @@ def sampling_matrix(antenna_count: int) -> np.ndarray:
     At half-wavelength spacing the columns coincide with a rephased DFT basis,
     so the matrix is unitary.  It depends only on the antenna count, so each
     one is built once and returned read-only.  The count is made a Python int
-    first, so a NumPy integer size finds the same cached grid.
+    first, so a NumPy integer size finds the same cached grid.  A count must
+    be a whole number of at least 1: 8.0 is taken as 8, while 2.5 and a bool
+    such as True are rejected, as `ScenarioConfig` rejects them.
     """
-    return _grid(_antenna_count(antenna_count))
+    return _grid(count(antenna_count, "antenna_count"))
 
 
 @functools.lru_cache(maxsize=32)
@@ -193,10 +192,9 @@ def draw_paths(rngs: Sequence[np.random.Generator], n_paths: int, bs_antennas: i
     user; the angles, gains and the PathSet checks are one array operation
     each over the whole block.
     """
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    bs_count, ut_counts = int(bs_antennas), [int(n) for n in ut_counts]
+    n_paths = count(n_paths, "n_paths")
+    bs_count = count(bs_antennas, "antenna_count")
+    ut_counts = [count(n, "antenna_count") for n in ut_counts]
     if on_grid and n_paths > min([bs_count] + ut_counts):
         raise ValueError(
             f"cannot place {n_paths} paths on distinct grid points of "
@@ -232,7 +230,7 @@ def _steering_columns(antenna_count: int, sines: np.ndarray) -> np.ndarray:
     # Unit-norm responses: entry q of column p is exp(-j*q*pi*sines_p)/sqrt(n),
     # for each (..., P) row of sines, as (..., n, P).
     # In place, so that a block's steering holds one array at a time.
-    n = _antenna_count(antenna_count)
+    n = count(antenna_count, "antenna_count")
     columns = -1j * (np.arange(n)[:, None] * (np.pi * sines)[..., None, :])
     np.exp(columns, out=columns)
     columns /= np.sqrt(n)

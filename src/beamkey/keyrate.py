@@ -102,7 +102,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import check_noise_powers, hermitize
+from ._util import check_noise_powers, check_one_trial, count, hermitize
 
 if TYPE_CHECKING:
     from .allocation import BeamAllocation
@@ -589,10 +589,8 @@ def pilot_overhead(mode: str, M: int, n_k: Sequence[int], m_e: int, n_e: int) ->
                   orthogonal uplink pilots
     reused      : m_e + n_e, the one short burst every user sends at once
     """
-    M, m_e, n_e = int(M), int(m_e), int(n_e)
-    n_k = [int(n) for n in n_k]
-    if M < 1 or m_e < 1 or n_e < 1 or any(n < 1 for n in n_k):
-        raise ValueError("dimensions must be positive")
+    M, m_e, n_e = count(M, "M"), count(m_e, "m_e"), count(n_e, "n_e")
+    n_k = [count(n, "n_k") for n in n_k]
     if mode == "traditional":
         return M + sum(n_k)
     if mode == "reused":
@@ -602,17 +600,15 @@ def pilot_overhead(mode: str, M: int, n_k: Sequence[int], m_e: int, n_e: int) ->
 
 def unit_skr(sum_rate: float, overhead: int) -> float:
     """Sum key rate per pilot slot."""
-    overhead = int(overhead)
-    if overhead < 1:
-        raise ValueError("pilot overhead must be at least 1")
-    return float(sum_rate) / overhead
+    return float(sum_rate) / count(overhead, "pilot overhead")
 
 
 def _check_user(table: np.ndarray, k: int) -> None:
     shape = np.shape(table)
-    if len(shape) != 4 or shape[0] != shape[1]:
-        got = f"a block of {math.prod(shape[:-4])} trials" if len(shape) > 4 else f"shape {shape}"
-        raise ValueError(f"one user's rate needs one trial's (U, U, d, P) rate table, not {got}")
+    what = "one user's rate needs one trial's (U, U, d, P) rate table"
+    check_one_trial(shape, 4, what)
+    if shape[0] != shape[1]:
+        raise ValueError(f"{what}, not shape {shape}")
     if not 0 <= k < shape[0]:
         raise ValueError(f"user index {k} out of range for {shape[0]} users")
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import check_noise_powers, complex_normal, vec
+from ._util import check_noise_powers, check_one_trial, complex_normal, count, vec
 from .allocation import BeamAllocation
 from .channel import sampling_matrix
 
@@ -33,9 +33,7 @@ from .channel import sampling_matrix
 def _probe_matrices(allocation: BeamAllocation):
     """Every user's (precoders, combiners): the columns of the unitary grid
     sampling matrices at the allocated beams, so orthonormal."""
-    if allocation.bs_beams.ndim != 2:
-        raise ValueError("probing takes one trial's allocation, not a block of "
-                         f"{len(allocation.bs_beams)} trials")
+    check_one_trial(allocation.bs_beams.shape, 2, "probing takes one trial's allocation")
     a_bs = sampling_matrix(allocation.bs_antennas)
     return ([a_bs[:, b] for b in allocation.bs_beams],
             [sampling_matrix(n)[:, u]
@@ -163,9 +161,7 @@ def vectorize_observations(z_dl: np.ndarray,
 
 def dimension_reduction_factor(M: int, n_k: int, m_e: int, n_e: int) -> float:
     """How many times smaller the probed effective channel is than the full one."""
-    M, n_k, m_e, n_e = int(M), int(n_k), int(m_e), int(n_e)
-    if min(M, n_k, m_e, n_e) < 1:
-        raise ValueError("dimensions must be positive")
+    M, n_k, m_e, n_e = count(M, "M"), count(n_k, "n_k"), count(m_e, "m_e"), count(n_e, "n_e")
     return (M * n_k) / (m_e * n_e)
 
 

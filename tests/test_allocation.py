@@ -184,6 +184,38 @@ class TestBuildMatrices:
         with pytest.raises(ValueError, match="at least one user"):
             build_matrices([], [], 128, [])
 
+    @pytest.mark.parametrize("bs_beams, ut_beams, message", [
+        (np.array([[0.9, 2.7]]), np.array([[1]]), "transmit beam indices must be integers"),
+        ([[0.9, 2.7]], [[1]], "transmit beam indices must be integers"),
+        (np.array([[True, False]]), np.array([[1]]), "transmit beam indices must be integers"),
+        ([[0, np.nan]], [[1]], "transmit beam indices must be integers"),
+        (np.array([[0, 2]]), np.array([[1.5]]), "receive beam indices must be integers"),
+        ([[0, 2]], [[True]], "receive beam indices must be integers"),
+    ], ids=["fraction", "fraction_list", "bool", "nan", "receive_fraction", "receive_bool"])
+    def test_non_integer_indices_rejected(self, bs_beams, ut_beams, message):
+        # An index was truncated before: 0.9 and 2.7 read as beams 0 and 2,
+        # True and False as beams 1 and 0.
+        with pytest.raises(ValueError, match=message + " for user 0$"):
+            build_matrices(bs_beams, ut_beams, 8, [4])
+
+    def test_whole_float_indices_stored_as_integers(self):
+        alloc = build_matrices(np.array([[0.0, 2.0]]), [[1.0]], 8, [4])
+        assert alloc.bs_beams.dtype == alloc.ut_beams.dtype == int
+        assert alloc.bs_beams.tolist() == [[0, 2]] and alloc.ut_beams.tolist() == [[1]]
+
+    def test_ragged_sets_name_the_first_faulty_user(self):
+        # User 0's own checks fail first (beam 9 of 8), before user 1's
+        # beam count is compared with user 0's.
+        with pytest.raises(ValueError, match="transmit beam index out of range for user 0$"):
+            build_matrices([[0, 9], [2]], [[0], [1]], 8, [4, 4])
+
+    @pytest.mark.parametrize("allocate", [allocate_bs_beams, allocate_ut_beams])
+    def test_fractional_beam_count_rejected(self, allocate):
+        gains = np.random.default_rng(0).random((2, 8))
+        with pytest.raises(ValueError, match=r"_e must be a positive integer, got 2.5"):
+            allocate(gains, 2.5)
+        np.testing.assert_array_equal(allocate(gains, 2.0), allocate(gains, 2))
+
 
 def residual(factors, alloc, k, kp):
     """User k's probing leak into user k', from its block of the rate table."""

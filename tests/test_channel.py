@@ -108,6 +108,15 @@ class TestSamplingMatrix:
                 sampling_matrix(n)
 
 
+    def test_whole_float_size_accepted_and_bool_rejected(self):
+        # One rule for every count: a whole float is read as its integer, and
+        # a bool is rejected, as ScenarioConfig rejects it, not read as 1 or 0.
+        assert sampling_matrix(8.0) is sampling_matrix(8)
+        for n in (True, False, np.True_, np.nan, np.inf):
+            with pytest.raises(ValueError, match="antenna_count must be a positive integer"):
+                sampling_matrix(n)
+
+
 class TestSamplePaths:
     def test_uniform_profile_and_count(self):
         paths = sample_paths(6, np.random.default_rng(0))
@@ -146,6 +155,27 @@ class TestSamplePaths:
             PathSet(gains=[1.0], aoa=[0.1], aod=[0.1], powers=[-1.0])
         with pytest.raises(ValueError):
             PathSet(gains=[], aoa=[], aod=[], powers=[])
+
+
+    def test_fractional_path_count_rejected(self):
+        with pytest.raises(ValueError, match="n_paths must be a positive integer, got 2.7"):
+            sample_paths(2.7, np.random.default_rng(0))
+        assert sample_paths(3.0, np.random.default_rng(0)).n_paths == 3
+
+    def test_stack_names_the_first_links_first_fault(self):
+        # User 0's arrival angle is out of range and user 1's gain is NaN.
+        # The first link in (trial, user) order is named, with its first
+        # fault, as checking one link at a time would report.
+        ones = np.ones((2, 2))
+        aoa, gains = np.zeros((2, 2)), ones.copy()
+        aoa[0, 1], gains[1, 0] = 2.0, np.nan
+        with pytest.raises(ValueError,
+                           match=r"^aoa angles must lie in \[-pi/2, pi/2\) \(user 0\)$"):
+            PathSet(gains=gains, aoa=aoa, aod=np.zeros((2, 2)), powers=ones)
+        # Within one link the checks run in order: gains before angles.
+        gains[0, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^path gains must be finite \(user 0\)$"):
+            PathSet(gains=gains, aoa=aoa, aod=np.zeros((2, 2)), powers=ones)
 
 
 class TestSynthesizeChannel:

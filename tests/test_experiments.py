@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamkey import experiments
+from beamkey import allocation, channel, experiments
 from beamkey._util import complex_normal, vec
 from beamkey.allocation import (
     allocate_bs_beams,
@@ -642,6 +642,27 @@ class TestBlockChecks:
         bs[4, 0, 1] = bs[4, 0, 0]
         with pytest.raises(ValueError, match="repeated transmit beam for user 0 of trial 4"):
             replace(self.alloc, bs_beams=bs)
+
+    def test_first_faulty_trial_named(self):
+        # Faults in trials 1 and 3: trial 1's is named, though trial 3's is
+        # in an earlier user, since the walk runs in (trial, user) order.
+        bs = self.alloc.bs_beams.copy()
+        bs[3, 0, 0] = 16
+        bs[1, 2, 1] = bs[1, 1, 0]
+        with pytest.raises(ValueError, match="transmit beams of user 2 of trial 1 overlap"):
+            replace(self.alloc, bs_beams=bs)
+
+    def test_reference_block_is_not_walked(self, monkeypatch):
+        # A valid block passes the whole-block checks alone: the link-by-link
+        # walks run only on a fault.
+        def walk(*args):
+            raise AssertionError("a valid block was walked")
+
+        monkeypatch.setattr(allocation, "_raise_first_fault", walk)
+        monkeypatch.setattr(channel, "_link_fault", walk)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(7).spawn(5)]
+        block = Scenario.draw_trials(rngs, 6, 128, [4] * 6)
+        assert block.allocate(6, 4).bs_beams.shape == (5, 6, 6)
 
     def test_probing_rejects_a_block(self):
         # A block's allocation has a trial axis before its users; probing

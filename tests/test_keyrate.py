@@ -879,6 +879,16 @@ class TestOverheadAndUnitRate:
         with pytest.raises(ValueError, match="unknown pilot mode"):
             pilot_overhead(mode, 128, [4], 6, 4)
 
+    def test_fractional_counts_rejected(self):
+        # The burst was truncated to 1 + 1 = 2 slots.
+        with pytest.raises(ValueError, match="M must be a positive integer, got 8.9"):
+            pilot_overhead("reused", 8.9, [2.5], 1.9, 1.2)
+        with pytest.raises(ValueError, match="n_k must be a positive integer, got 2.5"):
+            pilot_overhead("traditional", 8, [2.5], 1, 1)
+        with pytest.raises(ValueError, match="pilot overhead must be a positive integer"):
+            unit_skr(1.0, 2.5)
+        assert pilot_overhead("reused", 8.0, [2.0], 1.0, 1.0) == 2
+
     def test_unit_rate(self):
         assert unit_skr(10.0, 10) == 1.0
         assert unit_skr(0.0, 152) == 0.0

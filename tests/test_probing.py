@@ -365,3 +365,11 @@ class TestDimensionReduction:
         with pytest.raises(ValueError):
             dimension_reduction_factor(0, 4, 4, 4)
 
+    def test_rejects_fractional_counts(self):
+        # 8.9 x 2.5 over 1.9 x 1.2 was truncated to 8 x 2 over 1 x 1 = 16.
+        with pytest.raises(ValueError, match="M must be a positive integer, got 8.9"):
+            dimension_reduction_factor(8.9, 2.5, 1.9, 1.2)
+        with pytest.raises(ValueError, match="n_e must be a positive integer, got True"):
+            dimension_reduction_factor(8, 2, 1, True)
+        assert dimension_reduction_factor(8.0, 2.0, 1.0, 1.0) == 16.0
+
