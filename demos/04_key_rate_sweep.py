@@ -13,10 +13,10 @@ import collections
 from beamkey import ScenarioConfig, run_multiuser_unit_rate, run_single_user_rate
 
 single = ScenarioConfig(users=1, trials=10, seed=1, snr_db_grid=[0, 10, 20, 30])
-result = run_single_user_rate(single)
+table = run_single_user_rate(single).tables["single_user_rate"]  # column name -> values
 by_snr = collections.defaultdict(dict)
-for rec in result.records:
-    by_snr[rec["snr_db"]][rec["scheme"]] = rec["rate_bits"]
+for snr, scheme, rate in zip(table["snr_db"], table["scheme"], table["rate_bits"]):
+    by_snr[snr][scheme] = rate
 
 print("single user, 128 BS antennas, mean over 10 channel draws")
 print("snr_db   rate(complete)  rate(6 beams)  rate(4 beams)   [bits/round]")
@@ -26,10 +26,11 @@ for snr in sorted(by_snr):
           f"{d['reduced_me4']:13.3f}")
 
 multi = ScenarioConfig(trials=10, seed=1, snr_db_grid=[0, 10, 20, 30])
-result = run_multiuser_unit_rate(multi)
+table = run_multiuser_unit_rate(multi).tables["multiuser_unit_rate"]
 by_snr = collections.defaultdict(dict)
-for rec in result.records:
-    by_snr[rec["snr_db"]][rec["scheme"]] = (rec["unit_rate"], rec["overhead"])
+for snr, scheme, unit_rate, overhead in zip(table["snr_db"], table["scheme"],
+                                            table["unit_rate"], table["overhead"]):
+    by_snr[snr][scheme] = (unit_rate, overhead)
 
 print("\nsix users, sum rate per pilot slot")
 print("snr_db   reused m_e=6   reused m_e=4   orthogonal   [bits/round/slot]")

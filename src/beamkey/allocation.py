@@ -82,10 +82,24 @@ def _index_sets(sets) -> np.ndarray | list[np.ndarray]:
         if sets.ndim < 2:
             raise ValueError("bs_sets and ut_sets must hold one index set per user")
         return sets
-    rows = [np.asarray(s) for s in sets]
+    rows = [_index_row(s) for s in sets]
     if any(r.ndim != 1 for r in rows):
         raise ValueError("bs_sets and ut_sets must hold one index set per user")
-    return np.array(rows) if len({r.size for r in rows}) == 1 else rows
+    # Stacking would read a bool or object row as numbers, so such a row,
+    # like rows whose lengths differ, goes to the walk as it is.
+    numeric = all(r.dtype.kind in "iuf" for r in rows)
+    return np.array(rows) if numeric and len({r.size for r in rows}) == 1 else rows
+
+
+def _index_row(indices) -> np.ndarray:
+    """One user's index set as an array.  A sequence that holds a bool stays
+    an object array, which is not `integral`: `np.asarray([True, 2])` would
+    read True as beam 1."""
+    if not isinstance(indices, np.ndarray):
+        entries = np.asarray(indices, dtype=object)
+        if any(isinstance(v, (bool, np.bool_)) for v in entries.flat):
+            return entries
+    return np.asarray(indices)
 
 
 def _users(sets) -> tuple[int, ...]:

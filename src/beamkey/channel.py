@@ -157,9 +157,22 @@ def _grid(n: int) -> np.ndarray:
     return readonly(_steering_columns(n, grid_sines(n)))
 
 
+@functools.lru_cache(maxsize=32)
+def _conjugate_grid(n: int) -> np.ndarray:
+    """The conjugate of the n x n grid, read-only: `beam_path_factors`
+    multiplies by its transpose, so it is formed once per size it is used
+    at, not once per call."""
+    return readonly(_grid(n).conj())
+
+
+def _clear_grids() -> None:
+    _grid.cache_clear()
+    _conjugate_grid.cache_clear()
+
+
 # The grid cache, seen through the public name.
 sampling_matrix.cache_info = _grid.cache_info
-sampling_matrix.cache_clear = _grid.cache_clear
+sampling_matrix.cache_clear = _clear_grids
 
 
 def sample_paths(
@@ -287,7 +300,8 @@ def beam_path_factors(paths: PathSet, bs: int, ut: int) -> tuple[np.ndarray, np.
     sum_p gain_p u_p w_p^H.
     """
     u, w = path_steering(paths, bs, ut)
-    return sampling_matrix(ut).conj().T @ u, sampling_matrix(bs).conj().T @ w
+    conj_ut, conj_bs = (_conjugate_grid(count(n, "antenna_count")) for n in (ut, bs))
+    return conj_ut.T @ u, conj_bs.T @ w
 
 
 def beam_covariance_factor(paths: PathSet, bs: int,

@@ -1,8 +1,9 @@
 """Reproducible experiment runners and the cross-module validation suite.
 
 Each runner takes a ScenarioConfig, draws seeded random scenarios, evaluates
-the probing/key-rate machinery and returns an ExperimentResult holding plain
-records (for CSV) plus metadata embedding the fully resolved configuration.
+the probing/key-rate machinery and returns an ExperimentResult holding its
+tables, each a mapping from column name to that column's values (one CSV
+per table), plus metadata embedding the fully resolved configuration.
 Rates are reported in bits per probing round.  Running the same config and
 seed twice produces byte-identical output files.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -237,21 +238,21 @@ class ScenarioConfig:
 
 @dataclass
 class ExperimentResult:
-    """Named record table (plus optional side tables) and run metadata."""
+    """A run's result tables and metadata.
+
+    A table maps each column name, in order, to that column's values, one
+    per row.  The experiment's own table is `tables[name]`, first; a runner
+    may add side tables after it.  An empty table keeps its column names,
+    so its CSV still has a header row.
+    """
 
     name: str
-    records: list[dict]
+    tables: dict[str, dict[str, list]]
     metadata: dict
-    extra_tables: dict[str, list[dict]] = field(default_factory=dict)
-    # Column layout for tables that may legitimately be empty, so their CSV
-    # still carries a header row.
-    table_columns: dict[str, list[str]] = field(default_factory=dict)
 
     def files(self) -> dict[str, str]:
         """File name -> contents: one CSV per table, then `<name>_meta.json`."""
-        tables = {self.name: self.records, **self.extra_tables}
-        files = {f"{table}.csv": records_to_csv(records, self.table_columns.get(table))
-                 for table, records in tables.items()}
+        files = {f"{name}.csv": table_to_csv(table) for name, table in self.tables.items()}
         files[f"{self.name}_meta.json"] = json.dumps(self.metadata, indent=2, sort_keys=True)
         return files
 
@@ -282,16 +283,15 @@ def _column(values: list) -> list[str]:
     return list(map(_cell, values))
 
 
-def records_to_csv(records: list[dict], columns: list[str] | None = None) -> str:
-    """A table as CSV text: a header row, then one row per record; a key a
-    record lacks is an empty cell.  Formatted a column at a time."""
-    if columns is None:
-        if not records:
-            raise ValueError("cannot infer CSV columns from an empty table")
-        columns = list(records[0].keys())
-    cells = [_column([rec.get(c) for rec in records]) for c in columns]
-    rows = map(",".join, zip(*cells)) if cells else [""] * len(records)
-    return "\n".join([",".join(columns), *rows]) + "\n"
+def table_to_csv(table: dict[str, list]) -> str:
+    """A table as CSV text: a header row of its column names, then one row
+    per value of its columns, which must all have the same length.
+    Formatted a column at a time."""
+    lengths = {name: len(values) for name, values in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns must have the same length, got {lengths}")
+    cells = [_column(values) for values in table.values()]
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_result(result: ExperimentResult | ValidationReport,
@@ -442,8 +442,8 @@ def trial_working_set(config: ScenarioConfig) -> int:
     and the traced peak of a block grows 0.63 MiB a trial; with 81 SNR
     points `rate`'s stack sets it, 1.72 MiB, and the traced peak grows
     1.54 MiB a trial.  A block also holds what does not grow with its
-    trials, such as the conjugate M x M beam grid that `beam_path_factors`
-    forms.
+    trials, such as its small arrays; the M x M beam grid and its conjugate,
+    which `beam_path_factors` multiplies by, are cached once per size.
     """
     counts = config.ut_antenna_list()
     # Python ints, which do not wrap, though a config may hold NumPy integers.
@@ -548,27 +548,20 @@ def run_single_user_rate(config: ScenarioConfig) -> ExperimentResult:
     if config.users != 1:
         raise ConfigError("invalid config: single-user rate experiment requires users = 1 "
                           "(pass --users 1)")
-    ut_count = config.ut_antenna_list()[0]
     me_values = [int(m) for m in config.bs_beams_compare]
     schemes = ["perfect"] + [f"reduced_me{m}" for m in me_values]
-    # Complete-grid probing is the last column, so scheme j reads column j - 1.
-    mean_rates = _mean_trial_rates(config)[0][:, :, 0]
-
-    records = []
-    for i, snr in enumerate(config.snr_db_grid):
-        for j, scheme in enumerate(schemes):
-            records.append({
-                "snr_db": float(snr),
-                "scheme": scheme,
-                "bs_beams": config.bs_antennas if scheme == "perfect" else me_values[j - 1],
-                "ut_beams": ut_count if scheme == "perfect" else config.ut_beams,
-                "rate_bits": float(mean_rates[i, j - 1]),
-            })
-    return ExperimentResult(
-        name="single_user_rate",
-        records=records,
-        metadata=_metadata(config, "single_user_rate"),
-    )
+    n_snr = len(config.snr_db_grid)
+    # Complete-grid probing is the last scheme of the rates and the first of each SNR point.
+    rates = np.roll(_mean_trial_rates(config)[0][:, :, 0], 1, axis=1)
+    table = {
+        "snr_db": [float(snr) for snr in config.snr_db_grid for _ in schemes],
+        "scheme": schemes * n_snr,
+        "bs_beams": [config.bs_antennas, *me_values] * n_snr,
+        "ut_beams": ([config.ut_antenna_list()[0]] + [config.ut_beams] * len(me_values)) * n_snr,
+        "rate_bits": rates.ravel().tolist(),
+    }
+    return ExperimentResult("single_user_rate", {"single_user_rate": table},
+                            _metadata(config, "single_user_rate"))
 
 
 def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
@@ -579,68 +572,45 @@ def run_beam_gain_profile(config: ScenarioConfig) -> ExperimentResult:
                              config.angle_mode == "on_grid")
     alloc = scenario.allocate(config.bs_beams, config.ut_beams)
     gains = scenario.bs_gains
-
-    records = []
-    for m in range(config.bs_antennas):
-        row: dict = {"beam": m}
-        for k in range(config.users):
-            row[f"gain_user_{k}"] = float(gains[k][m])
-        records.append(row)
+    table = {"beam": list(range(config.bs_antennas)),
+             **{f"gain_user_{k}": gains[k].tolist() for k in range(config.users)}}
 
     # Users ordered along the beam axis by their peak beam; consecutive users
-    # are "adjacent" and each direction of a pair yields one attenuation row.
-    peaks = [int(np.argmax(g)) for g in gains]
-    order = sorted(range(config.users), key=lambda k: peaks[k])
-    pair_rows = []
-    for a, b in zip(order, order[1:]):
-        for k, other in ((a, b), (b, a)):
-            own = gains[k]
-            att_db = 10.0 * np.log10(own[peaks[k]] / max(own[peaks[other]], 1e-300))
-            pair_rows.append({
-                "user": k,
-                "neighbor": other,
-                "own_peak_beam": peaks[k],
-                "neighbor_peak_beam": peaks[other],
-                "attenuation_db": float(att_db),
-            })
+    # are "adjacent", and each pair (a, b) of them gives the attenuation rows
+    # (a, b), then (b, a).
+    peaks = gains.argmax(axis=-1)
+    order = np.argsort(peaks, kind="stable")
+    user = np.stack([order[:-1], order[1:]], axis=-1).ravel()
+    neighbor = np.stack([order[1:], order[:-1]], axis=-1).ravel()
+    att_db = 10.0 * np.log10(gains[user, peaks[user]]
+                             / np.maximum(gains[user, peaks[neighbor]], 1e-300))
+    pairs = {
+        "user": user.tolist(),
+        "neighbor": neighbor.tolist(),
+        "own_peak_beam": peaks[user].tolist(),
+        "neighbor_peak_beam": peaks[neighbor].tolist(),
+        "attenuation_db": att_db.tolist(),
+    }
 
     metadata = _metadata(config, "beam_gains")
     metadata["allocation"] = allocation_summary(alloc, gains)
-    if pair_rows:
-        metadata["median_adjacent_attenuation_db"] = float(
-            np.median([r["attenuation_db"] for r in pair_rows])
-        )
-    return ExperimentResult(
-        name="beam_gains",
-        records=records,
-        metadata=metadata,
-        extra_tables={"adjacent_attenuation": pair_rows},
-        table_columns={"adjacent_attenuation": [
-            "user", "neighbor", "own_peak_beam", "neighbor_peak_beam", "attenuation_db",
-        ]},
-    )
+    if att_db.size:
+        metadata["median_adjacent_attenuation_db"] = float(np.median(att_db))
+    return ExperimentResult("beam_gains", {"beam_gains": table, "adjacent_attenuation": pairs},
+                            metadata)
 
 
 def run_overhead_comparison(config: ScenarioConfig) -> ExperimentResult:
     """Pilot-slot budgets of full-dimension orthogonal probing versus pilot
     reuse, as a function of the number of users.  Pure arithmetic."""
     counts = config.ut_antenna_list()
-    records = []
-    for k in range(1, config.users + 1):
-        records.append({
-            "users": k,
-            "overhead_traditional": pilot_overhead(
-                "traditional", config.bs_antennas, counts[:k], config.bs_beams, config.ut_beams
-            ),
-            "overhead_reused": pilot_overhead(
-                "reused", config.bs_antennas, counts[:k], config.bs_beams, config.ut_beams
-            ),
-        })
-    return ExperimentResult(
-        name="overhead",
-        records=records,
-        metadata=_metadata(config, "overhead"),
-    )
+    users = range(1, config.users + 1)
+    table = {"users": list(users)}
+    for mode in ("traditional", "reused"):
+        table[f"overhead_{mode}"] = [pilot_overhead(mode, config.bs_antennas, counts[:k],
+                                                    config.bs_beams, config.ut_beams)
+                                     for k in users]
+    return ExperimentResult("overhead", {"overhead": table}, _metadata(config, "overhead"))
 
 
 def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
@@ -656,30 +626,20 @@ def run_multiuser_unit_rate(config: ScenarioConfig) -> ExperimentResult:
         for m in me_values
     ] + [pilot_overhead("traditional", config.bs_antennas, counts, config.bs_beams,
                         config.ut_beams)]
-    user_rates, residuals = _mean_trial_rates(config)
-
-    records = []
-    for i, snr in enumerate(config.snr_db_grid):
-        for j, scheme in enumerate(schemes):
-            sum_rate = float(user_rates[i, j].sum())
-            rec: dict = {
-                "snr_db": float(snr),
-                "scheme": scheme,
-                "overhead": int(overheads[j]),
-                "sum_rate_bits": sum_rate,
-                "unit_rate": unit_skr(sum_rate, overheads[j]),
-                "max_neutralization_residual": (
-                    float(residuals[j]) if scheme != "orthogonal" else None
-                ),
-            }
-            for k in range(config.users):
-                rec[f"rate_user_{k}"] = float(user_rates[i, j, k])
-            records.append(rec)
-    return ExperimentResult(
-        name="multiuser_unit_rate",
-        records=records,
-        metadata=_metadata(config, "multiuser_unit_rate"),
-    )
+    n_snr = len(config.snr_db_grid)
+    user_rates, residuals = _mean_trial_rates(config)  # (SNR, scheme, user), (beam count,)
+    sum_rates = user_rates.sum(axis=-1).ravel().tolist()
+    table = {
+        "snr_db": [float(snr) for snr in config.snr_db_grid for _ in schemes],
+        "scheme": schemes * n_snr,
+        "overhead": overheads * n_snr,
+        "sum_rate_bits": sum_rates,
+        "unit_rate": list(map(unit_skr, sum_rates, overheads * n_snr)),
+        "max_neutralization_residual": [*residuals.tolist(), None] * n_snr,
+        **{f"rate_user_{k}": user_rates[..., k].ravel().tolist() for k in range(config.users)},
+    }
+    return ExperimentResult("multiuser_unit_rate", {"multiuser_unit_rate": table},
+                            _metadata(config, "multiuser_unit_rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -985,12 +945,12 @@ __all__ = [
     "ScenarioConfig",
     "ValidationReport",
     "empirical_downlink_covariance",
-    "records_to_csv",
     "run_beam_gain_profile",
     "run_multiuser_unit_rate",
     "run_overhead_comparison",
     "run_single_user_rate",
     "run_validation_suite",
+    "table_to_csv",
     "closed_form_agreement_sweep",
     "write_result",
 ]

@@ -39,6 +39,7 @@ from beamkey.keyrate import (
     rate_table,
 )
 from beamkey.probing import downlink_probe, uplink_probe
+from result_rows import rows
 
 SEED = 2025
 
@@ -75,7 +76,7 @@ def test_criterion_3_single_user_rate_orderings():
     elapsed = time.perf_counter() - started
 
     by_snr: dict = {}
-    for rec in result.records:
+    for rec in rows(result):
         by_snr.setdefault(rec["snr_db"], {})[rec["scheme"]] = rec["rate_bits"]
     ordering_ok = all(
         sch["perfect"] >= sch["reduced_me6"] - 1e-9
@@ -101,7 +102,7 @@ def test_criterion_4_multiuser_unit_rate_orderings():
     elapsed = time.perf_counter() - started
 
     by_snr: dict = {}
-    for rec in result.records:
+    for rec in rows(result):
         by_snr.setdefault(rec["snr_db"], {})[rec["scheme"]] = rec["unit_rate"]
     violations = [
         snr for snr, sch in by_snr.items()
@@ -133,7 +134,7 @@ def test_criterion_5_beam_concentration():
     near_bound, bracket_bound = 4 / np.pi**2, 8 / np.pi**2
     top6, top_p, top_2p = [], [], []
     for k in range(config.users):
-        gains = np.sort([rec[f"gain_user_{k}"] for rec in result.records])[::-1]
+        gains = np.sort([rec[f"gain_user_{k}"] for rec in rows(result)])[::-1]
         total = gains.sum()
         top6.append(gains[:6].sum() / total)
         top_p.append(gains[:n_p].sum() / total)

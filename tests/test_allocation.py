@@ -198,6 +198,19 @@ class TestBuildMatrices:
         with pytest.raises(ValueError, match=message + " for user 0$"):
             build_matrices(bs_beams, ut_beams, 8, [4])
 
+    @pytest.mark.parametrize("bs_beams, ut_beams, fault", [
+        ([[True, 2]], [[0]], "transmit beam indices must be integers for user 0$"),
+        ([[0, 1], [np.True_, 2]], [[0], [1]],
+         "transmit beam indices must be integers for user 1$"),
+        ([[0, 2]], [[0, False]], "receive beam indices must be integers for user 0$"),
+        ([[0], [2]], [[0], [True]], "receive beam indices must be integers for user 1$"),
+    ], ids=["transmit", "transmit_user_1", "receive", "receive_user_1"])
+    def test_bool_among_integers_rejected(self, bs_beams, ut_beams, fault):
+        # np.asarray([True, 2]) is the integer array [1, 2], so the bool was
+        # read as beam 1.
+        with pytest.raises(ValueError, match=fault):
+            build_matrices(bs_beams, ut_beams, 8, [4] * len(bs_beams))
+
     def test_whole_float_indices_stored_as_integers(self):
         alloc = build_matrices(np.array([[0.0, 2.0]]), [[1.0]], 8, [4])
         assert alloc.bs_beams.dtype == alloc.ut_beams.dtype == int

@@ -34,12 +34,12 @@ from beamkey.experiments import (
     _mean_trial_rates,
     _trial_seeds,
     empirical_downlink_covariance,
-    records_to_csv,
     run_beam_gain_profile,
     run_multiuser_unit_rate,
     run_overhead_comparison,
     run_single_user_rate,
     run_validation_suite,
+    table_to_csv,
     write_result,
 )
 from beamkey.keyrate import (
@@ -52,6 +52,7 @@ from beamkey.keyrate import (
     secret_key_rate,
 )
 from beamkey.probing import downlink_maps, downlink_probe, uplink_probe
+from result_rows import rows
 
 
 def small_single_user(**overrides):
@@ -182,9 +183,9 @@ class TestSingleUserRate:
 
     def test_orderings_and_schema(self):
         res = run_single_user_rate(small_single_user())
-        assert len(res.records) == 3 * 3  # snr points x schemes
+        assert len(rows(res)) == 3 * 3  # snr points x schemes
         by_snr = {}
-        for rec in res.records:
+        for rec in rows(res):
             by_snr.setdefault(rec["snr_db"], {})[rec["scheme"]] = rec["rate_bits"]
         for snr, schemes in by_snr.items():
             assert schemes["perfect"] >= schemes["reduced_me3"] - 1e-9
@@ -195,48 +196,48 @@ class TestSingleUserRate:
     def test_deterministic(self):
         a = run_single_user_rate(small_single_user())
         b = run_single_user_rate(small_single_user())
-        assert a.records == b.records
-        assert records_to_csv(a.records) == records_to_csv(b.records)
+        assert a.tables == b.tables
+        assert table_to_csv(a.tables[a.name]) == table_to_csv(b.tables[b.name])
 
     def test_workers_do_not_change_results(self):
         a = run_single_user_rate(small_single_user(workers=1))
         b = run_single_user_rate(small_single_user(workers=3))
-        assert a.records == b.records
+        assert a.tables == b.tables
 
 
 class TestBeamGainProfile:
     def test_on_grid_gain_support(self):
         cfg = small_multi_user(angle_mode="on_grid")
         res = run_beam_gain_profile(cfg)
-        assert len(res.records) == 16
+        assert len(rows(res)) == 16
         for k in range(cfg.users):
-            gains = np.array([rec[f"gain_user_{k}"] for rec in res.records])
+            gains = np.array([rec[f"gain_user_{k}"] for rec in rows(res)])
             assert int(np.sum(gains > 1e-8)) == cfg.n_paths
             assert np.all(gains[gains <= 1e-8] < 1e-10)
 
     def test_single_user_emits_no_pairs(self):
         res = run_beam_gain_profile(small_single_user())
-        assert res.extra_tables["adjacent_attenuation"] == []
+        assert rows(res, "adjacent_attenuation") == []
 
     def test_pair_rows_cover_adjacent_users(self):
         res = run_beam_gain_profile(small_multi_user())
-        rows = res.extra_tables["adjacent_attenuation"]
-        assert len(rows) == 2 * (3 - 1)
-        assert {"user", "neighbor", "attenuation_db"} <= set(rows[0])
+        pair_rows = rows(res, "adjacent_attenuation")
+        assert len(pair_rows) == 2 * (3 - 1)
+        assert {"user", "neighbor", "attenuation_db"} <= set(pair_rows[0])
         assert "median_adjacent_attenuation_db" in res.metadata
 
 
 class TestOverheadComparison:
     def test_values_scale_with_users(self):
         res = run_overhead_comparison(ScenarioConfig(trials=1))
-        by_users = {rec["users"]: rec for rec in res.records}
+        by_users = {rec["users"]: rec for rec in rows(res)}
         assert by_users[6]["overhead_traditional"] == 152
         assert by_users[1]["overhead_traditional"] == 132
-        assert all(rec["overhead_reused"] == 10 for rec in res.records)
+        assert all(rec["overhead_reused"] == 10 for rec in rows(res))
 
     def test_record_count(self):
         res = run_overhead_comparison(small_multi_user())
-        assert [rec["users"] for rec in res.records] == [1, 2, 3]
+        assert [rec["users"] for rec in rows(res)] == [1, 2, 3]
 
 
 def hand_drawn_paths(rng, n_paths, m, n, on_grid):
@@ -352,7 +353,7 @@ def test_complete_grid_rates_match_dense_spectrum(run, cfg, scheme, column):
     # The runners take each user's spectrum from the P x P Gram matrix of its
     # factor; the dense covariance of the same draw must give the same rates.
     spectra = dense_spectra(cfg)
-    for rec in run(cfg).records:
+    for rec in rows(run(cfg)):
         if rec["scheme"] != scheme:
             continue
         noise = 10.0 ** (-rec["snr_db"] / 10.0)
@@ -387,7 +388,7 @@ def test_reduced_rates_match_dense_oracle_per_point(run, cfg, prefix, column):
                          for s2 in noise]
                 oracle.setdefault((m_e, k), []).append(rates)
     checked = 0
-    for rec in run(cfg).records:
+    for rec in rows(run(cfg)):
         if not rec["scheme"].startswith(prefix):
             continue
         m_e = int(rec["scheme"][len(prefix):])
@@ -420,8 +421,8 @@ class TestMultiuserUnitRate:
     def test_schema_and_determinism(self):
         cfg = small_multi_user()
         res = run_multiuser_unit_rate(cfg)
-        assert len(res.records) == 2 * 3  # snr points x (2 reused + orthogonal)
-        for rec in res.records:
+        assert len(rows(res)) == 2 * 3  # snr points x (2 reused + orthogonal)
+        for rec in rows(res):
             assert rec["unit_rate"] == pytest.approx(rec["sum_rate_bits"] / rec["overhead"])
             users_sum = sum(rec[f"rate_user_{k}"] for k in range(cfg.users))
             assert rec["sum_rate_bits"] == pytest.approx(users_sum)
@@ -431,7 +432,7 @@ class TestMultiuserUnitRate:
             else:
                 assert rec["max_neutralization_residual"] >= 0
         again = run_multiuser_unit_rate(cfg)
-        assert res.records == again.records
+        assert res.tables == again.tables
 
 
 def one_trial_at_a_time(cfg):
@@ -692,9 +693,9 @@ class TestBlockChecks:
     def test_block_memory_is_bounded(self):
         # One full block's draw, allocation, table, `rate_factors` and
         # `rate` stay within the budget plus a margin for what a block holds
-        # whatever its size and `trial_working_set` leaves out: the conjugate
-        # of the M x M beam grid that `beam_path_factors` forms per block
-        # (0.25 MiB at M = 128) and the block's small arrays.  Measured peaks:
+        # whatever its size and `trial_working_set` leaves out: the block's
+        # small arrays (the conjugate M x M beam grid that `beam_path_factors`
+        # multiplies by is cached once per size).  Measured peaks:
         # 3.28 MiB for the reference scenario's 5 trials (as with the fixed
         # blocks of 5 before the budget), 3.10 MiB for its 2 trials with 81
         # SNR points, where `rate`'s stack sets the estimate, 3.23 MiB for
@@ -738,7 +739,7 @@ class TestBlockChecks:
         monkeypatch.setattr(experiments, "build_matrices", building)
         res = run_multiuser_unit_rate(cfg)
         assert built == [1, 1, 1]
-        assert all(np.isfinite(rec["sum_rate_bits"]) for rec in res.records)
+        assert all(np.isfinite(rec["sum_rate_bits"]) for rec in rows(res))
 
 
 def rate_one_block(cfg):
@@ -786,12 +787,12 @@ class TestWriteResult:
         ]
 
     def test_columns_format_as_each_value_alone(self):
-        # `records_to_csv` formats a column at a time; the reference is one
+        # `table_to_csv` formats a column at a time; the reference is one
         # `_cell` call per value, row by row.
-        def per_value_csv(records, columns):
-            lines = [",".join(columns)]
-            for rec in records:
-                lines.append(",".join(experiments._cell(rec.get(c)) for c in columns))
+        def per_value_csv(table):
+            lines = [",".join(table)]
+            for row in zip(*table.values()):
+                lines.append(",".join(map(experiments._cell, row)))
             return "\n".join(lines) + "\n"
 
         columns = {
@@ -802,18 +803,22 @@ class TestWriteResult:
             "np_float64": [np.float64(v) for v in (-0.0, 5e-324, 1e-300, 1e22, 0.3, 1, 2)],
             "np_int64": [np.int64(v) for v in (0, -3, 2 ** 62, 7, 1, 4, 5)],
             "str": ["perfect", "reduced_me6", "", "a b", "x", "reused_me4", "orthogonal"],
+            "str_and_none": ["perfect", "reduced_me6", "", None, "x", "reused_me4", "orthogonal"],
             "max_neutralization_residual": [1e-17, None, 0.0, 2.5e-3, None, 5e-324, -0.0],
             "ints_and_bools": [1, True, 0, False, 2, 3, 4],
             "float_and_np": [0.1, np.float64(0.1), 1e22, np.float64(1e22), 0.0, 1.0, 2.0],
             "mixed": [1, 1.0, "1", None, True, np.int64(1), np.float64(1.0)],
         }
-        records = [{name: values[i] for name, values in columns.items()} for i in range(7)]
-        del records[3]["str"]  # a key a record lacks is an empty cell
-        for cols in (None, list(columns), ["str", "none", "absent", "float"]):
-            expected = per_value_csv(records, cols or list(records[0]))
-            assert records_to_csv(records, cols) == expected
-        assert records_to_csv([], ["user", "rate"]) == "user,rate\n"
-        assert records_to_csv([{}, {}]) == per_value_csv([{}, {}], []) == "\n\n\n"
+        for names in (list(columns), ["str_and_none", "none", "float"]):
+            table = {name: columns[name] for name in names}
+            assert table_to_csv(table) == per_value_csv(table)
+        assert table_to_csv({"user": [], "rate": []}) == "user,rate\n"
+        assert table_to_csv({}) == per_value_csv({}) == "\n"
+
+    def test_columns_of_different_lengths_rejected(self):
+        # `zip` would cut every column to the shortest one.
+        with pytest.raises(ValueError, match="columns must have the same length"):
+            table_to_csv({"user": [0, 1, 2], "rate": [0.5, 0.25]})
 
 
 class TestValidationSuite:

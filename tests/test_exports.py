@@ -23,6 +23,7 @@ REMOVED = (
     "pathset_from_json",
     "pathset_to_json",
     "psd_sqrt",
+    "records_to_csv",
     "steering_vector",
 )
 
